@@ -92,7 +92,6 @@ from .classify import (
     ProlongationClass,
     are_equivalent,
     brute_force_coverings,
-    classifying_cocycle_relative,
     difference_cocycle,
     enumerate_classes,
     equivalent_extensions,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .cohomology import Cochain, cohomology_group, is_cocycle
 from .crossed import InducedCrossedModule, induce_crossed_module
@@ -17,10 +18,19 @@ from .errors import (
     MismatchedFrame,
     NotCocycle,
     NotInKernel,
-        ProlongError,
+    ProlongError,
     SearchBoundExceeded,
+    certify,
 )
-from .extensions import Prolongation, ShortExtension, validate_prolongation
+from .extensions import (
+    FactorSet,
+    Prolongation,
+    Section,
+    ShortExtension,
+    choose_section,
+    factor_set,
+    validate_prolongation,
+)
 from .groups import Homomorphism, is_bijective
 from .obstruction import (
     PreProlongation,
@@ -69,34 +79,34 @@ def _require_same_frame(p1: Prolongation, p2: Prolongation) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Reduction:
-    """Canonical section data of a ladder: v over the cokernel, lift h in E0."""
+    """Canonical section data of a ladder: on the induced row
+    0 -> E0 -> B -> Pi0 -> 1, the section v over u = coker.reps and its
+    factor set h, which is the lift in E0."""
 
     icm: InducedCrossedModule
     u: tuple[int, ...]
-    v: tuple[int, ...]
-    h: tuple[tuple[int, ...], ...]
-    eps_index: dict
+    fs: FactorSet
 
 
 def _reduce(p: Prolongation) -> _Reduction:
     icm = induce_crossed_module(p)
     ind = icm.induced
     u = ind.coker.reps
-    b = p.e.b
-    pi0 = ind.coker.quotient
-    v = []
-    for x in pi0.elements():
-        v.append(min(bb for bb in b.elements() if p.e.p.map[bb] == u[x]))
-    eps_index = {ind.eps.map[e]: e for e in ind.e0_data.quotient.elements()}
-    h = []
-    for x in pi0.elements():
-        row = []
-        for y in pi0.elements():
-            word = b.mul(b.mul(v[x], v[y]), b.inv[v[pi0.mul(x, y)]])
-            row.append(eps_index[word])
-        h.append(tuple(row))
-    return _Reduction(icm=icm, u=tuple(u), v=tuple(v),
-                      h=tuple(tuple(r) for r in h), eps_index=eps_index)
+    least = choose_section(p.e).u
+    v = Section(ext=ind.seq, u=tuple(least[g] for g in u))
+    return _Reduction(icm=icm, u=u, fs=factor_set(ind.seq, v))
+
+
+def _coordinates(fs: FactorSet) -> list[tuple[int, int]]:
+    """(k, x) with b = j(k) u_x for every element b of the middle group."""
+    ext, u = fs.ext, fs.section.u
+    b = ext.b
+    j_index = {ext.j.map[k]: k for k in ext.a.elements()}
+    out = []
+    for bb in b.elements():
+        x = ext.p.map[bb]
+        out.append((j_index[b.mul(bb, b.inv[u[x]])], x))
+    return out
 
 
 def _pre_of(p: Prolongation, red: _Reduction) -> PreProlongation:
@@ -112,63 +122,41 @@ def to_crossed_product(p: Prolongation) -> tuple[Prolongation, EquivalenceWitnes
     """
     red = _reduce(p)
     pre = _pre_of(p, red)
-    cp = crossed_product(pre, red.u, red.h)
+    cp = crossed_product(pre, red.u, red.fs.f)
     target = Prolongation(e0=p.e0, e=cp.ext, alpha=p.alpha,
                           beta=cp.beta, gamma=p.gamma)
-    ind = red.icm.induced
-    pi0 = ind.coker.quotient
-    npi = pi0.order
-    b = p.e.b
-    bmap = []
-    for bb in b.elements():
-        x = ind.coker.projection.map[p.e.p.map[bb]]
-        e = red.eps_index[b.mul(bb, b.inv[red.v[x]])]
-        bmap.append(e * npi + x)
+    npi = len(red.u)
+    bmap = tuple(e * npi + x for e, x in _coordinates(red.fs))
     witness = EquivalenceWitness(
-        beta_star=Homomorphism(b, cp.ext.b, tuple(bmap)),
+        beta_star=Homomorphism(p.e.b, cp.ext.b, bmap),
         first=p, second=target)
-    assert witness_is_valid(witness)
+    certify(witness_is_valid(witness), "crossed-product witness must be valid")
     return target, witness
 
 
-def are_equivalent(p1: Prolongation, p2: Prolongation,
-                   max_candidates: int = DEFAULT_SEARCH_BOUND
-                   ) -> EquivalenceWitness | None:
-    """Search for an equivalence witness; None when the ladders are inequivalent.
+def _search_equivalence(fs: FactorSet, kernel_map: Homomorphism,
+                        candidates: list[list[int]], max_candidates: int
+                        ) -> Homomorphism | None:
+    """The first isomorphism of middle groups extending kernel_map, or None.
 
-    beta_star is forced on the image of eps by beta_star . beta = beta', so the
-    backtracking ranges only over images of the canonical section elements,
-    pruned by the section product constraints.
+    fs is a factor set of the row 0 -> K -j-> B1 -> Q -> 1 over a section u;
+    kernel_map sends K into B2.  The map is forced on j(K), so the search
+    backtracks only over w_x, the image of u_x, drawn from candidates[x]
+    (candidates[0] = [0]).  A partial choice must preserve
+    u_s u_t = j(f(s, t)) u_st; the choices are tried in lexicographic order.
     """
-    _require_same_frame(p1, p2)
-    red1 = _reduce(p1)
-    ind1 = red1.icm.induced
-    ind2 = induce_crossed_module(p2).induced
-    pi0 = ind1.coker.quotient
-    npi = pi0.order
-    b1, b2 = p1.e.b, p2.e.b
-    eps2 = ind2.eps.map
-    # forced part: eps1(e) -> eps2(e)
-    candidates: list[list[int]] = [[0]]
-    for x in range(1, npi):
-        target_g = p1.e.p.map[red1.v[x]]
-        candidates.append(sorted(bb for bb in b2.elements()
-                                 if p2.e.p.map[bb] == target_g))
-    total = 1
-    for c in candidates:
-        total *= len(c)
+    total = prod(len(c) for c in candidates)
     if total > max_candidates:
         raise SearchBoundExceeded(
             f"equivalence search space {total} exceeds {max_candidates}")
-    proj1 = ind1.coker.projection.map
-    eps_h1 = [[eps2[red1.h[x][y]] for y in range(npi)] for x in range(npi)]
+    q = fs.ext.g
+    b1, b2 = fs.ext.b, kernel_map.target
+    kmap = kernel_map.map
+    f2 = [[kmap[k] for k in row] for row in fs.f]
+    coords = _coordinates(fs)
 
-    def assemble(ws: list[int]) -> EquivalenceWitness | None:
-        bmap = [0] * b1.order
-        for bb in b1.elements():
-            x = proj1[p1.e.p.map[bb]]
-            e = red1.eps_index[b1.mul(bb, b1.inv[red1.v[x]])]
-            bmap[bb] = b2.mul(eps2[e], ws[x])
+    def assemble(ws: list[int]) -> Homomorphism | None:
+        bmap = [b2.mul(kmap[k], ws[x]) for k, x in coords]
         if len(set(bmap)) != b1.order:
             return None
         t1, t2 = b1.table, b2.table
@@ -177,24 +165,20 @@ def are_equivalent(p1: Prolongation, p2: Prolongation,
             for bb in b1.elements():
                 if bmap[t1[a][bb]] != t2[ma][bmap[bb]]:
                     return None
-        witness = EquivalenceWitness(
-            beta_star=Homomorphism(b1, b2, tuple(bmap)), first=p1, second=p2)
-        return witness if witness_is_valid(witness) else None
+        return Homomorphism(b1, b2, tuple(bmap))
 
-    def backtrack(ws: list[int], x: int) -> EquivalenceWitness | None:
-        if x == npi:
+    def backtrack(ws: list[int], x: int) -> Homomorphism | None:
+        if x == q.order:
             return assemble(ws)
         for w in candidates[x]:
             ws.append(w)
             ok = True
             for y in range(1, x + 1):
                 for (s, t) in ((x, y), (y, x)):
-                    st = pi0.mul(s, t)
-                    if st <= x:
-                        # v_s v_t = eps(h(s,t)) v_st must be preserved
-                        if b2.mul(ws[s], ws[t]) != b2.mul(eps_h1[s][t], ws[st]):
-                            ok = False
-                            break
+                    st = q.mul(s, t)
+                    if st <= x and b2.mul(ws[s], ws[t]) != b2.mul(f2[s][t], ws[st]):
+                        ok = False
+                        break
                 if not ok:
                     break
             if ok:
@@ -207,48 +191,44 @@ def are_equivalent(p1: Prolongation, p2: Prolongation,
     return backtrack([0], 1)
 
 
+def are_equivalent(p1: Prolongation, p2: Prolongation,
+                   max_candidates: int = DEFAULT_SEARCH_BOUND
+                   ) -> EquivalenceWitness | None:
+    """Search for an equivalence witness; None when the ladders are inequivalent.
+
+    beta_star is forced on the image of eps by beta_star . beta = beta', so
+    the search runs on the induced row of p1 and ranges only over images of
+    its canonical section elements.
+    """
+    _require_same_frame(p1, p2)
+    red1 = _reduce(p1)
+    eps2 = induce_crossed_module(p2).induced.eps
+    b2 = p2.e.b
+    candidates = [[0]] + [[bb for bb in b2.elements()
+                           if p2.e.p.map[bb] == p1.e.p.map[v]]
+                          for v in red1.fs.section.u[1:]]
+    beta_star = _search_equivalence(red1.fs, eps2, candidates, max_candidates)
+    if beta_star is None:
+        return None
+    witness = EquivalenceWitness(beta_star=beta_star, first=p1, second=p2)
+    certify(witness_is_valid(witness), "equivalence witness must be valid")
+    return witness
+
+
 def equivalent_extensions(e1: ShortExtension, e2: ShortExtension,
                           max_candidates: int = DEFAULT_SEARCH_BOUND
                           ) -> Homomorphism | None:
-    """Equivalence of bare extensions (identity on kernel and quotient)."""
+    """Equivalence of bare extensions (identity on kernel and quotient).
+
+    The search runs on e1 over its least-index section; a map it returns
+    agrees with the kernel maps and the projections by construction.
+    """
     if e1.a != e2.a or e1.g != e2.g:
         raise MismatchedFrame("extensions do not share kernel and quotient")
-    g = e1.g
-    b1, b2 = e1.b, e2.b
-    v = [min(bb for bb in b1.elements() if e1.p.map[bb] == x) for x in g.elements()]
-    j1_index = {e1.j.map[a]: a for a in e1.a.elements()}
-    candidates = [[0]] + [sorted(bb for bb in b2.elements() if e2.p.map[bb] == x)
-                          for x in list(g.elements())[1:]]
-    total = 1
-    for c in candidates:
-        total *= len(c)
-    if total > max_candidates:
-        raise SearchBoundExceeded(
-            f"equivalence search space {total} exceeds {max_candidates}")
-    for ws in itertools.product(*candidates):
-        bmap = [0] * b1.order
-        for bb in b1.elements():
-            x = e1.p.map[bb]
-            a = j1_index[b1.mul(bb, b1.inv[v[x]])]
-            bmap[bb] = b2.mul(e2.j.map[a], ws[x])
-        if len(set(bmap)) != b1.order:
-            continue
-        ok = True
-        for aa in b1.elements():
-            for bb in b1.elements():
-                if bmap[b1.table[aa][bb]] != b2.table[bmap[aa]][bmap[bb]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if any(bmap[e1.j.map[a]] != e2.j.map[a] for a in e1.a.elements()):
-            continue
-        if any(e2.p.map[bmap[bb]] != e1.p.map[bb] for bb in b1.elements()):
-            continue
-        return Homomorphism(b1, b2, tuple(bmap))
-    return None
+    candidates = [[0]] + [[bb for bb in e2.b.elements() if e2.p.map[bb] == x]
+                          for x in range(1, e1.g.order)]
+    fs = factor_set(e1, choose_section(e1))
+    return _search_equivalence(fs, e2.j, candidates, max_candidates)
 
 
 def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
@@ -269,7 +249,7 @@ def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
     values = []
     for x in pi0.elements():
         for y in pi0.elements():
-            r = e0.mul(red2.h[x][y], e0.inv[red1.h[x][y]])
+            r = e0.mul(red2.fs.f[x][y], e0.inv[red1.fs.f[x][y]])
             if r not in i_index:
                 raise NotInKernel(
                     f"difference at ({x}, {y}) lies outside the identified kernel")
@@ -278,16 +258,6 @@ def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
     if not is_cocycle(c):
         raise NotCocycle("difference of lifts fails the 2-cocycle identity")
     return c
-
-
-def classifying_cocycle_relative(p: Prolongation, base: Prolongation) -> Cochain:
-    """The class of p relative to a chosen base covering.
-
-    Single lifts carry no well-defined coefficient-valued class of their own
-    (their values only lie in the kernel after taking differences), so the
-    relative form is the only absolute-style invariant exposed.
-    """
-    return difference_cocycle(base, p)
 
 
 def torsor_act(tau, p: Prolongation) -> Prolongation:
@@ -303,7 +273,7 @@ def torsor_act(tau, p: Prolongation) -> Prolongation:
     rep = h2.from_coordinates(tau)
     e0, pi0 = d.e0, d.pi0
     h_new = tuple(
-        tuple(e0.mul(red.h[x][y], d.i.map[rep.value((x, y))])
+        tuple(e0.mul(red.fs.f[x][y], d.i.map[rep.value((x, y))])
               for y in pi0.elements())
         for x in pi0.elements())
     cp = crossed_product(pre, red.u, h_new)
@@ -380,7 +350,7 @@ def brute_force_coverings(pre: PreProlongation,
         cp = crossed_product(pre, lfs.u, h)
         p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
                          beta=cp.beta, gamma=pre.gamma)
-        assert validate_prolongation(p).ok
+        certify(validate_prolongation(p).ok, "assembled ladder must validate")
         if not verify_covering(p, pre):
             continue
         found.append(p)

@@ -29,6 +29,7 @@ from .errors import (
     NotHomomorphism,
     NotNormalized,
     SizeBoundExceeded,
+    certify,
 )
 from .groups import FiniteGroup, Homomorphism, generating_set
 from . import snf
@@ -85,13 +86,13 @@ def abelian_structure(a: FiniteGroup) -> AbelianStructure:
             rows.append(row)
     sf = snf.smith_normal_form(rows, len(rows), n, track="v")
     diag = sf.diagonal()
-    assert len(diag) == n and all(d > 0 for d in diag), "presentation has full rank"
+    certify(len(diag) == n and all(d > 0 for d in diag), "presentation has full rank")
     kept = [i for i, d in enumerate(diag) if d > 1]
     factors = tuple(diag[i] for i in kept)
-    assert prod(factors) == n
+    certify(prod(factors) == n, "invariant factors must multiply to the order")
     to_vec = tuple(tuple(sf.v[x][i] % diag[i] for i in kept) for x in a.elements())
     index = {v: x for x, v in enumerate(to_vec)}
-    assert len(index) == n, "coordinates fail to separate elements"
+    certify(len(index) == n, "coordinates fail to separate elements")
     return AbelianStructure(group=a, factors=factors, _to_vec=to_vec, _index=index)
 
 
@@ -327,7 +328,7 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     if sol is None:
         return None
     witness = _devectorize(module, c.degree - 1, sol[:cols])
-    assert coboundary(witness).values == c.values
+    certify(coboundary(witness).values == c.values, "witness must bound the cocycle")
     return witness
 
 
@@ -374,7 +375,7 @@ class CohomologyGroup:
             return ()
         n = len(self._k_basis)
         x = snf.solve_integer(self._k_basis, _vectorize(c), n, n)
-        assert x is not None, "cocycle vector must lie in the cocycle lattice"
+        certify(x is not None, "cocycle vector must lie in the cocycle lattice")
         w = snf.matvec(self._u, x)
         return tuple(w[i] % self._diag[i] for i in self._kept)
 
@@ -436,7 +437,7 @@ def cohomology_group(degree: int, module: PiModule,
         k_gens = [[1 if i == j else 0 for i in range(n_unknowns)]
                   for j in range(n_unknowns)]
     k_basis_cols = snf.lattice_column_basis(k_gens, n_unknowns)
-    assert len(k_basis_cols) == n_unknowns, "cocycle lattice must have full rank"
+    certify(len(k_basis_cols) == n_unknowns, "cocycle lattice must have full rank")
     k_basis = [[col[i] for col in k_basis_cols] for i in range(n_unknowns)]
     # coboundary image plus coefficient moduli, expressed in K-coordinates
     b_gens = []
@@ -447,12 +448,13 @@ def cohomology_group(degree: int, module: PiModule,
     q_cols = []
     for b in b_gens:
         x = snf.solve_integer(k_basis, b, n_unknowns, n_unknowns)
-        assert x is not None, "coboundaries must lie in the cocycle lattice"
+        certify(x is not None, "coboundaries must lie in the cocycle lattice")
         q_cols.append(x)
     q = [[col[i] for col in q_cols] for i in range(n_unknowns)]
     sf = snf.smith_normal_form(q, n_unknowns, len(q_cols), track="uU")
     diag = sf.diagonal()
-    assert len(diag) == n_unknowns and all(d > 0 for d in diag)
+    certify(len(diag) == n_unknowns and all(d > 0 for d in diag),
+            "cocycle quotient presentation must have full rank")
     kept = tuple(i for i, d in enumerate(diag) if d > 1)
     factors = tuple(diag[i] for i in kept)
     new_basis = snf.matmul(k_basis, sf.u_inv)
@@ -460,7 +462,7 @@ def cohomology_group(degree: int, module: PiModule,
     for i in kept:
         vec = [new_basis[row][i] % moduli_n[row] for row in range(n_unknowns)]
         rep = _devectorize(module, degree, vec)
-        assert is_cocycle(rep)
+        certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
     return CohomologyGroup(module=module, degree=degree,
                            invariant_factors=factors, basis=tuple(basis),

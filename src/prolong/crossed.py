@@ -46,8 +46,9 @@ def check_crossed_module(cm: CrossedModule) -> ValidationReport:
         return ValidationReport(tuple(items))
     perms_ok = True
     detail = ""
+    every = set(b.elements())
     for g, perm in enumerate(cm.theta):
-        if len(perm) != b.order or len(set(perm)) != b.order or perm[0] != 0:
+        if len(perm) != b.order or set(perm) != every or perm[0] != 0:
             perms_ok = False
             detail = f"theta[{g}] is not a permutation fixing the identity"
             break

@@ -13,6 +13,10 @@ class ProlongError(Exception):
 # Cayley table validation
 # ---------------------------------------------------------------------------
 
+class MalformedTable(ProlongError, ValueError):
+    """The table is empty, ragged, or has an entry outside 0..order-1."""
+
+
 class IdentityNotAtZero(ProlongError):
     pass
 
@@ -177,6 +181,20 @@ class MismatchedBase(ProlongError):
 
 class SearchBoundExceeded(ProlongError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Certificates
+# ---------------------------------------------------------------------------
+
+class CertificateFailed(ProlongError):
+    """A self-check of a computed result failed: the code, not the input, is wrong."""
+
+
+def certify(ok: bool, message: str) -> None:
+    """Raise CertificateFailed unless ok; unlike assert, python -O keeps it."""
+    if not ok:
+        raise CertificateFailed(message)
 
 
 # ---------------------------------------------------------------------------

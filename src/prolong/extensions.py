@@ -19,6 +19,7 @@ from .errors import (
     NotSurjective,
     ValidationReport,
     ValueOutsideExpectedSubgroup,
+    certify,
 )
 from .groups import (
     FiniteGroup,
@@ -261,28 +262,42 @@ class InducedSequence:
     top: ShortExtension
 
 
+def e0_quotient(e0: ShortExtension, alpha: Homomorphism
+                ) -> tuple[QuotientData, Homomorphism, Homomorphism]:
+    """E0 = B0 / j0(ker alpha) with pi: E0 -> G0 and i: A -> E0.
+
+    These are the quotient data of E0 and the maps of the identified row
+    0 -> A -> E0 -> G0 -> 0: pi(b0 + ker) = p0(b0) and i(a) is the class of
+    j0(a0) for any a0 over a (the least one is taken), so alpha must be onto.
+    """
+    if not is_surjective(alpha):
+        raise NotSurjective("alpha is not surjective")
+    b0 = e0.b
+    ker = Subgroup(b0, tuple(e0.j.map[a0] for a0 in kernel(alpha).members))
+    e0_data = quotient(b0, ker)
+    pi = Homomorphism(e0_data.quotient, e0.g,
+                      tuple(e0.p.map[r] for r in e0_data.reps))
+    i_map = []
+    for aa in alpha.target.elements():
+        a0 = min(x for x in e0.a.elements() if alpha.map[x] == aa)
+        i_map.append(e0_data.projection.map[e0.j.map[a0]])
+    return e0_data, pi, Homomorphism(alpha.target, e0_data.quotient, tuple(i_map))
+
+
 def induced_sequence(p: Prolongation) -> InducedSequence:
     report = validate_prolongation(p)
     if not report.ok:
         raise InvalidProlongation(report)
-    b0 = p.e0.b
-    ker_members = tuple(sorted(p.e0.j.map[a0] for a0 in kernel(p.alpha).members))
-    e0_data = quotient(b0, Subgroup(b0, ker_members))
-    e0 = e0_data.quotient
-    eps = Homomorphism(e0, p.e.b, tuple(p.beta.map[r] for r in e0_data.reps))
-    for x in b0.elements():
-        assert eps.map[e0_data.projection.map[x]] == p.beta.map[x]
+    e0_data, pi, i = e0_quotient(p.e0, p.alpha)
+    eps = Homomorphism(e0_data.quotient, p.e.b,
+                       tuple(p.beta.map[r] for r in e0_data.reps))
+    certify(all(eps.map[e0_data.projection.map[x]] == p.beta.map[x]
+                for x in p.e0.b.elements()), "beta must factor through E0")
     coker = cokernel(p.gamma)
     seq = make_extension(eps, compose(coker.projection, p.e.p))
-    a = p.e.a
-    i_map = []
-    for aa in a.elements():
-        a0 = min(x for x in p.e0.a.elements() if p.alpha.map[x] == aa)
-        i_map.append(e0_data.projection.map[p.e0.j.map[a0]])
-    i = Homomorphism(a, e0, tuple(i_map))
-    pi = Homomorphism(e0, p.e0.g, tuple(p.e0.p.map[r] for r in e0_data.reps))
     top = make_extension(i, pi)
-    assert compose(eps, i).map == p.e.j.map
-    assert compose(p.e.p, eps).map == compose(p.gamma, pi).map
+    certify(compose(eps, i).map == p.e.j.map, "eps . i must equal j")
+    certify(compose(p.e.p, eps).map == compose(p.gamma, pi).map,
+            "p . eps must equal gamma . pi")
     return InducedSequence(seq=seq, eps=eps, i=i, pi=pi,
                            e0_data=e0_data, coker=coker, top=top)

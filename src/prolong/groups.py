@@ -13,6 +13,7 @@ from functools import lru_cache
 from .errors import (
     IdentityNotAtZero,
     ImageNotNormal,
+    MalformedTable,
     MissingInverse,
     NotAssociative,
     NotHomomorphism,
@@ -86,16 +87,19 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
 
     The identity must already sit at index 0; inverses are computed here.
     """
-    n = len(table)
+    try:
+        rows = [list(row) for row in table]
+    except TypeError:
+        raise MalformedTable("table must be a list of rows") from None
+    n = len(rows)
     if n == 0:
-        raise ValueError("empty table")
-    rows = [list(row) for row in table]
+        raise MalformedTable("empty table")
     for a, row in enumerate(rows):
         if len(row) != n:
-            raise ValueError(f"row {a} has length {len(row)}, expected {n}")
+            raise MalformedTable(f"row {a} has length {len(row)}, expected {n}")
         for b, x in enumerate(row):
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise ValueError(f"entry table[{a}][{b}] = {x!r} out of range")
+            if type(x) is not int or not 0 <= x < n:
+                raise MalformedTable(f"entry table[{a}][{b}] = {x!r} out of range")
     for b in range(n):
         if rows[0][b] != b:
             raise IdentityNotAtZero(f"table[0][{b}] = {rows[0][b]}, expected {b}")
@@ -155,10 +159,6 @@ class Homomorphism:
 
     def __call__(self, a: int) -> int:
         return self.map[a]
-
-
-# An automorphism is just a bijective endomorphism; no separate type is needed.
-Automorphism = Homomorphism
 
 
 def identity_hom(g: FiniteGroup) -> Homomorphism:

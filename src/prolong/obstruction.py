@@ -37,12 +37,17 @@ from .errors import (
     ObstructionNonzero,
     PairingNotAssociative,
     PreconditionFailed,
+    ProlongError,
     ValidationReport,
+    certify,
 )
 from .extensions import (
     Prolongation,
     ShortExtension,
+    choose_section,
+    e0_quotient,
     extension_checks,
+    factor_set,
     is_central,
     make_extension,
     validate_prolongation,
@@ -51,7 +56,6 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     QuotientData,
-    Subgroup,
     center,
     cokernel,
     compose,
@@ -59,8 +63,6 @@ from .groups import (
     is_injective,
     is_normal,
     is_surjective,
-    kernel,
-    quotient,
     validate_group,
 )
 
@@ -101,16 +103,11 @@ class PreDerived:
     i: Homomorphism           # A -> E0, image = ker pi
     top: ShortExtension       # 0 -> A -> E0 -> G0 -> 0
     coker: QuotientData       # G / gamma(G0), projection sigma
+    g_row: ShortExtension     # 0 -> G0 -> G -> Pi0 -> 1 (gamma, sigma)
     pi0: FiniteGroup
     gammapi: Homomorphism     # E0 -> G
     cm: CrossedModule
     module: PiModule
-
-
-def _kernel_in_b0(pre: PreProlongation) -> Subgroup:
-    members = tuple(sorted(pre.e0.j.map[a0]
-                           for a0 in kernel(pre.alpha).members))
-    return Subgroup(pre.e0.b, members)
 
 
 @lru_cache(maxsize=None)
@@ -119,23 +116,17 @@ def derive(pre: PreProlongation) -> PreDerived:
         raise ValueError("alpha must start at the kernel group of the base row")
     if pre.gamma.source != pre.e0.g:
         raise ValueError("gamma must start at the quotient group of the base row")
-    e0_data = quotient(pre.e0.b, _kernel_in_b0(pre))
+    e0_data, pi, i = e0_quotient(pre.e0, pre.alpha)
     e0 = e0_data.quotient
-    pi = Homomorphism(e0, pre.e0.g, tuple(pre.e0.p.map[r] for r in e0_data.reps))
-    a = pre.a
-    i_map = []
-    for aa in a.elements():
-        a0 = min(x for x in pre.e0.a.elements() if pre.alpha.map[x] == aa)
-        i_map.append(e0_data.projection.map[pre.e0.j.map[a0]])
-    i = Homomorphism(a, e0, tuple(i_map))
     top = make_extension(i, pi)
     coker = cokernel(pre.gamma)
+    g_row = make_extension(pre.gamma, coker.projection)
     gammapi = compose(pre.gamma, pi)
     cm = make_crossed_module(e0, pre.g, gammapi, pre.theta)
     module = induced_module_action(cm, i, coker)
     return PreDerived(pre=pre, e0_data=e0_data, e0=e0, pi=pi, i=i, top=top,
-                      coker=coker, pi0=coker.quotient, gammapi=gammapi,
-                      cm=cm, module=module)
+                      coker=coker, g_row=g_row, pi0=coker.quotient,
+                      gammapi=gammapi, cm=cm, module=module)
 
 
 def validate_pre(pre: PreProlongation) -> ValidationReport:
@@ -155,33 +146,28 @@ def validate_pre(pre: PreProlongation) -> ValidationReport:
     items.append(CheckItem("gamma_image_normal", is_normal(image(pre.gamma))))
     if not items[-1].ok:
         return ValidationReport(tuple(items))
-    e0_data = quotient(pre.e0.b, _kernel_in_b0(pre))
+    e0_data, pi, i = e0_quotient(pre.e0, pre.alpha)
     e0 = e0_data.quotient
-    pi = Homomorphism(e0, pre.e0.g, tuple(pre.e0.p.map[r] for r in e0_data.reps))
-    gammapi = compose(pre.gamma, pi)
     shape_ok = (len(pre.theta) == pre.g.order
                 and all(len(p) == e0.order for p in pre.theta))
     items.append(CheckItem("theta_shape", shape_ok))
     if not shape_ok:
         return ValidationReport(tuple(items))
-    cm = CrossedModule(b=e0, d_group=pre.g, d=gammapi, theta=pre.theta)
+    cm = CrossedModule(b=e0, d_group=pre.g, d=compose(pre.gamma, pi),
+                       theta=pre.theta)
     cm_report = check_crossed_module(cm)
     for item in cm_report.items:
         items.append(CheckItem("crossed_" + item.name, item.ok, item.detail))
     if not cm_report.ok:
         return ValidationReport(tuple(items))
     ze0 = set(center(e0).members)
-    a = pre.a
-    i_map = []
-    for aa in a.elements():
-        a0 = min(x for x in pre.e0.a.elements() if pre.alpha.map[x] == aa)
-        i_map.append(e0_data.projection.map[pre.e0.j.map[a0]])
     items.append(CheckItem("kernel_central_in_e0",
-                           all(x in ze0 for x in i_map)))
+                           all(x in ze0 for x in i.map)))
+    # the rest of derive, on the crossed module just checked
     try:
-        derive(pre)
+        induced_module_action(cm, i, cokernel(pre.gamma))
         items.append(CheckItem("module_action", True))
-    except Exception as exc:  # report-style: fold any derivation failure in
+    except ProlongError as exc:
         items.append(CheckItem("module_action", False, str(exc)))
     return ValidationReport(tuple(items))
 
@@ -205,42 +191,21 @@ class LiftedFactorSet:
         object.__setattr__(self, "h", tuple(tuple(r) for r in self.h))
 
 
-def _coset_members(coker: QuotientData) -> list[list[int]]:
-    members: list[list[int]] = [[] for _ in coker.quotient.elements()]
-    for g in coker.parent.elements():
-        members[coker.projection.map[g]].append(g)
-    return members
-
-
 def lift_factor_set(pre: PreProlongation,
                     rng: random.Random | None = None) -> LiftedFactorSet:
     """Build u, f and a lift h; canonical choices are least-index everywhere.
 
-    A seeded rng replaces both the section and the lift by random fiber picks
-    (still normalized), for choice-independence tests.
+    u is a section of sigma and f its factor set, taken on the row
+    0 -> G0 -> G -> Pi0 -> 1 and reported inside G.  A seeded rng replaces
+    both the section and the lift by random fiber picks (still normalized),
+    for choice-independence tests.
     """
     d = derive(pre)
-    g = pre.g
     pi0 = d.pi0
-    cosets = _coset_members(d.coker)
-    u = []
-    for x in pi0.elements():
-        if x == 0 or rng is None:
-            u.append(cosets[x][0])
-        else:
-            u.append(rng.choice(cosets[x]))
-    gamma_image = set(image(pre.gamma).members)
-    f = []
-    for x in pi0.elements():
-        row = []
-        for y in pi0.elements():
-            val = g.mul(g.mul(u[x], u[y]), g.inv[u[pi0.mul(x, y)]])
-            assert val in gamma_image, "factor set must land in the image of gamma"
-            row.append(val)
-        f.append(tuple(row))
+    fs = factor_set(d.g_row, choose_section(d.g_row, rng))
     fibers: dict[int, list[int]] = {}
     for e in d.e0.elements():
-        fibers.setdefault(d.gammapi.map[e], []).append(e)
+        fibers.setdefault(d.pi.map[e], []).append(e)
     h = []
     for x in pi0.elements():
         row = []
@@ -248,11 +213,12 @@ def lift_factor_set(pre: PreProlongation,
             if x == 0 or y == 0:
                 row.append(0)
             elif rng is None:
-                row.append(fibers[f[x][y]][0])
+                row.append(fibers[fs.f[x][y]][0])
             else:
-                row.append(rng.choice(fibers[f[x][y]]))
+                row.append(rng.choice(fibers[fs.f[x][y]]))
         h.append(tuple(row))
-    return LiftedFactorSet(pre=pre, u=tuple(u), f=tuple(f), h=tuple(h))
+    f = tuple(tuple(pre.gamma.map[g0] for g0 in row) for row in fs.f)
+    return LiftedFactorSet(pre=pre, u=fs.section.u, f=f, h=tuple(h))
 
 
 def obstruction_cocycle(lfs: LiftedFactorSet) -> Cochain:
@@ -436,7 +402,7 @@ def build_prolongation(pre: PreProlongation,
     if not res.vanishes:
         raise ObstructionNonzero(res.coordinates, res.h3.invariant_factors)
     correction = is_coboundary(res.cocycle)
-    assert correction is not None, "a vanishing class must be a coboundary"
+    certify(correction is not None, "a vanishing class must be a coboundary")
     e0, pi0 = d.e0, d.pi0
     h = res.lift.h
     h_adj = tuple(
@@ -446,8 +412,8 @@ def build_prolongation(pre: PreProlongation,
     cp = crossed_product(pre, res.lift.u, h_adj)
     p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
                      beta=cp.beta, gamma=pre.gamma)
-    assert validate_prolongation(p).ok, "constructed ladder must validate"
-    assert verify_covering(p, pre), "constructed ladder must induce theta"
+    certify(validate_prolongation(p).ok, "constructed ladder must validate")
+    certify(verify_covering(p, pre), "constructed ladder must induce theta")
     return BuildResult(prolongation=p, crossed=cp, obstruction=res,
                        h_adjusted=h_adj)
 

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidCrossedModule, KernelNotPreserved, FiberDependentAction
-from .extensions import ShortExtension, make_extension
+from .errors import (
+    FiberDependentAction,
+    InvalidCrossedModule,
+    KernelNotPreserved,
+    SearchBoundExceeded,
+)
+from .extensions import ShortExtension, e0_quotient, make_extension
 from .fixtures import builtin, builtin_names
 from .groups import (
     FiniteGroup,
     Homomorphism,
-    Subgroup,
     all_homomorphisms,
     automorphism_group_table,
     center,
@@ -23,7 +27,6 @@ from .groups import (
     enumerate_subgroups,
     image,
     is_normal,
-    kernel,
     quotient,
     subgroup_as_group,
 )
@@ -64,7 +67,7 @@ def _gammas(g0: FiniteGroup, cfg: SweepConfig):
         seen_images = set()
         try:
             homs = all_homomorphisms(g0, g, injective_only=True)
-        except Exception:
+        except SearchBoundExceeded:
             continue
         for gamma in homs:
             img = image(gamma)
@@ -81,10 +84,8 @@ def _gammas(g0: FiniteGroup, cfg: SweepConfig):
 def _thetas(pre_frame: tuple[ShortExtension, Homomorphism, Homomorphism]):
     """All homomorphisms theta with the C1-forced values on the image of gamma."""
     e0row, alpha, gamma = pre_frame
-    members = tuple(sorted(e0row.j.map[a0] for a0 in kernel(alpha).members))
-    e0_data = quotient(e0row.b, Subgroup(e0row.b, members))
+    e0_data, pi, _ = e0_quotient(e0row, alpha)
     e0 = e0_data.quotient
-    pi = Homomorphism(e0, e0row.g, tuple(e0row.p.map[r] for r in e0_data.reps))
     gammapi = compose(gamma, pi)
     aut_group, auts = automorphism_group_table(e0)
     aut_index = {a.map: i for i, a in enumerate(auts)}
@@ -107,7 +108,7 @@ def _thetas(pre_frame: tuple[ShortExtension, Homomorphism, Homomorphism]):
     g = gamma.target
     try:
         homs = all_homomorphisms(g, aut_group, fixed=fixed)
-    except Exception:
+    except SearchBoundExceeded:
         return
     for hom in homs:
         yield tuple(auts[hom.map[x]].map for x in g.elements())

@@ -97,6 +97,46 @@ def test_corrupt_theta_fails_c1():
                for item in report.failures())
 
 
+def test_validate_pre_checks_crossed_module_once(monkeypatch):
+    import prolong.crossed
+    import prolong.obstruction
+    calls = []
+    original = prolong.crossed.check_crossed_module
+
+    def counted(cm):
+        calls.append(cm)
+        return original(cm)
+
+    monkeypatch.setattr(prolong.crossed, "check_crossed_module", counted)
+    monkeypatch.setattr(prolong.obstruction, "check_crossed_module", counted)
+    derive.cache_clear()
+    assert validate_pre(pre_inversion()).ok
+    assert len(calls) == 1
+
+
+def test_certificates_survive_python_O():
+    """A failed self-check raises CertificateFailed even when asserts are off."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import prolong.obstruction as ob\n"
+        "from prolong.errors import CertificateFailed\n"
+        "from test_obstruction import pre_canonical\n"
+        "ob.verify_covering = lambda p, pre: False\n"
+        "try:\n"
+        "    ob.build_prolongation(pre_canonical())\n"
+        "except CertificateFailed as exc:\n"
+        "    print('certificate:', exc)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
+    assert res.returncode == 0, res.stderr
+    assert "certificate: constructed ladder must induce theta" in res.stdout
+
+
 # --- lifting ---------------------------------------------------------------------
 
 def test_lift_trivial_quotient():

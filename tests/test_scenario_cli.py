@@ -87,6 +87,40 @@ def test_validate_invalid_scenario_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("command",
+                         ["validate", "obstruction", "build", "classify", "cohomology"])
+def test_theta_entry_outside_e0_exit_2(tmp_path, command):
+    doc = json.loads((SCENARIOS / "inversion_action.json").read_text())
+    doc["theta"][1][4] = 99  # |E0| = 6
+    path = tmp_path / "bad_theta.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke("--format", "json", command, str(path))
+    assert code == 2
+    assert "theta[1] is not a permutation" in text
+
+
+@pytest.mark.parametrize("command", ["obstruction", "build", "classify", "cohomology"])
+def test_alpha_not_onto_exit_2(tmp_path, command):
+    doc = json.loads((SCENARIOS / "canonical_order4.json").read_text())
+    doc["homs"]["alpha"]["map"] = [0, 0]
+    path = tmp_path / "bad_alpha.json"
+    path.write_text(json.dumps(doc))
+    code, payload = invoke_json(command, str(path))
+    assert code == 2
+    assert payload["kind"] == "NotSurjective"
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 5]], [[0, True], [True, 0]]])
+def test_malformed_inline_table_exit_2(tmp_path, table):
+    doc = json.loads((SCENARIOS / "canonical_order4.json").read_text())
+    doc["groups"]["A"] = {"table": table}
+    path = tmp_path / "bad_table.json"
+    path.write_text(json.dumps(doc))
+    code, payload = invoke_json("validate", str(path))
+    assert code == 2
+    assert payload["kind"] == "MalformedTable"
+
+
 def test_cohomology_subcommand():
     code, payload = invoke_json("cohomology", str(SCENARIOS / "cohomology_z2.json"))
     assert code == 0
