@@ -263,25 +263,40 @@ def iter_normalized_cochains(module: PiModule, degree: int):
 def _delta_matrix(module: PiModule, degree: int):
     """Matrix of d: C^degree -> C^{degree+1} on free-position coordinates.
 
-    Built column by column by evaluating the coboundary on elementary
-    cochains, so the matrix and the direct evaluation agree by construction.
+    Read off the sign convention row by row: the entry at output position
+    (x1, ..., x_{n+1}) collects x1 . c(x2, ...) through the action on the unit
+    coordinates, (-1)^i c(..., x_i x_{i+1}, ...) where the merged tuple has
+    no identity entry (a normalized cochain vanishes there), and
+    (-1)^{n+1} c(x1, ..., x_n), each reduced modulo its invariant factor.
     """
     struct = abelian_structure(module.a)
     r = struct.rank
     npi = module.pi.order
-    pos_in = free_positions(npi, degree)
-    pos_out = free_positions(npi, degree + 1)
-    rows = len(pos_out) * r
-    cols = len(pos_in) * r
-    matrix = [[0] * cols for _ in range(rows)]
-    unit_elems = [struct.element(tuple(1 if t == k else 0 for t in range(r)))
-                  for k in range(r)]
-    for ci, (pos, k) in enumerate(itertools.product(pos_in, range(r))):
-        elem = cochain_from_values(module, degree, {pos: unit_elems[k]})
-        d = coboundary(elem)
-        for ri, (opos, kk) in enumerate(itertools.product(pos_out, range(r))):
-            matrix[ri][ci] = struct.vec(d.value(opos))[kk]
-    return matrix, rows, cols
+    table = module.pi.table
+    column = {pos: i * r for i, pos in enumerate(free_positions(npi, degree))}
+    cols = len(column) * r
+    units = [tuple(1 if t == k else 0 for t in range(r)) for k in range(r)]
+    # acted[x][k]: coordinates of x . e_k; signed[s][k]: those of s e_k
+    acted = [[struct.vec(module.action[x][struct.element(e)]) for e in units]
+             for x in range(npi)]
+    signed = {1: units, -1: [tuple(-x for x in e) for e in units]}
+    last = 1 if (degree + 1) % 2 == 0 else -1
+    matrix = []
+    for out in free_positions(npi, degree + 1):
+        terms = [(out[1:], acted[out[0]]), (out[:degree], signed[last])]
+        for j in range(degree):
+            merged = table[out[j]][out[j + 1]]
+            if merged:
+                terms.append((out[:j] + (merged,) + out[j + 2:], signed[(-1) ** (j + 1)]))
+        block = [[0] * cols for _ in range(r)]
+        for args, contributions in terms:
+            base = column[args]
+            for k, image in enumerate(contributions):
+                for kk, x in enumerate(image):
+                    block[kk][base + k] += x
+        for f, row in zip(struct.factors, block):
+            matrix.append([x % f for x in row])
+    return matrix, len(matrix), cols
 
 
 def _vectorize(c: Cochain) -> list[int]:
@@ -302,11 +317,29 @@ def _devectorize(module: PiModule, degree: int, vec: list[int]) -> Cochain:
     return cochain_from_values(module, degree, assignment)
 
 
+def _with_moduli(module: PiModule, degree: int):
+    """[d_degree | diag(moduli)]: d v == 0 modulo the coefficient moduli
+    exactly when (v, w) lies in its integer kernel for some w."""
+    struct = abelian_structure(module.a)
+    r = struct.rank
+    matrix, rows, cols = _delta_matrix(module, degree)
+    aug = [matrix[i] + [struct.factors[i % r] if k == i else 0 for k in range(rows)]
+           for i in range(rows)]
+    return aug, rows, cols + rows
+
+
+@lru_cache(maxsize=None)
+def _coboundary_factor(module: PiModule, degree: int) -> snf.SmithForm:
+    """The Smith form every is_coboundary query in degree + 1 solves against."""
+    return snf.smith_normal_form(*_with_moduli(module, degree), track="uv")
+
+
 def is_coboundary(c: Cochain) -> Cochain | None:
     """A witness t with d t == c, or None.
 
     Solved as an integer linear system over the cyclic decomposition of the
-    coefficients; the witness is the solver's canonical solution.
+    coefficients, against a factorization cached per module and degree; the
+    witness is the solver's canonical solution.
     """
     if not 1 <= c.degree <= 3:
         raise DegreeOutOfRange("coboundary witnesses exist for degrees 1..3 only")
@@ -317,14 +350,10 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     if r == 0 or npi == 1:
         witness = zero_cochain(module, c.degree - 1)
         return witness if c.is_zero() else None
-    matrix, rows, cols = _delta_matrix(module, c.degree - 1)
-    target = _vectorize(c)
+    _, rows, cols = _delta_matrix(module, c.degree - 1)
     if rows == 0:
         return zero_cochain(module, c.degree - 1) if c.is_zero() else None
-    moduli_out = [struct.factors[i % r] for i in range(rows)]
-    aug = [matrix[i] + [moduli_out[i] if k == i else 0 for k in range(rows)]
-           for i in range(rows)]
-    sol = snf.solve_integer(aug, target, rows, cols + rows)
+    sol = _coboundary_factor(module, c.degree - 1).solve(_vectorize(c))
     if sol is None:
         return None
     witness = _devectorize(module, c.degree - 1, sol[:cols])
@@ -350,14 +379,16 @@ class CohomologyGroup:
     """H^degree with invariant factors, basis cocycles, and coordinates.
 
     coordinates(c) expresses the class of a cocycle c with respect to basis;
-    distinct coordinate tuples are non-cohomologous classes.
+    distinct coordinate tuples are non-cohomologous classes.  _k_factor is
+    the Smith form of the cocycle-lattice basis, so a query is a solve
+    against it and a product with _u, not a new factorization.
     """
 
     module: PiModule
     degree: int
     invariant_factors: tuple[int, ...]
     basis: tuple[Cochain, ...]
-    _k_basis: list = field(repr=False)
+    _k_factor: snf.SmithForm | None = field(repr=False)
     _u: list = field(repr=False)
     _kept: tuple[int, ...] = field(repr=False)
     _diag: tuple[int, ...] = field(repr=False)
@@ -373,8 +404,7 @@ class CohomologyGroup:
             raise NotCocycle("only cocycles have class coordinates")
         if not self.invariant_factors:
             return ()
-        n = len(self._k_basis)
-        x = snf.solve_integer(self._k_basis, _vectorize(c), n, n)
+        x = self._k_factor.solve(_vectorize(c))
         certify(x is not None, "cocycle vector must lie in the cocycle lattice")
         w = snf.matvec(self._u, x)
         return tuple(w[i] % self._diag[i] for i in self._kept)
@@ -417,21 +447,18 @@ def cohomology_group(degree: int, module: PiModule,
 
     def trivial():
         return CohomologyGroup(module=module, degree=degree, invariant_factors=(),
-                               basis=(), _k_basis=[], _u=[], _kept=(), _diag=())
+                               basis=(), _k_factor=None, _u=[], _kept=(), _diag=())
 
     if r == 0 or npi == 1:
         return trivial()
-    dn, out_rows, n_unknowns = _delta_matrix(module, degree)
+    _, out_rows, n_unknowns = _delta_matrix(module, degree)
     dm, _, prev_cols = _delta_matrix(module, degree - 1)
     if n_unknowns == 0:
         return trivial()
     moduli_n = [struct.factors[i % r] for i in range(n_unknowns)]
     # cocycle lattice K = {v : dn v == 0 modulo the coefficient moduli}
     if out_rows:
-        moduli_out = [struct.factors[i % r] for i in range(out_rows)]
-        aug = [dn[i] + [moduli_out[i] if k == i else 0 for k in range(out_rows)]
-               for i in range(out_rows)]
-        full_kernel = snf.kernel_basis(aug, out_rows, n_unknowns + out_rows)
+        full_kernel = snf.kernel_basis(*_with_moduli(module, degree))
         k_gens = [col[:n_unknowns] for col in full_kernel]
     else:
         k_gens = [[1 if i == j else 0 for i in range(n_unknowns)]
@@ -445,9 +472,12 @@ def cohomology_group(degree: int, module: PiModule,
         b_gens.append([dm[i][j] for i in range(n_unknowns)])
     for i in range(n_unknowns):
         b_gens.append([moduli_n[i] if k == i else 0 for k in range(n_unknowns)])
+    # one factorization of the lattice basis serves every solve, here and in
+    # coordinates
+    k_factor = snf.smith_normal_form(k_basis, n_unknowns, n_unknowns, track="uv")
     q_cols = []
     for b in b_gens:
-        x = snf.solve_integer(k_basis, b, n_unknowns, n_unknowns)
+        x = k_factor.solve(b)
         certify(x is not None, "coboundaries must lie in the cocycle lattice")
         q_cols.append(x)
     q = [[col[i] for col in q_cols] for i in range(n_unknowns)]
@@ -466,5 +496,5 @@ def cohomology_group(degree: int, module: PiModule,
         basis.append(rep)
     return CohomologyGroup(module=module, degree=degree,
                            invariant_factors=factors, basis=tuple(basis),
-                           _k_basis=k_basis, _u=sf.u, _kept=kept,
+                           _k_factor=k_factor, _u=sf.u, _kept=kept,
                            _diag=tuple(diag))

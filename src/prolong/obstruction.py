@@ -110,12 +110,22 @@ class PreDerived:
     module: PiModule
 
 
-@lru_cache(maxsize=None)
 def derive(pre: PreProlongation) -> PreDerived:
+    """The derived data of pre, cached per pre-prolongation.
+
+    Group equality ignores names, so the cache key carries them: a
+    pre-prolongation equal to an earlier one up to group names gets its own.
+    """
+    return _derive(pre, tuple(g.name for h in (pre.e0.j, pre.e0.p, pre.alpha, pre.gamma)
+                              for g in (h.source, h.target)))
+
+
+@lru_cache(maxsize=None)
+def _derive(pre: PreProlongation, names) -> PreDerived:
     if pre.alpha.source != pre.e0.a:
-        raise ValueError("alpha must start at the kernel group of the base row")
+        raise MismatchedBase("alpha must start at the kernel group of the base row")
     if pre.gamma.source != pre.e0.g:
-        raise ValueError("gamma must start at the quotient group of the base row")
+        raise MismatchedBase("gamma must start at the quotient group of the base row")
     e0_data, pi, i = e0_quotient(pre.e0, pre.alpha)
     e0 = e0_data.quotient
     top = make_extension(i, pi)
@@ -127,6 +137,9 @@ def derive(pre: PreProlongation) -> PreDerived:
     return PreDerived(pre=pre, e0_data=e0_data, e0=e0, pi=pi, i=i, top=top,
                       coker=coker, g_row=g_row, pi0=coker.quotient,
                       gammapi=gammapi, cm=cm, module=module)
+
+
+derive.cache_clear = _derive.cache_clear
 
 
 def validate_pre(pre: PreProlongation) -> ValidationReport:

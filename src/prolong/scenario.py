@@ -99,6 +99,18 @@ def _hom_ref(name, homs, where) -> Homomorphism:
     return homs[name]
 
 
+def _parse_theta(raw) -> tuple[tuple[int, ...], ...]:
+    """theta as a table of ints; JSON floats and booleans are refused."""
+    if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in raw):
+        raise ScenarioError("theta must be a list of lists of integers")
+    for g, row in enumerate(raw):
+        for x, v in enumerate(row):
+            if type(v) is not int:
+                raise ScenarioError(f"theta[{g}][{x}] must be an integer, got {v!r}")
+    return tuple(tuple(row) for row in raw)
+
+
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a path, JSON text, or an already-decoded dict."""
     try:
@@ -132,7 +144,7 @@ def load_scenario(source) -> Scenario:
     if "gamma" in raw:
         gamma = _hom_ref(raw["gamma"], homs, "gamma")
     if "theta" in raw:
-        theta = tuple(tuple(p) for p in raw["theta"])
+        theta = _parse_theta(raw["theta"])
 
     ladders = []
     for idx, entry in enumerate(raw.get("ladders", [])):

@@ -8,6 +8,7 @@ would make them ambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -30,7 +31,9 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def matvec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a @ v, touching only the nonzero entries of v."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in nz) for row in a]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +55,31 @@ class SmithForm:
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(self.rows, self.cols))]
 
+    def solve(self, b: list[int]) -> list[int] | None:
+        """One integer solution x of a @ x == b, or None when unsolvable.
+
+        Needs u and v (track="uv").  The factorization is reused as is, so
+        each call costs two matrix-vector products.
+        """
+        if self.u is None or self.v is None:
+            raise ValueError("solving needs the u and v transforms (track='uv')")
+        r, c = self.rows, self.cols
+        if len(b) != r:
+            raise ValueError("right-hand side length disagrees with the matrix")
+        rhs = matvec(self.u, b)
+        y = [0] * c
+        for i in range(min(r, c)):
+            d = self.d[i][i]
+            if d:
+                if rhs[i] % d:
+                    return None
+                y[i] = rhs[i] // d
+            elif rhs[i]:
+                return None
+        if any(rhs[min(r, c):]):
+            return None
+        return matvec(self.v, y)
+
 
 def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
                       track: str = "uUvV") -> SmithForm:
@@ -59,7 +87,9 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
 
     track selects which transforms to carry along: "u" for u, "U" for u_inv,
     "v" for v, "V" for v_inv.  Skipping unused ones saves most of the work on
-    large matrices.
+    large matrices.  The pivot at each step is the first entry of least
+    absolute value in row-major order of the trailing block, so the result
+    does not depend on track.
     """
     m = [list(row) for row in a]
     r = len(m) if rows is None else rows
@@ -67,75 +97,77 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
     if len(m) != r or any(len(row) != c for row in m):
         raise ValueError("matrix shape disagrees with declared dimensions")
 
+    # Column operations on u_inv and v are row operations on their
+    # transposes, so every transform is kept as rows and updated row-wise.
     u = identity_matrix(r) if "u" in track else None
-    ui = identity_matrix(r) if "U" in track else None
-    v = identity_matrix(c) if "v" in track else None
+    ui_t = identity_matrix(r) if "U" in track else None
+    v_t = identity_matrix(c) if "v" in track else None
     vi = identity_matrix(c) if "V" in track else None
 
+    def combine(mat, i, j, q):
+        # row_i += q * row_j, visiting only the nonzero entries of row_j
+        row_i, row_j = mat[i], mat[j]
+        for k in compress(range(len(row_j)), row_j):
+            row_i[k] += q * row_j[k]
+
+    def swap(mat, i, j):
+        mat[i], mat[j] = mat[j], mat[i]
+
     def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
+        swap(m, i, j)
         if u is not None:
-            u[i], u[j] = u[j], u[i]
-        if ui is not None:
-            for t in range(r):
-                ui[t][i], ui[t][j] = ui[t][j], ui[t][i]
+            swap(u, i, j)
+        if ui_t is not None:
+            swap(ui_t, i, j)
 
     def negate_row(i):
         m[i] = [-x for x in m[i]]
         if u is not None:
             u[i] = [-x for x in u[i]]
-        if ui is not None:
-            for t in range(r):
-                ui[t][i] = -ui[t][i]
+        if ui_t is not None:
+            ui_t[i] = [-x for x in ui_t[i]]
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        mi, mj = m[i], m[j]
-        for t in range(c):
-            mi[t] += q * mj[t]
+        combine(m, i, j, q)
         if u is not None:
-            uin, ujn = u[i], u[j]
-            for t in range(r):
-                uin[t] += q * ujn[t]
-        if ui is not None:
-            for t in range(r):
-                ui[t][j] -= q * ui[t][i]
+            combine(u, i, j, q)
+        if ui_t is not None:
+            combine(ui_t, j, i, -q)
 
     def swap_cols(i, j):
         for row in m:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        if v_t is not None:
+            swap(v_t, i, j)
         if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
+            swap(vi, i, j)
 
     def add_col(i, j, q):
-        # col_i += q * col_j
-        for row in m:
-            row[i] += q * row[j]
-        if v is not None:
-            for row in v:
-                row[i] += q * row[j]
+        # col_i += q * col_j, called only with j the pivot, whose column of m
+        # is zero off the diagonal by then
+        m[j][i] += q * m[j][j]
+        if v_t is not None:
+            combine(v_t, i, j, q)
         if vi is not None:
-            vj = vi[j]
-            vii = vi[i]
-            for t in range(c):
-                vj[t] -= q * vii[t]
+            combine(vi, j, i, -q)
 
     t = 0
     limit = min(r, c)
     while t < limit:
-        # move the absolutely smallest nonzero entry of the trailing block to (t, t)
-        best = None
+        # move the first absolutely smallest nonzero entry of the trailing
+        # block to (t, t): the first row holding the least value, then its
+        # first column; nothing can beat an entry of absolute value 1
+        best, bi = 0, t
         for i in range(t, r):
-            for j in range(t, c):
-                x = m[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+            least = min(map(abs, filter(None, m[i][t:])), default=0)
+            if least and (not best or least < best):
+                best, bi = least, i
+                if best == 1:
+                    break
+        if not best:
             break
-        _, bi, bj = best
+        bj = next(j for j in range(t, c) if abs(m[bi][j]) == best)
         if bi != t:
             swap_rows(t, bi)
         if bj != t:
@@ -171,48 +203,27 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
             if any(m[i][t] for i in range(t + 1, r)):
                 continue
             # cross is clear; enforce divisibility of the trailing block
-            viol = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if m[i][j] % m[t][t]:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            p = m[t][t]
+            if p == 1:
+                break
+            viol = next((i for i in range(t + 1, r) if any(
+                map(p.__rmod__, filter(None, m[i][t + 1:])))), None)  # x % p
             if viol is None:
                 break
             add_row(t, viol, 1)
         t += 1
 
-    return SmithForm(rows=r, cols=c, d=m, u=u, v=v, u_inv=ui, v_inv=vi)
+    def transpose(mat):
+        return None if mat is None else [list(col) for col in zip(*mat)]
+
+    return SmithForm(rows=r, cols=c, d=m, u=u, v=transpose(v_t),
+                     u_inv=transpose(ui_t), v_inv=vi)
 
 
 def solve_integer(a, b: list[int], rows: int | None = None,
                   cols: int | None = None) -> list[int] | None:
     """One integer solution x of a @ x == b, or None when unsolvable."""
-    sf = smith_normal_form(a, rows, cols, track="uv")
-    r, c = sf.rows, sf.cols
-    if len(b) != r:
-        raise ValueError("right-hand side length disagrees with the matrix")
-    if r:
-        rhs = matvec(sf.u, b)
-    else:
-        rhs = []
-    y = [0] * c
-    for i in range(min(r, c)):
-        d = sf.d[i][i]
-        if d:
-            if rhs[i] % d:
-                return None
-            y[i] = rhs[i] // d
-        elif rhs[i]:
-            return None
-    for i in range(min(r, c), r):
-        if rhs[i]:
-            return None
-    if c == 0:
-        return []
-    return matvec(sf.v, y)
+    return smith_normal_form(a, rows, cols, track="uv").solve(b)
 
 
 def kernel_basis(a, rows: int | None = None, cols: int | None = None) -> list[list[int]]:

@@ -1,9 +1,15 @@
-"""Brute-force oracles used by the test suite.
+"""Brute-force oracles and reference engines used by the test suite.
 
-These deliberately avoid the library's own algorithms: centers by raw
-commutation scans, quotients by explicit coset partitions, automorphisms by
-filtering all identity-fixing permutations, and abelian invariant factors by
-order statistics (no Smith normal form anywhere).
+The brute-force oracles deliberately avoid the library's own algorithms:
+centers by raw commutation scans, quotients by explicit coset partitions,
+automorphisms by filtering all identity-fixing permutations, and abelian
+invariant factors by order statistics (no Smith normal form anywhere).
+
+The reference engine at the end is the exact slow path the library's
+cohomology engine replaced: the untightened Smith normal form, one
+factorization per solve, and coboundary matrices built by running
+`coboundary` on elementary cochains.  The fast path must agree with it
+number for number.
 """
 
 from __future__ import annotations
@@ -12,10 +18,14 @@ import itertools
 from math import gcd, prod
 
 from prolong.cohomology import (
+    abelian_structure,
     coboundary,
+    cochain_from_values,
     free_positions,
+    is_cocycle,
     iter_normalized_cochains,
 )
+from prolong.snf import SmithForm, identity_matrix, matmul
 
 
 def brute_center(g) -> tuple[int, ...]:
@@ -145,3 +155,239 @@ def enumerate_cohomology(module, degree: int):
 
 def count_free_cochains(module, degree: int) -> int:
     return module.a.order ** len(free_positions(module.pi.order, degree))
+
+
+# ---------------------------------------------------------------------------
+# Reference cohomology engine
+# ---------------------------------------------------------------------------
+
+def reference_smith_normal_form(a, rows: int | None = None, cols: int | None = None,
+                                track: str = "uUvV") -> SmithForm:
+    """The Smith normal form as first written: full pivot scans, dense updates.
+
+    The library's smith_normal_form must return the same d, u, v, u_inv and
+    v_inv entry for entry.
+    """
+    m = [list(row) for row in a]
+    r = len(m) if rows is None else rows
+    c = (len(m[0]) if m else 0) if cols is None else cols
+    if len(m) != r or any(len(row) != c for row in m):
+        raise ValueError("matrix shape disagrees with declared dimensions")
+
+    u = identity_matrix(r) if "u" in track else None
+    ui = identity_matrix(r) if "U" in track else None
+    v = identity_matrix(c) if "v" in track else None
+    vi = identity_matrix(c) if "V" in track else None
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+        if ui is not None:
+            for t in range(r):
+                ui[t][i], ui[t][j] = ui[t][j], ui[t][i]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+        if ui is not None:
+            for t in range(r):
+                ui[t][i] = -ui[t][i]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j
+        mi, mj = m[i], m[j]
+        for t in range(c):
+            mi[t] += q * mj[t]
+        if u is not None:
+            uin, ujn = u[i], u[j]
+            for t in range(r):
+                uin[t] += q * ujn[t]
+        if ui is not None:
+            for t in range(r):
+                ui[t][j] -= q * ui[t][i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
+
+    def add_col(i, j, q):
+        # col_i += q * col_j
+        for row in m:
+            row[i] += q * row[j]
+        if v is not None:
+            for row in v:
+                row[i] += q * row[j]
+        if vi is not None:
+            vj = vi[j]
+            vii = vi[i]
+            for t in range(c):
+                vj[t] -= q * vii[t]
+
+    t = 0
+    limit = min(r, c)
+    while t < limit:
+        # move the absolutely smallest nonzero entry of the trailing block to (t, t)
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = m[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            swap_rows(t, bi)
+        if bj != t:
+            swap_cols(t, bj)
+        if m[t][t] < 0:
+            negate_row(t)
+
+        while True:
+            restart = False
+            for i in range(t + 1, r):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    if q:
+                        add_row(i, t, -q)
+                    if m[i][t]:
+                        # remainder is a strictly smaller positive pivot
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, c):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    if q:
+                        add_col(j, t, -q)
+                    if m[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            if any(m[i][t] for i in range(t + 1, r)):
+                continue
+            # cross is clear; enforce divisibility of the trailing block
+            viol = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if m[i][j] % m[t][t]:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            add_row(t, viol, 1)
+        t += 1
+
+    return SmithForm(rows=r, cols=c, d=m, u=u, v=v, u_inv=ui, v_inv=vi)
+
+
+def matvec(a, v):
+    """a @ v, densely."""
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def reference_solve_integer(a, b, rows=None, cols=None):
+    """One integer solution of a @ x == b, or None; a fresh factorization per call."""
+    sf = reference_smith_normal_form(a, rows, cols, track="uv")
+    r, c = sf.rows, sf.cols
+    rhs = matvec(sf.u, b) if r else []
+    y = [0] * c
+    for i in range(min(r, c)):
+        d = sf.d[i][i]
+        if d:
+            if rhs[i] % d:
+                return None
+            y[i] = rhs[i] // d
+        elif rhs[i]:
+            return None
+    if any(rhs[min(r, c):]):
+        return None
+    return matvec(sf.v, y) if c else []
+
+
+def reference_delta_matrix(module, degree: int):
+    """Matrix of d: C^degree -> C^{degree+1}, one column per elementary cochain."""
+    struct = abelian_structure(module.a)
+    r = struct.rank
+    npi = module.pi.order
+    pos_in = free_positions(npi, degree)
+    pos_out = free_positions(npi, degree + 1)
+    rows = len(pos_out) * r
+    cols = len(pos_in) * r
+    matrix = [[0] * cols for _ in range(rows)]
+    unit_elems = [struct.element(tuple(1 if t == k else 0 for t in range(r)))
+                  for k in range(r)]
+    for ci, (pos, k) in enumerate(itertools.product(pos_in, range(r))):
+        d = coboundary(cochain_from_values(module, degree, {pos: unit_elems[k]}))
+        for ri, (opos, kk) in enumerate(itertools.product(pos_out, range(r))):
+            matrix[ri][ci] = struct.vec(d.value(opos))[kk]
+    return matrix, rows, cols
+
+
+class ReferenceCohomology:
+    """H^degree computed the slow way: invariant factors, basis, coordinates."""
+
+    def __init__(self, degree: int, module):
+        struct = abelian_structure(module.a)
+        r = struct.rank
+        self.module, self.degree, self.struct = module, degree, struct
+        dn, out_rows, n = reference_delta_matrix(module, degree)
+        dm, _, prev_cols = reference_delta_matrix(module, degree - 1)
+        moduli = [struct.factors[i % r] for i in range(n)]
+        if out_rows:
+            aug = [dn[i] + [struct.factors[i % r] if k == i else 0
+                            for k in range(out_rows)] for i in range(out_rows)]
+            sf = reference_smith_normal_form(aug, out_rows, n + out_rows, track="v")
+            c = n + out_rows
+            diag = sf.diagonal() + [0] * (c - min(out_rows, c))
+            k_gens = [[sf.v[i][j] for i in range(n)] for j in range(c) if diag[j] == 0]
+        else:
+            k_gens = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        # lattice basis of the kernel generators
+        a = [[col[i] for col in k_gens] for i in range(n)]
+        sf = reference_smith_normal_form(a, n, len(k_gens), track="U")
+        w = matmul(sf.u_inv, sf.d)
+        k_cols = [col for col in ([w[i][j] for i in range(n)]
+                                  for j in range(len(k_gens))) if any(col)]
+        assert len(k_cols) == n
+        self.k_basis = [[col[i] for col in k_cols] for i in range(n)]
+        b_gens = [[dm[i][j] for i in range(n)] for j in range(prev_cols)]
+        b_gens += [[moduli[i] if k == i else 0 for k in range(n)] for i in range(n)]
+        q_cols = [reference_solve_integer(self.k_basis, b, n, n) for b in b_gens]
+        q = [[col[i] for col in q_cols] for i in range(n)]
+        sf = reference_smith_normal_form(q, n, len(q_cols), track="uU")
+        self.diag = tuple(sf.diagonal())
+        self.u = sf.u
+        self.kept = tuple(i for i, d in enumerate(self.diag) if d > 1)
+        self.invariant_factors = tuple(self.diag[i] for i in self.kept)
+        new_basis = matmul(self.k_basis, sf.u_inv)
+        positions = free_positions(module.pi.order, degree)
+        self.basis = tuple(
+            cochain_from_values(module, degree, {
+                pos: struct.element([new_basis[idx * r + k][i] % moduli[idx * r + k]
+                                     for k in range(r)])
+                for idx, pos in enumerate(positions)}).values
+            for i in self.kept)
+
+    def coordinates(self, c) -> tuple[int, ...]:
+        assert is_cocycle(c)
+        vec = []
+        for pos in free_positions(self.module.pi.order, self.degree):
+            vec.extend(self.struct.vec(c.value(pos)))
+        n = len(self.k_basis)
+        x = reference_solve_integer(self.k_basis, vec, n, n)
+        w = matvec(self.u, x)
+        return tuple(w[i] % self.diag[i] for i in self.kept)

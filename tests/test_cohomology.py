@@ -28,9 +28,16 @@ from prolong.errors import (
     NotNormalized,
     SizeBoundExceeded,
 )
+from prolong import cohomology, snf
 from prolong.fixtures import builtin, cyclic
+from prolong.groups import all_homomorphisms
 
-from oracles import enumerate_cohomology, invariant_factors_from_orders
+from oracles import (
+    ReferenceCohomology,
+    enumerate_cohomology,
+    invariant_factors_from_orders,
+    reference_delta_matrix,
+)
 
 Z2 = builtin("Z2")
 Z3 = builtin("Z3")
@@ -259,3 +266,82 @@ def test_cochain_sub_add_inverse():
     rng = random.Random(3)
     c1, c2 = (random_cochain(module, 2, rng) for _ in range(2))
     assert cochain_add(cochain_sub(c1, c2), c2).values == c1.values
+
+
+# --- differential: the engine against the reference slow path ------------------
+
+def _ladder_module(pi_name, a_name, action):
+    pi, a = builtin(pi_name), builtin(a_name)
+    ident = tuple(range(a.order))
+    if action == "invert":      # a generator of the cyclic Pi0 inverts A
+        return pi_module(pi, a, [tuple(a.inv) if x % 2 else ident
+                                 for x in pi.elements()])
+    if action == "swap":        # the nontrivial element swaps two factors of V4
+        swap = next(h.map for h in all_homomorphisms(a, a, injective_only=True)
+                    if h.map[1] != 1 and h.map[h.map[1]] == 1)
+        return pi_module(pi, a, [ident, swap])
+    return trivial_module(pi, a)
+
+
+# H^n cases decided in well under a second, with nontrivial actions among them.
+LADDER = [
+    (2, "Z2", "Z2", None), (2, "Z3", "Z3", None), (2, "V4", "Z2", None),
+    (2, "V4", "V4", None), (2, "Z4", "Z2", None), (2, "Z4", "V4", None),
+    (2, "Z5", "Z2", None), (2, "S3", "Z2", None), (2, "S3", "Z3", None),
+    (2, "Z6", "Z2", None), (2, "Z6", "Z3", None),
+    (2, "Z2", "Z3", "invert"), (2, "Z2", "V4", "swap"), (2, "Z4", "Z3", "invert"),
+    (3, "Z2", "Z2", None), (3, "Z3", "Z3", None), (3, "Z3", "Z2", None),
+    (3, "V4", "Z2", None), (3, "Z4", "Z2", None), (3, "Z4", "Z3", None),
+    (3, "Z2", "Z3", "invert"), (3, "Z2", "V4", "swap"), (3, "Z4", "Z3", "invert"),
+]
+
+
+@pytest.mark.parametrize("degree,pi,a,action", LADDER)
+def test_delta_matrix_matches_elementary_cochains(degree, pi, a, action):
+    module = _ladder_module(pi, a, action)
+    for n in range(degree + 1):
+        assert cohomology._delta_matrix(module, n) == reference_delta_matrix(module, n)
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8"])
+def test_delta_matrix_order_eight(name):
+    module = trivial_module(builtin(name), Z2)
+    assert cohomology._delta_matrix(module, 2) == reference_delta_matrix(module, 2)
+
+
+@pytest.mark.parametrize("degree,pi,a,action", LADDER)
+def test_cohomology_matches_reference_engine(degree, pi, a, action):
+    module = _ladder_module(pi, a, action)
+    h = cohomology_group(degree, module)
+    ref = ReferenceCohomology(degree, module)
+    assert h.invariant_factors == ref.invariant_factors
+    assert tuple(b.values for b in h.basis) == ref.basis
+    rng = random.Random(f"{degree}{pi}{a}{action}")
+    for _ in range(4):
+        coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+        noise = coboundary(random_cochain(module, degree - 1, rng))
+        c = cochain_add(h.from_coordinates(coords), noise)
+        assert h.coordinates(c) == ref.coordinates(c) == coords
+
+
+def test_queries_reuse_their_factorizations(monkeypatch):
+    groups = [cohomology_group(2, trivial_module(builtin("D4"), Z2)),
+              cohomology_group(3, trivial_module(Z4, builtin("V4")))]
+    rng = random.Random(5)
+    queries = []
+    for h in groups:
+        for k in range(5):
+            coords = (0,) * len(h.basis) if k % 2 else tuple(
+                rng.randrange(d) for d in h.invariant_factors)
+            noise = coboundary(random_cochain(h.module, h.degree - 1, rng))
+            queries.append((h, coords, cochain_add(h.from_coordinates(coords), noise)))
+        is_coboundary(queries[-1][2])    # the one witness query that factors
+    calls = []
+    real = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for h, coords, c in queries:    # 10 coordinates and 10 witness queries
+        assert h.coordinates(c) == coords
+        witness = is_coboundary(c)
+        assert (witness is None) == any(coords)
+    assert calls == []

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from prolong.errors import (
+    MismatchedBase,
     ObstructionNonzero,
     PreconditionFailed,
 )
@@ -61,6 +62,38 @@ def pre_inversion():
     return PreProlongation(e0=e0, alpha=identity_hom(z3),
                            gamma=Homomorphism(z2, z4, (0, 2)),
                            theta=(ident, inv, ident, inv))
+
+
+def test_derive_keeps_group_names_apart():
+    """Two pre-prolongations equal up to group names each get their own names."""
+    from dataclasses import replace
+
+    def pre_named(suffix):
+        z2, z3, z4, z6 = (replace(builtin(n), name=n + suffix)
+                          for n in ("Z2", "Z3", "Z4", "Z6"))
+        e0 = make_extension(Homomorphism(z3, z6, (0, 2, 4)),
+                            Homomorphism(z6, z2, (0, 1, 0, 1, 0, 1)))
+        ident, inv = tuple(range(6)), (0, 5, 4, 3, 2, 1)
+        return PreProlongation(e0=e0, alpha=identity_hom(z3),
+                               gamma=Homomorphism(z2, z4, (0, 2)),
+                               theta=(ident, inv, ident, inv))
+
+    plain, primed = pre_named(""), pre_named("'")
+    assert plain == primed
+    for pre, suffix in ((plain, ""), (primed, "'"), (plain, "")):
+        d = derive(pre)
+        assert d.e0.name.startswith("Z6" + suffix + "/")
+        assert d.pi0.name.startswith("Z4" + suffix + "/")
+        assert d.top.g.name == "Z2" + suffix
+
+
+def test_derive_refuses_alpha_off_the_base_row():
+    pre = pre_inversion()
+    wrong = PreProlongation(e0=pre.e0, alpha=Homomorphism(builtin("Z6"), builtin("Z3"),
+                                                          (0, 1, 2, 0, 1, 2)),
+                            gamma=pre.gamma, theta=pre.theta)
+    with pytest.raises(MismatchedBase):
+        derive(wrong)
 
 
 def pre_identity_gamma():

@@ -110,6 +110,32 @@ def test_alpha_not_onto_exit_2(tmp_path, command):
     assert payload["kind"] == "NotSurjective"
 
 
+@pytest.mark.parametrize("command",
+                         ["obstruction", "build", "classify", "cohomology"])
+def test_alpha_off_the_base_row_exit_2(tmp_path, command):
+    doc = json.loads((SCENARIOS / "inversion_action.json").read_text())
+    doc["homs"]["alpha"]["source"] = "B0"
+    doc["homs"]["alpha"]["map"] = [0, 1, 2, 0, 1, 2]
+    path = tmp_path / "alpha_from_b0.json"
+    path.write_text(json.dumps(doc))
+    code, payload = invoke_json(command, str(path))
+    assert code == 2
+    assert payload["kind"] == "MismatchedBase"
+
+
+@pytest.mark.parametrize("entry", [5.0, True, "5"])
+@pytest.mark.parametrize("command", ["validate", "obstruction"])
+def test_theta_entry_not_an_int_exit_2(tmp_path, command, entry):
+    doc = json.loads((SCENARIOS / "inversion_action.json").read_text())
+    doc["theta"][1][1] = entry
+    path = tmp_path / "theta_entry.json"
+    path.write_text(json.dumps(doc))
+    code, payload = invoke_json(command, str(path))
+    assert code == 2
+    assert payload["kind"] == "scenario"
+    assert "theta[1][1]" in payload["error"]
+
+
 @pytest.mark.parametrize("table", [[[0, 1], [1, 5]], [[0, True], [True, 0]]])
 def test_malformed_inline_table_exit_2(tmp_path, table):
     doc = json.loads((SCENARIOS / "canonical_order4.json").read_text())

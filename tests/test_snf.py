@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from prolong.snf import (
@@ -9,6 +10,8 @@ from prolong.snf import (
     smith_normal_form,
     solve_integer,
 )
+
+from oracles import reference_smith_normal_form, reference_solve_integer
 
 small_matrix = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -103,3 +106,36 @@ def test_lattice_basis_spans():
 def test_lattice_basis_degenerate():
     assert lattice_column_basis([], 3) == []
     assert lattice_column_basis([[0, 0]], 2) == []
+
+
+# --- differential: the tightened loops against the reference elimination ------
+
+sparse_matrix = st.integers(0, 7).flatmap(lambda c: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, 9]), min_size=c, max_size=c),
+    min_size=0, max_size=7))
+
+
+@given(sparse_matrix, st.sampled_from(["uUvV", "uv", "uU", "v", "U", "V", "u", ""]))
+def test_smith_form_matches_reference(m, track):
+    cols = len(m[0]) if m else 3
+    new = smith_normal_form(m, len(m), cols, track=track)
+    ref = reference_smith_normal_form(m, len(m), cols, track=track)
+    for name in ("d", "u", "v", "u_inv", "v_inv"):
+        assert getattr(new, name) == getattr(ref, name), name
+
+
+@given(sparse_matrix, st.data())
+def test_one_factor_solves_like_a_fresh_one(m, data):
+    cols = len(m[0]) if m else 2
+    sf = smith_normal_form(m, len(m), cols, track="uv")
+    for _ in range(3):
+        b = data.draw(st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m)))
+        assert sf.solve(b) == reference_solve_integer(m, b, len(m), cols)
+        assert solve_integer(m, b, len(m), cols) == sf.solve(b)
+
+
+def test_solve_needs_u_and_v():
+    with pytest.raises(ValueError):
+        smith_normal_form([[2]], track="v").solve([2])
+    with pytest.raises(ValueError):
+        smith_normal_form([[2]], track="uv").solve([2, 0])
