@@ -5,7 +5,9 @@ For every generated pre-prolongation this computes the obstruction class,
 attempts the crossed-product construction, runs the exhaustive covering
 search, and cross-checks the three answers.  It also tallies where the
 constructed coverings fail to be central extensions (exactly the cases with
-a nontrivial induced action on the kernel).
+a nontrivial induced action on the kernel).  On the first disagreement it
+names the sweep index and the kind of disagreement and exits 1; the checks
+are explicit, so they also run under `python -O`.
 
 Usage: python scripts/sweep.py [--max-kernel 3] [--max-cokernel 3]
 """
@@ -13,8 +15,10 @@ Usage: python scripts/sweep.py [--max-kernel 3] [--max-cokernel 3]
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from collections import Counter
+from typing import NoReturn
 
 from prolong.classify import brute_force_coverings, enumerate_classes
 from prolong.cohomology import cohomology_group
@@ -22,6 +26,11 @@ from prolong.errors import ObstructionNonzero
 from prolong.extensions import is_central
 from prolong.obstruction import build_prolongation, derive, obstruction_class
 from prolong.sweep import SweepConfig, generate_pre_prolongations
+
+
+def disagree(idx: int, kind: str) -> NoReturn:
+    print(f"sweep index {idx}: {kind}", file=sys.stderr)
+    sys.exit(1)
 
 
 def main() -> None:
@@ -49,19 +58,25 @@ def main() -> None:
         except ObstructionNonzero:
             constructed = False
         coverings = brute_force_coverings(pre)
-        assert constructed == res.vanishes == bool(coverings), f"disagreement at {idx}"
+        if not constructed == res.vanishes == bool(coverings):
+            disagree(idx, f"existence: constructed {constructed}, class vanishes "
+                          f"{res.vanishes}, {len(coverings)} brute-force coverings")
         if not res.vanishes:
             stats["obstructed"] += 1
             continue
         stats["vanishing"] += 1
         classes = enumerate_classes(pre)
         h2 = cohomology_group(2, derive(pre).module)
-        assert len(classes) == len(coverings) == h2.order, f"count mismatch at {idx}"
+        if not len(classes) == len(coverings) == h2.order:
+            disagree(idx, f"class count: {len(classes)} classes, {len(coverings)} "
+                          f"brute-force coverings, |H^2| = {h2.order}")
         stats[f"{len(classes)} class(es)"] += 1
         trivial_action = all(
             p == tuple(range(pre.a.order)) for p in derive(pre).module.action)
         central = is_central(built.prolongation.e)
-        assert central == trivial_action, f"centrality/action mismatch at {idx}"
+        if central != trivial_action:
+            disagree(idx, f"centrality: covering central {central}, "
+                          f"kernel action trivial {trivial_action}")
         if not central:
             noncentral.append((idx, built.prolongation.e.b.order_profile()))
 

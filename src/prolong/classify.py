@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .cohomology import Cochain, cohomology_group, is_cocycle
-from .crossed import InducedCrossedModule, induce_crossed_module
+from .crossed import InducedCrossedModule
 from .errors import (
     MismatchedFrame,
     NotCocycle,
@@ -29,18 +29,18 @@ from .extensions import (
     ShortExtension,
     choose_section,
     factor_set,
-    validate_prolongation,
 )
 from .groups import Homomorphism, is_bijective
 from .obstruction import (
     PreProlongation,
     associativity_witness,
     build_prolongation,
+    covers_as_built,
     crossed_product,
     derive,
+    ladder_crossed_module,
     lift_factor_set,
     pairing_table,
-    verify_covering,
 )
 
 DEFAULT_SEARCH_BOUND = 4096
@@ -89,7 +89,7 @@ class _Reduction:
 
 
 def _reduce(p: Prolongation) -> _Reduction:
-    icm = induce_crossed_module(p)
+    icm = ladder_crossed_module(p)
     ind = icm.induced
     u = ind.coker.reps
     least = choose_section(p.e).u
@@ -202,7 +202,7 @@ def are_equivalent(p1: Prolongation, p2: Prolongation,
     """
     _require_same_frame(p1, p2)
     red1 = _reduce(p1)
-    eps2 = induce_crossed_module(p2).induced.eps
+    eps2 = ladder_crossed_module(p2).induced.eps
     b2 = p2.e.b
     candidates = [[0]] + [[bb for bb in b2.elements()
                            if p2.e.p.map[bb] == p1.e.p.map[v]]
@@ -350,8 +350,7 @@ def brute_force_coverings(pre: PreProlongation,
         cp = crossed_product(pre, lfs.u, h)
         p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
                          beta=cp.beta, gamma=pre.gamma)
-        certify(validate_prolongation(p).ok, "assembled ladder must validate")
-        if not verify_covering(p, pre):
+        if not covers_as_built(p, pre, "assembled"):
             continue
         found.append(p)
     found.sort(key=lambda p: p.e.b.table)

@@ -176,8 +176,7 @@ class Cochain:
         if len(self.values) != npi ** self.degree:
             raise ValueError("value table has the wrong size")
         na = self.module.a.order
-        for args in _tuples(npi, self.degree):
-            v = self.values[_flat(npi, args)]
+        for args, v in zip(_tuples(npi, self.degree), self.values):
             if not 0 <= v < na:
                 raise ValueError(f"value at {args} out of range")
             if 0 in args and v != 0:
@@ -220,26 +219,34 @@ def cochain_add(c1: Cochain, c2: Cochain) -> Cochain:
 
 
 def coboundary(c: Cochain) -> Cochain:
+    """d c under the sign convention, reading c.values by flat index.
+
+    For the output tuple t = (t0, ..., tn) at flat index idx, the suffix
+    t[1:] sits at idx % npi**n and the prefix t[:n] at idx // npi; merging
+    t_j t_{j+1} keeps the j leading digits and the n - 1 - j trailing ones.
+    """
     if c.degree >= MAX_DEGREE:
         raise DegreeOutOfRange(f"cannot take the coboundary of degree {c.degree}")
     module = c.module
     npi = module.pi.order
-    a = module.a
     n = c.degree
+    mul, inv = module.a.table, module.a.inv
     pi_table = module.pi.table
+    action = module.action
+    vals = c.values
+    size = npi ** n
+    # (j, npi**(n + 1 - j), npi**(n - 1 - j), sign of the merged term)
+    merges = [(j, npi ** (n + 1 - j), npi ** (n - 1 - j), (-1) ** (j + 1))
+              for j in range(n)]
+    last_positive = (n + 1) % 2 == 0
     out = []
-    for t in _tuples(npi, n + 1):
-        acc = module.action[t[0]][c.value(t[1:])]
-        sign = 1
-        for j in range(n):
-            merged = t[:j] + (pi_table[t[j]][t[j + 1]],) + t[j + 2:]
-            v = c.value(merged)
-            sign = -sign
-            acc = a.mul(acc, v if sign > 0 else a.inv[v])
-        v = c.value(t[:n])
-        last_sign = 1 if (n + 1) % 2 == 0 else -1
-        acc = a.mul(acc, v if last_sign > 0 else a.inv[v])
-        out.append(acc)
+    for idx, t in enumerate(_tuples(npi, n + 1)):
+        acc = action[t[0]][vals[idx % size]]
+        for j, high, low, sign in merges:
+            v = vals[(idx // high * npi + pi_table[t[j]][t[j + 1]]) * low + idx % low]
+            acc = mul[acc][v if sign > 0 else inv[v]]
+        v = vals[idx // npi]
+        out.append(mul[acc][v if last_positive else inv[v]])
     return Cochain(module, n + 1, tuple(out))
 
 

@@ -123,7 +123,14 @@ class InducedCrossedModule:
     induced: InducedSequence
 
 
-def induce_crossed_module(p: Prolongation) -> InducedCrossedModule:
+def induced_action(p: Prolongation
+                   ) -> tuple[InducedSequence, tuple[tuple[int, ...], ...],
+                              tuple[tuple[int, ...], ...]]:
+    """The induced sequence of a valid ladder with its phi and theta.
+
+    theta is not yet checked against the crossed-module axioms; see
+    induce_crossed_module.
+    """
     ind = induced_sequence(p)
     e0 = ind.e0_data.quotient
     b = p.e.b
@@ -149,9 +156,14 @@ def induce_crossed_module(p: Prolongation) -> InducedCrossedModule:
         if len(fiber_maps) != 1:
             raise FiberInconsistency(f"phi is not constant on the fiber over {g}")
         theta.append(next(iter(fiber_maps)))
+    return ind, tuple(phi), tuple(theta)
+
+
+def induce_crossed_module(p: Prolongation) -> InducedCrossedModule:
+    ind, phi, theta = induced_action(p)
     d = compose(p.gamma, ind.pi)
-    cm = make_crossed_module(e0, p.e.g, d, tuple(theta))
-    return InducedCrossedModule(cm=cm, phi=tuple(phi), induced=ind)
+    cm = make_crossed_module(ind.e0_data.quotient, p.e.g, d, theta)
+    return InducedCrossedModule(cm=cm, phi=phi, induced=ind)
 
 
 def induced_module_action(cm: CrossedModule, i: Homomorphism,

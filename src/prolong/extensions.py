@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CheckItem,
@@ -262,14 +263,30 @@ class InducedSequence:
     top: ShortExtension
 
 
-def e0_quotient(e0: ShortExtension, alpha: Homomorphism
-                ) -> tuple[QuotientData, Homomorphism, Homomorphism]:
-    """E0 = B0 / j0(ker alpha) with pi: E0 -> G0 and i: A -> E0.
+def group_tags(*homs: Homomorphism) -> tuple:
+    """Names and labels of the groups at both ends of homs.
 
-    These are the quotient data of E0 and the maps of the identified row
-    0 -> A -> E0 -> G0 -> 0: pi(b0 + ker) = p0(b0) and i(a) is the class of
-    j0(a0) for any a0 over a (the least one is taken), so alpha must be onto.
+    FiniteGroup equality ignores both, so a cache keyed on groups alone would
+    hand an input the names of an earlier, equal one; the caches here and in
+    `obstruction.derive` carry these tags in their keys.
     """
+    return tuple((g.name, g.labels) for h in homs for g in (h.source, h.target))
+
+
+def e0_quotient(e0: ShortExtension, alpha: Homomorphism
+                ) -> tuple[QuotientData, ShortExtension]:
+    """E0 = B0 / j0(ker alpha) and the identified row 0 -> A -i-> E0 -pi-> G0 -> 0.
+
+    pi(b0 + ker) = p0(b0) and i(a) is the class of j0(a0) for any a0 over a
+    (the least one is taken), so alpha must be onto.  Built once per
+    (e0, alpha) and group tags, so every ladder over one frame shares it.
+    """
+    return _e0_quotient(e0, alpha, group_tags(e0.j, e0.p, alpha))
+
+
+@lru_cache(maxsize=None)
+def _e0_quotient(e0: ShortExtension, alpha: Homomorphism, tags
+                 ) -> tuple[QuotientData, ShortExtension]:
     if not is_surjective(alpha):
         raise NotSurjective("alpha is not surjective")
     b0 = e0.b
@@ -281,23 +298,33 @@ def e0_quotient(e0: ShortExtension, alpha: Homomorphism
     for aa in alpha.target.elements():
         a0 = min(x for x in e0.a.elements() if alpha.map[x] == aa)
         i_map.append(e0_data.projection.map[e0.j.map[a0]])
-    return e0_data, pi, Homomorphism(alpha.target, e0_data.quotient, tuple(i_map))
+    i = Homomorphism(alpha.target, e0_data.quotient, tuple(i_map))
+    return e0_data, make_extension(i, pi)
+
+
+def gamma_cokernel(gamma: Homomorphism) -> QuotientData:
+    """G / gamma(G0) with its projection sigma, built once per gamma and group tags."""
+    return _gamma_cokernel(gamma, group_tags(gamma))
+
+
+@lru_cache(maxsize=None)
+def _gamma_cokernel(gamma: Homomorphism, tags) -> QuotientData:
+    return cokernel(gamma)
 
 
 def induced_sequence(p: Prolongation) -> InducedSequence:
     report = validate_prolongation(p)
     if not report.ok:
         raise InvalidProlongation(report)
-    e0_data, pi, i = e0_quotient(p.e0, p.alpha)
+    e0_data, top = e0_quotient(p.e0, p.alpha)
     eps = Homomorphism(e0_data.quotient, p.e.b,
                        tuple(p.beta.map[r] for r in e0_data.reps))
     certify(all(eps.map[e0_data.projection.map[x]] == p.beta.map[x]
                 for x in p.e0.b.elements()), "beta must factor through E0")
-    coker = cokernel(p.gamma)
+    coker = gamma_cokernel(p.gamma)
     seq = make_extension(eps, compose(coker.projection, p.e.p))
-    top = make_extension(i, pi)
-    certify(compose(eps, i).map == p.e.j.map, "eps . i must equal j")
-    certify(compose(p.e.p, eps).map == compose(p.gamma, pi).map,
+    certify(compose(eps, top.j).map == p.e.j.map, "eps . i must equal j")
+    certify(compose(p.e.p, eps).map == compose(p.gamma, top.p).map,
             "p . eps must equal gamma . pi")
-    return InducedSequence(seq=seq, eps=eps, i=i, pi=pi,
+    return InducedSequence(seq=seq, eps=eps, i=top.j, pi=top.p,
                            e0_data=e0_data, coker=coker, top=top)

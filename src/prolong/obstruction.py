@@ -23,14 +23,17 @@ from .cohomology import (
 )
 from .crossed import (
     CrossedModule,
+    InducedCrossedModule,
     check_crossed_module,
-    induce_crossed_module,
+    induced_action,
     induced_module_action,
     make_crossed_module,
 )
 from .errors import (
     CheckItem,
+    InvalidProlongation,
     MismatchedBase,
+    NotAssociative,
     NotCentralValue,
     NotCocycle,
     NotInKernel,
@@ -48,16 +51,16 @@ from .extensions import (
     e0_quotient,
     extension_checks,
     factor_set,
+    gamma_cokernel,
+    group_tags,
     is_central,
     make_extension,
-    validate_prolongation,
 )
 from .groups import (
     FiniteGroup,
     Homomorphism,
     QuotientData,
     center,
-    cokernel,
     compose,
     image,
     is_injective,
@@ -113,23 +116,23 @@ class PreDerived:
 def derive(pre: PreProlongation) -> PreDerived:
     """The derived data of pre, cached per pre-prolongation.
 
-    Group equality ignores names, so the cache key carries them: a
-    pre-prolongation equal to an earlier one up to group names gets its own.
+    Group equality ignores names and labels, so the cache key carries their
+    group tags: a pre-prolongation equal to an earlier one up to them gets its
+    own.  E0, the top row and the cokernel come from the frame caches of
+    `extensions`, shared by every pre-prolongation over one frame.
     """
-    return _derive(pre, tuple(g.name for h in (pre.e0.j, pre.e0.p, pre.alpha, pre.gamma)
-                              for g in (h.source, h.target)))
+    return _derive(pre, group_tags(pre.e0.j, pre.e0.p, pre.alpha, pre.gamma))
 
 
 @lru_cache(maxsize=None)
-def _derive(pre: PreProlongation, names) -> PreDerived:
+def _derive(pre: PreProlongation, tags) -> PreDerived:
     if pre.alpha.source != pre.e0.a:
         raise MismatchedBase("alpha must start at the kernel group of the base row")
     if pre.gamma.source != pre.e0.g:
         raise MismatchedBase("gamma must start at the quotient group of the base row")
-    e0_data, pi, i = e0_quotient(pre.e0, pre.alpha)
-    e0 = e0_data.quotient
-    top = make_extension(i, pi)
-    coker = cokernel(pre.gamma)
+    e0_data, top = e0_quotient(pre.e0, pre.alpha)
+    e0, pi, i = e0_data.quotient, top.p, top.j
+    coker = gamma_cokernel(pre.gamma)
     g_row = make_extension(pre.gamma, coker.projection)
     gammapi = compose(pre.gamma, pi)
     cm = make_crossed_module(e0, pre.g, gammapi, pre.theta)
@@ -159,8 +162,8 @@ def validate_pre(pre: PreProlongation) -> ValidationReport:
     items.append(CheckItem("gamma_image_normal", is_normal(image(pre.gamma))))
     if not items[-1].ok:
         return ValidationReport(tuple(items))
-    e0_data, pi, i = e0_quotient(pre.e0, pre.alpha)
-    e0 = e0_data.quotient
+    e0_data, top = e0_quotient(pre.e0, pre.alpha)
+    e0, pi, i = e0_data.quotient, top.p, top.j
     shape_ok = (len(pre.theta) == pre.g.order
                 and all(len(p) == e0.order for p in pre.theta))
     items.append(CheckItem("theta_shape", shape_ok))
@@ -178,7 +181,7 @@ def validate_pre(pre: PreProlongation) -> ValidationReport:
                            all(x in ze0 for x in i.map)))
     # the rest of derive, on the crossed module just checked
     try:
-        induced_module_action(cm, i, cokernel(pre.gamma))
+        induced_module_action(cm, i, gamma_cokernel(pre.gamma))
         items.append(CheckItem("module_action", True))
     except ProlongError as exc:
         items.append(CheckItem("module_action", False, str(exc)))
@@ -351,8 +354,10 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
 
     Preconditions checked first: phi is a homomorphism twisted by inner
     automorphisms of h, and h satisfies the cocycle identity.  Violations
-    raise PreconditionFailed with the offending tuple; a pairing that still
-    fails associativity raises PairingNotAssociative.
+    raise PreconditionFailed with the offending tuple.  Together they make
+    the pairing associative; validate_group proves it on the table, once,
+    and a pairing that still fails raises PairingNotAssociative with a
+    witness triple.
     """
     d = derive(pre)
     e0, pi0, g = d.e0, d.pi0, pre.g
@@ -376,13 +381,13 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
                 if lhs != rhs:
                     raise PreconditionFailed("cocycle", (x, y, z))
     table = pairing_table(e0, npi, pi0.table, phi, h)
-    witness = associativity_witness(table)
-    if witness is not None:
-        raise PairingNotAssociative(witness)
     labels = tuple(f"({e0.label(e)},{pi0.label(x)})"
                    for e in e0.elements() for x in pi0.elements())
-    bh = validate_group(table, labels=labels,
-                        name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
+    try:
+        bh = validate_group(table, labels=labels,
+                            name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
+    except NotAssociative:
+        raise PairingNotAssociative(associativity_witness(table)) from None
     jmap = tuple(d.i.map[a] * npi for a in d.module.a.elements())
     pmap = tuple(g.mul(d.gammapi.map[e], u[x])
                  for e in e0.elements() for x in pi0.elements())
@@ -425,15 +430,46 @@ def build_prolongation(pre: PreProlongation,
     cp = crossed_product(pre, res.lift.u, h_adj)
     p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
                      beta=cp.beta, gamma=pre.gamma)
-    certify(validate_prolongation(p).ok, "constructed ladder must validate")
-    certify(verify_covering(p, pre), "constructed ladder must induce theta")
+    certify(covers_as_built(p, pre, "constructed"),
+            "constructed ladder must induce theta")
     return BuildResult(prolongation=p, crossed=cp, obstruction=res,
                        h_adjusted=h_adj)
 
 
+def ladder_crossed_module(p: Prolongation) -> InducedCrossedModule:
+    """What induce_crossed_module returns, with the axioms checked once per
+    frame and theta.
+
+    The crossed module a ladder induces is (E0, G, gamma.pi, theta) on the
+    ladder's frame (e0, alpha, gamma): derive's crossed module of the
+    pre-prolongation with that frame and theta.  derive certifies it and
+    caches it, so every ladder over one pre-prolongation shares one check.
+    """
+    ind, phi, theta = induced_action(p)
+    pre = PreProlongation(e0=p.e0, alpha=p.alpha, gamma=p.gamma, theta=theta)
+    return InducedCrossedModule(cm=derive(pre).cm, phi=phi, induced=ind)
+
+
 def verify_covering(p: Prolongation, pre: PreProlongation) -> bool:
-    """True iff the ladder induces exactly the theta of the pre-prolongation."""
+    """True iff the ladder induces exactly the theta of the pre-prolongation.
+
+    The ladder is validated on the way and raises InvalidProlongation when it
+    fails; when it induces pre.theta, its crossed module is derive(pre)'s.
+    """
     if p.e0 != pre.e0 or p.alpha != pre.alpha or p.gamma != pre.gamma:
         raise MismatchedBase("ladder and pre-prolongation share no common base")
-    icm = induce_crossed_module(p)
-    return icm.cm.theta == pre.theta
+    return ladder_crossed_module(p).cm.theta == pre.theta
+
+
+def covers_as_built(p: Prolongation, pre: PreProlongation, what: str) -> bool:
+    """verify_covering for a ladder the program assembled itself.
+
+    verify_covering validates the ladder once; here a ladder that fails that
+    validation is a failed certificate, not an invalid input.
+    """
+    try:
+        covers = verify_covering(p, pre)
+    except InvalidProlongation:
+        covers = None
+    certify(covers is not None, f"{what} ladder must validate")
+    return covers

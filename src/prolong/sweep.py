@@ -84,9 +84,9 @@ def _gammas(g0: FiniteGroup, cfg: SweepConfig):
 def _thetas(pre_frame: tuple[ShortExtension, Homomorphism, Homomorphism]):
     """All homomorphisms theta with the C1-forced values on the image of gamma."""
     e0row, alpha, gamma = pre_frame
-    e0_data, pi, _ = e0_quotient(e0row, alpha)
+    e0_data, top = e0_quotient(e0row, alpha)
     e0 = e0_data.quotient
-    gammapi = compose(gamma, pi)
+    gammapi = compose(gamma, top.p)
     aut_group, auts = automorphism_group_table(e0)
     aut_index = {a.map: i for i, a in enumerate(auts)}
     # C1 forces theta on gamma(G0): theta[gammapi(e)] = conjugation by e

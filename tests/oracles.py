@@ -7,9 +7,12 @@ invariant factors by order statistics (no Smith normal form anywhere).
 
 The reference engine at the end is the exact slow path the library's
 cohomology engine replaced: the untightened Smith normal form, one
-factorization per solve, and coboundary matrices built by running
-`coboundary` on elementary cochains.  The fast path must agree with it
-number for number.
+factorization per solve, the coboundary that looks every value up by its
+argument tuple, and coboundary matrices built by running it on elementary
+cochains.  The fast path must agree with it number for number.
+
+`reference_verify_covering` is the covering check that certifies the
+crossed module of every ladder anew, through `induce_crossed_module`.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import itertools
 from math import gcd, prod
 
 from prolong.cohomology import (
+    Cochain,
     abelian_structure,
-    coboundary,
     cochain_from_values,
     free_positions,
-    is_cocycle,
     iter_normalized_cochains,
 )
+from prolong.crossed import induce_crossed_module
+from prolong.errors import MismatchedBase
 from prolong.snf import SmithForm, identity_matrix, matmul
 
 
@@ -124,8 +128,8 @@ def enumerate_cohomology(module, degree: int):
     its factors recovered from order statistics alone.
     """
     cocycles = [c.values for c in iter_normalized_cochains(module, degree)
-                if coboundary(c).is_zero()]
-    coboundaries = sorted({coboundary(t).values
+                if reference_coboundary(c).is_zero()]
+    coboundaries = sorted({reference_coboundary(t).values
                            for t in iter_normalized_cochains(module, degree - 1)})
     cob_set = set(coboundaries)
     a = module.a
@@ -318,6 +322,29 @@ def reference_solve_integer(a, b, rows=None, cols=None):
     return matvec(sf.v, y) if c else []
 
 
+def reference_coboundary(c):
+    """d c under the sign convention, each value looked up by its argument tuple."""
+    module = c.module
+    npi = module.pi.order
+    a = module.a
+    n = c.degree
+    pi_table = module.pi.table
+    out = []
+    for t in itertools.product(range(npi), repeat=n + 1):
+        acc = module.action[t[0]][c.value(t[1:])]
+        sign = 1
+        for j in range(n):
+            merged = t[:j] + (pi_table[t[j]][t[j + 1]],) + t[j + 2:]
+            v = c.value(merged)
+            sign = -sign
+            acc = a.mul(acc, v if sign > 0 else a.inv[v])
+        v = c.value(t[:n])
+        last_sign = 1 if (n + 1) % 2 == 0 else -1
+        acc = a.mul(acc, v if last_sign > 0 else a.inv[v])
+        out.append(acc)
+    return Cochain(module, n + 1, tuple(out))
+
+
 def reference_delta_matrix(module, degree: int):
     """Matrix of d: C^degree -> C^{degree+1}, one column per elementary cochain."""
     struct = abelian_structure(module.a)
@@ -331,7 +358,7 @@ def reference_delta_matrix(module, degree: int):
     unit_elems = [struct.element(tuple(1 if t == k else 0 for t in range(r)))
                   for k in range(r)]
     for ci, (pos, k) in enumerate(itertools.product(pos_in, range(r))):
-        d = coboundary(cochain_from_values(module, degree, {pos: unit_elems[k]}))
+        d = reference_coboundary(cochain_from_values(module, degree, {pos: unit_elems[k]}))
         for ri, (opos, kk) in enumerate(itertools.product(pos_out, range(r))):
             matrix[ri][ci] = struct.vec(d.value(opos))[kk]
     return matrix, rows, cols
@@ -383,7 +410,7 @@ class ReferenceCohomology:
             for i in self.kept)
 
     def coordinates(self, c) -> tuple[int, ...]:
-        assert is_cocycle(c)
+        assert reference_coboundary(c).is_zero()
         vec = []
         for pos in free_positions(self.module.pi.order, self.degree):
             vec.extend(self.struct.vec(c.value(pos)))
@@ -391,3 +418,10 @@ class ReferenceCohomology:
         x = reference_solve_integer(self.k_basis, vec, n, n)
         w = matvec(self.u, x)
         return tuple(w[i] % self.diag[i] for i in self.kept)
+
+
+def reference_verify_covering(p, pre) -> bool:
+    """verify_covering with the ladder's crossed module certified anew."""
+    if p.e0 != pre.e0 or p.alpha != pre.alpha or p.gamma != pre.gamma:
+        raise MismatchedBase("ladder and pre-prolongation share no common base")
+    return induce_crossed_module(p).cm.theta == pre.theta

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -12,17 +13,29 @@ from prolong.classify import (
     torsor_act,
     witness_is_valid,
 )
+from prolong import crossed, groups, obstruction
 from prolong.cohomology import cohomology_group, same_class
-from prolong.errors import MismatchedFrame, ObstructionNonzero, SearchBoundExceeded
+from prolong.errors import (
+    MismatchedFrame,
+    ObstructionNonzero,
+    ProlongError,
+    SearchBoundExceeded,
+)
 from prolong.extensions import make_extension, validate_prolongation
-from prolong.fixtures import builtin
+from prolong.fixtures import builtin, fixtures_dir
 from prolong.groups import Homomorphism, identity_hom, inverse_hom, compose, trivial_hom
 from prolong.obstruction import (
     PreProlongation,
     build_prolongation,
     derive,
+    obstruction_class,
     verify_covering,
 )
+from prolong.scenario import load_scenario
+from prolong.sweep import SweepConfig, generate_pre_prolongations
+
+from oracles import reference_verify_covering
+from test_seeded_pins import _clear_caches
 
 from test_obstruction import (
     pre_canonical,
@@ -326,3 +339,69 @@ def test_outputs_deterministic():
     c2 = enumerate_classes(pre_z8())
     assert [c.representative.e.b.table for c in c1] == \
         [c.representative.e.b.table for c in c2]
+
+
+# --- certification reuse ------------------------------------------------------------
+
+def _outcome(check, p, pre):
+    try:
+        return check(p, pre)
+    except ProlongError as exc:
+        return type(exc)
+
+
+def test_verify_covering_matches_full_path(monkeypatch):
+    """Every ladder brute_force_coverings assembles, over every tenth frame of
+    the default sweep, gets the same answer against each theta of its frame
+    whether or not its crossed module is certified anew."""
+    frames: dict = {}
+    for pre in generate_pre_prolongations(SweepConfig()):
+        frames.setdefault((pre.e0, pre.alpha, pre.gamma), []).append(pre)
+    assembled = []
+    real = obstruction.verify_covering
+    monkeypatch.setattr(obstruction, "verify_covering",
+                        lambda p, pre: assembled.append((p, pre)) or real(p, pre))
+    for thetas in list(frames.values())[::10]:
+        for pre in thetas:
+            brute_force_coverings(pre)
+    monkeypatch.undo()
+    answers = []
+    for p, pre in assembled:
+        for other in frames[(pre.e0, pre.alpha, pre.gamma)]:
+            answer = _outcome(verify_covering, p, other)
+            assert answer == _outcome(reference_verify_covering, p, other)
+            answers.append((other.theta == pre.theta, answer))
+    assert (True, True) in answers and (False, False) in answers
+    assert {answer for _, answer in answers} == {True, False}
+
+
+def _record_calls(monkeypatch, func) -> list:
+    """The arguments of every later call to func, in every prolong module holding it."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return func(*args)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "prolong" or name.startswith("prolong."))
+                and getattr(module, func.__name__, None) is func):
+            monkeypatch.setattr(module, func.__name__, recorded)
+    return calls
+
+
+def test_frames_and_crossed_modules_are_certified_once(monkeypatch):
+    """From cold caches, the sweep's four checks on one scenario build its E0
+    quotient and its cokernel once each and check its crossed module once."""
+    scenario = fixtures_dir() / "scenarios" / "inversion_action.json"
+    pre = load_scenario(scenario).pre_prolongation()
+    _clear_caches()
+    quotients = _record_calls(monkeypatch, groups.quotient)
+    checks = _record_calls(monkeypatch, crossed.check_crossed_module)
+    assert obstruction_class(pre).vanishes
+    build_prolongation(pre)
+    assert len(brute_force_coverings(pre)) == len(enumerate_classes(pre))
+    d = derive(pre)
+    assert len(quotients) == 2
+    assert set(quotients) == {(pre.e0.b, d.e0_data.normal), (pre.g, d.coker.normal)}
+    assert checks == [(d.cm,)]

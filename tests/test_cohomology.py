@@ -36,6 +36,7 @@ from oracles import (
     ReferenceCohomology,
     enumerate_cohomology,
     invariant_factors_from_orders,
+    reference_coboundary,
     reference_delta_matrix,
 )
 
@@ -301,6 +302,16 @@ def test_delta_matrix_matches_elementary_cochains(degree, pi, a, action):
     module = _ladder_module(pi, a, action)
     for n in range(degree + 1):
         assert cohomology._delta_matrix(module, n) == reference_delta_matrix(module, n)
+
+
+@given(case=st.sampled_from(LADDER), degree=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_coboundary_matches_reference(case, degree, seed):
+    """The flat-index coboundary equals the tuple-lookup one on random
+    normalized cochains of every ladder module."""
+    _, pi, a, action = case
+    module = _ladder_module(pi, a, action)
+    c = random_cochain(module, degree, random.Random(seed))
+    assert coboundary(c) == reference_coboundary(c)
 
 
 @pytest.mark.parametrize("name", ["D4", "Q8"])

@@ -7,7 +7,13 @@ from prolong.errors import (
     ObstructionNonzero,
     PreconditionFailed,
 )
-from prolong.extensions import is_central, make_extension, validate_prolongation
+from prolong.crossed import induce_crossed_module
+from prolong.extensions import (
+    induced_sequence,
+    is_central,
+    make_extension,
+    validate_prolongation,
+)
 from prolong.fixtures import builtin
 from prolong.groups import Homomorphism, identity_hom, trivial_hom
 from prolong.obstruction import (
@@ -16,6 +22,7 @@ from prolong.obstruction import (
     build_prolongation,
     crossed_product,
     derive,
+    ladder_crossed_module,
     lift_factor_set,
     obstruction_class,
     obstruction_cocycle,
@@ -65,7 +72,8 @@ def pre_inversion():
 
 
 def test_derive_keeps_group_names_apart():
-    """Two pre-prolongations equal up to group names each get their own names."""
+    """Two pre-prolongations equal up to group names each get their own names,
+    from derive and from the induced sequence and crossed module of a ladder."""
     from dataclasses import replace
 
     def pre_named(suffix):
@@ -85,6 +93,15 @@ def test_derive_keeps_group_names_apart():
         assert d.e0.name.startswith("Z6" + suffix + "/")
         assert d.pi0.name.startswith("Z4" + suffix + "/")
         assert d.top.g.name == "Z2" + suffix
+        ladder = build_prolongation(pre).prolongation
+        ind = induced_sequence(ladder)
+        assert ind.e0_data.quotient.name.startswith("Z6" + suffix + "/")
+        assert ind.coker.quotient.name.startswith("Z4" + suffix + "/")
+        assert ind.top.g.name == "Z2" + suffix
+        for icm in (induce_crossed_module(ladder), ladder_crossed_module(ladder)):
+            assert icm.cm.b.name.startswith("Z6" + suffix + "/")
+            assert icm.cm.d_group.name == "Z4" + suffix
+            assert icm.induced.coker.quotient.name.startswith("Z4" + suffix + "/")
 
 
 def test_derive_refuses_alpha_off_the_base_row():
