@@ -17,7 +17,9 @@ from .crossed import InducedCrossedModule
 from .errors import (
     MismatchedFrame,
     NotCocycle,
+    NotHomomorphism,
     NotInKernel,
+    PreconditionFailed,
     ProlongError,
     SearchBoundExceeded,
     certify,
@@ -33,14 +35,12 @@ from .extensions import (
 from .groups import Homomorphism, is_bijective
 from .obstruction import (
     PreProlongation,
-    associativity_witness,
     build_prolongation,
     covers_as_built,
     crossed_product,
     derive,
     ladder_crossed_module,
     lift_factor_set,
-    pairing_table,
 )
 
 DEFAULT_SEARCH_BOUND = 4096
@@ -159,13 +159,10 @@ def _search_equivalence(fs: FactorSet, kernel_map: Homomorphism,
         bmap = [b2.mul(kmap[k], ws[x]) for k, x in coords]
         if len(set(bmap)) != b1.order:
             return None
-        t1, t2 = b1.table, b2.table
-        for a in b1.elements():
-            ma = bmap[a]
-            for bb in b1.elements():
-                if bmap[t1[a][bb]] != t2[ma][bmap[bb]]:
-                    return None
-        return Homomorphism(b1, b2, tuple(bmap))
+        try:
+            return Homomorphism(b1, b2, bmap)
+        except NotHomomorphism:
+            return None
 
     def backtrack(ws: list[int], x: int) -> Homomorphism | None:
         if x == q.order:
@@ -317,8 +314,9 @@ def brute_force_coverings(pre: PreProlongation,
     """Exhaustive covering search, independent of the H^2/torsor machinery.
 
     Enumerates every normalized lift h of the canonical factor set, keeps the
-    ones whose twisted pairing is associative, assembles the ladders, filters
-    by the induced theta, and deduplicates with the equivalence search.
+    ones crossed_product accepts (its preconditions hold exactly when the
+    twisted pairing is associative), certifies that each assembled ladder
+    induces theta, and deduplicates with the equivalence search.
     """
     d = derive(pre)
     total_order = d.module.a.order * pre.g.order
@@ -338,20 +336,19 @@ def brute_force_coverings(pre: PreProlongation,
         if count > max_candidates:
             raise SearchBoundExceeded(
                 f"lift enumeration exceeds {max_candidates} candidates")
-    phi = tuple(pre.theta[lfs.u[x]] for x in pi0.elements())
     found = []
     for combo in itertools.product(*(fibers[lfs.f[x][y]] for (x, y) in positions)):
         h = [[0] * npi for _ in range(npi)]
         for (x, y), e in zip(positions, combo):
             h[x][y] = e
-        table = pairing_table(e0, npi, pi0.table, phi, h)
-        if associativity_witness(table) is not None:
+        try:
+            cp = crossed_product(pre, lfs.u, h)
+        except PreconditionFailed:
             continue
-        cp = crossed_product(pre, lfs.u, h)
         p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
                          beta=cp.beta, gamma=pre.gamma)
-        if not covers_as_built(p, pre, "assembled"):
-            continue
+        certify(covers_as_built(p, pre, "assembled"),
+                "assembled ladder must induce theta")
         found.append(p)
     found.sort(key=lambda p: p.e.b.table)
     reps: list[Prolongation] = []

@@ -26,7 +26,12 @@ class NotLatinSquare(ProlongError):
 
 
 class NotAssociative(ProlongError):
-    pass
+    """The table fails associativity; carries the first failing (a, b, c)."""
+
+    def __init__(self, witness: tuple[int, int, int]):
+        a, b, c = witness
+        super().__init__(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        self.witness = witness
 
 
 class MissingInverse(ProlongError):

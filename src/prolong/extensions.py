@@ -8,6 +8,7 @@ image.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -145,20 +146,26 @@ def factor_set(ext: ShortExtension, section: Section) -> FactorSet:
     return FactorSet(ext=ext, section=section, f=tuple(f))
 
 
+def cocycle_terms(k: FiniteGroup, q: FiniteGroup, act, h):
+    """Both sides of the cocycle identity act_x(h(y,z)) * h(x,yz) = h(x,y) * h(xy,z).
+
+    h is a 2-cochain q x q -> k as a table and act[x] the map of k by which x
+    acts, as an array.  Yields (x, y, z, left, right) in lexicographic order
+    of (x, y, z); the identity holds where left == right.
+    """
+    kt, qt = k.table, q.table
+    for x, y, z in itertools.product(q.elements(), repeat=3):
+        yield (x, y, z, kt[act[x][h[y][z]]][h[x][qt[y][z]]],
+               kt[h[x][y]][h[qt[x][y]][z]])
+
+
 def check_factor_identity(ext: ShortExtension, section: Section, fs: FactorSet) -> bool:
     """The associativity identity mu_{u_x} f(y,z) * f(x,yz) = f(x,y) * f(xy,z)."""
-    b, g = ext.b, ext.g
-    u = section.u
-    jf = [[ext.j.map[fs.f[x][y]] for y in g.elements()] for x in g.elements()]
-    for x in g.elements():
-        for y in g.elements():
-            xy = g.mul(x, y)
-            for z in g.elements():
-                lhs = b.mul(b.conjugate(u[x], jf[y][z]), jf[x][g.mul(y, z)])
-                rhs = b.mul(jf[x][y], jf[xy][z])
-                if lhs != rhs:
-                    return False
-    return True
+    b = ext.b
+    jf = [[ext.j.map[v] for v in row] for row in fs.f]
+    conj = [[b.conjugate(ux, e) for e in b.elements()] for ux in section.u]
+    return all(left == right
+               for *_, left, right in cocycle_terms(b, ext.g, conj, jf))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ class FiniteGroup:
         object.__setattr__(self, "inv", tuple(self.inv))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        # the dataclass hash, computed once: lru_cache keys hash whole groups
+        object.__setattr__(self, "_hash", hash((self.order, self.table, self.inv)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -120,7 +125,7 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
             rb = rows[b]
             for c in range(n):
                 if rab[c] != ra[rb[c]]:
-                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+                    raise NotAssociative((a, b, c))
     inv = [0] * n
     for a in range(n):
         b = rows[a].index(0)
@@ -311,9 +316,10 @@ def cokernel(f: Homomorphism) -> QuotientData:
     return quotient(f.target, img)
 
 
-def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """Greedy small generating set: repeatedly adjoin the least missing element."""
-    gens: list[int] = []
+def generating_set(g: FiniteGroup, start=()) -> tuple[int, ...]:
+    """Greedy small generating set: starting from `start`, repeatedly adjoin
+    the least missing element."""
+    gens = list(start)
     closed = subgroup_closure(g, gens)
     while closed.order < g.order:
         inside = set(closed.members)
@@ -358,13 +364,7 @@ def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
     array, so the enumeration order is deterministic.
     """
     fixed = dict(fixed or {})
-    pinned = sorted(k for k in fixed if k != 0)
-    gens = list(pinned)
-    closed = subgroup_closure(source, gens)
-    while closed.order < source.order:
-        inside = set(closed.members)
-        gens.append(min(a for a in source.elements() if a not in inside))
-        closed = subgroup_closure(source, gens)
+    gens = generating_set(source, start=sorted(k for k in fixed if k != 0))
     schedule = _closure_schedule(source, gens)
 
     candidate_lists: list[list[int]] = []
@@ -386,8 +386,8 @@ def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
             raise SearchBoundExceeded(
                 f"homomorphism search space exceeds {max_candidates}")
 
-    n, nt = source.order, target.order
-    found: list[tuple[int, ...]] = []
+    n = source.order
+    found: list[Homomorphism] = []
     for images in itertools.product(*candidate_lists):
         m = [-1] * n
         for elem, kind, data in schedule:
@@ -400,20 +400,12 @@ def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
                 m[elem] = target.table[m[a]][m[b]]
         if injective_only and len(set(m)) != n:
             continue
-        ok = True
-        for a in range(n):
-            ma = m[a]
-            row = source.table[a]
-            for b in range(n):
-                if m[row[b]] != target.table[ma][m[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(m))
-    found.sort()
-    return tuple(Homomorphism(source, target, m) for m in found)
+        try:
+            found.append(Homomorphism(source, target, m))
+        except NotHomomorphism:
+            pass
+    found.sort(key=lambda f: f.map)
+    return tuple(found)
 
 
 def automorphism_group(g: FiniteGroup,

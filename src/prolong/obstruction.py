@@ -48,6 +48,7 @@ from .extensions import (
     Prolongation,
     ShortExtension,
     choose_section,
+    cocycle_terms,
     e0_quotient,
     extension_checks,
     factor_set,
@@ -255,21 +256,16 @@ def obstruction_cocycle(lfs: LiftedFactorSet) -> Cochain:
                 raise NotInKernel(
                     f"lift value at ({x}, {y}) lies outside its fiber")
     values = []
-    for x in pi0.elements():
-        for y in pi0.elements():
-            xy = pi0.mul(x, y)
-            for z in pi0.elements():
-                left = e0.mul(phi[x][h[y][z]], h[x][pi0.mul(y, z)])
-                right = e0.mul(h[x][y], h[xy][z])
-                k_left = e0.mul(left, e0.inv[right])
-                k_right = e0.mul(e0.inv[right], left)
-                if k_left != k_right:
-                    raise NotCentralValue(
-                        f"obstruction value at ({x}, {y}, {z}) is not central")
-                if k_left not in i_index:
-                    raise NotInKernel(
-                        f"obstruction value at ({x}, {y}, {z}) lies outside i(A)")
-                values.append(i_index[k_left])
+    for x, y, z, left, right in cocycle_terms(e0, pi0, phi, h):
+        k_left = e0.mul(left, e0.inv[right])
+        k_right = e0.mul(e0.inv[right], left)
+        if k_left != k_right:
+            raise NotCentralValue(
+                f"obstruction value at ({x}, {y}, {z}) is not central")
+        if k_left not in i_index:
+            raise NotInKernel(
+                f"obstruction value at ({x}, {y}, {z}) lies outside i(A)")
+        values.append(i_index[k_left])
     c = Cochain(d.module, 3, tuple(values))
     if not is_cocycle(c):
         raise NotCocycle("obstruction cochain fails the cocycle identity")
@@ -321,19 +317,6 @@ def pairing_table(e0: FiniteGroup, npi: int, pi0_table, phi, h) -> list[list[int
     return table
 
 
-def associativity_witness(table) -> tuple[int, int, int] | None:
-    n = len(table)
-    for a in range(n):
-        ra = table[a]
-        for b in range(n):
-            rab = table[ra[b]]
-            rb = table[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
-                    return (a, b, c)
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class CrossedProductExtension:
     """A crossed product together with its extension maps and beta into it."""
@@ -354,10 +337,10 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
 
     Preconditions checked first: phi is a homomorphism twisted by inner
     automorphisms of h, and h satisfies the cocycle identity.  Violations
-    raise PreconditionFailed with the offending tuple.  Together they make
-    the pairing associative; validate_group proves it on the table, once,
-    and a pairing that still fails raises PairingNotAssociative with a
-    witness triple.
+    raise PreconditionFailed with the offending tuple.  Together they hold
+    exactly when the pairing is associative; validate_group proves it on
+    the table, once, and a pairing that still fails raises
+    PairingNotAssociative with validate_group's witness triple.
     """
     d = derive(pre)
     e0, pi0, g = d.e0, d.pi0, pre.g
@@ -372,22 +355,17 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
             twisted = tuple(e0.conjugate(h[x][y], phi[xy][e]) for e in e0.elements())
             if composed != twisted:
                 raise PreconditionFailed("twisted-homomorphism", (x, y))
-    for x in pi0.elements():
-        for y in pi0.elements():
-            xy = pi0.mul(x, y)
-            for z in pi0.elements():
-                lhs = e0.mul(phi[x][h[y][z]], h[x][pi0.mul(y, z)])
-                rhs = e0.mul(h[x][y], h[xy][z])
-                if lhs != rhs:
-                    raise PreconditionFailed("cocycle", (x, y, z))
+    for x, y, z, left, right in cocycle_terms(e0, pi0, phi, h):
+        if left != right:
+            raise PreconditionFailed("cocycle", (x, y, z))
     table = pairing_table(e0, npi, pi0.table, phi, h)
     labels = tuple(f"({e0.label(e)},{pi0.label(x)})"
                    for e in e0.elements() for x in pi0.elements())
     try:
         bh = validate_group(table, labels=labels,
                             name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
-    except NotAssociative:
-        raise PairingNotAssociative(associativity_witness(table)) from None
+    except NotAssociative as exc:
+        raise PairingNotAssociative(exc.witness) from None
     jmap = tuple(d.i.map[a] * npi for a in d.module.a.elements())
     pmap = tuple(g.mul(d.gammapi.map[e], u[x])
                  for e in e0.elements() for x in pi0.elements())

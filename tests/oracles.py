@@ -13,6 +13,9 @@ cochains.  The fast path must agree with it number for number.
 
 `reference_verify_covering` is the covering check that certifies the
 crossed module of every ladder anew, through `induce_crossed_module`.
+`reference_brute_force_coverings` is the covering search that keeps a lift
+when its pairing table passes `validate_group` and filters the assembled
+ladders by their induced theta.
 """
 
 from __future__ import annotations
@@ -27,8 +30,18 @@ from prolong.cohomology import (
     free_positions,
     iter_normalized_cochains,
 )
+from prolong.classify import are_equivalent
 from prolong.crossed import induce_crossed_module
-from prolong.errors import MismatchedBase
+from prolong.errors import MismatchedBase, NotAssociative
+from prolong.extensions import Prolongation
+from prolong.groups import validate_group
+from prolong.obstruction import (
+    covers_as_built,
+    crossed_product,
+    derive,
+    lift_factor_set,
+    pairing_table,
+)
 from prolong.snf import SmithForm, identity_matrix, matmul
 
 
@@ -425,3 +438,36 @@ def reference_verify_covering(p, pre) -> bool:
     if p.e0 != pre.e0 or p.alpha != pre.alpha or p.gamma != pre.gamma:
         raise MismatchedBase("ladder and pre-prolongation share no common base")
     return induce_crossed_module(p).cm.theta == pre.theta
+
+
+def reference_brute_force_coverings(pre) -> tuple:
+    """brute_force_coverings with lifts filtered by the associativity of their
+    pairing table and ladders by their induced theta (default bounds)."""
+    d = derive(pre)
+    lfs = lift_factor_set(pre)
+    e0, npi = d.e0, d.pi0.order
+    phi = tuple(pre.theta[lfs.u[x]] for x in range(npi))
+    fibers: dict[int, list[int]] = {}
+    for e in e0.elements():
+        fibers.setdefault(d.gammapi.map[e], []).append(e)
+    positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
+    found = []
+    for combo in itertools.product(*(fibers[lfs.f[x][y]] for (x, y) in positions)):
+        h = [[0] * npi for _ in range(npi)]
+        for (x, y), e in zip(positions, combo):
+            h[x][y] = e
+        try:
+            validate_group(pairing_table(e0, npi, d.pi0.table, phi, h))
+        except NotAssociative:
+            continue
+        cp = crossed_product(pre, lfs.u, h)
+        p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
+                         beta=cp.beta, gamma=pre.gamma)
+        if covers_as_built(p, pre, "assembled"):
+            found.append(p)
+    found.sort(key=lambda p: p.e.b.table)
+    reps: list = []
+    for p in found:
+        if not any(are_equivalent(p, q) is not None for q in reps):
+            reps.append(p)
+    return tuple(reps)

@@ -34,7 +34,7 @@ from prolong.obstruction import (
 from prolong.scenario import load_scenario
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
-from oracles import reference_verify_covering
+from oracles import reference_brute_force_coverings, reference_verify_covering
 from test_seeded_pins import _clear_caches
 
 from test_obstruction import (
@@ -373,6 +373,20 @@ def test_verify_covering_matches_full_path(monkeypatch):
             answers.append((other.theta == pre.theta, answer))
     assert (True, True) in answers and (False, False) in answers
     assert {answer for _, answer in answers} == {True, False}
+
+
+def test_brute_force_coverings_matches_reference():
+    """On every tenth input of the default sweep, keeping the lifts
+    crossed_product accepts gives the ladders, in order, that filtering by an
+    associative pairing table and the induced theta gives."""
+    sizes = set()
+    for pre in generate_pre_prolongations(SweepConfig())[::10]:
+        fast = brute_force_coverings(pre)
+        slow = reference_brute_force_coverings(pre)
+        assert fast == slow
+        assert [p.e.b.labels for p in fast] == [p.e.b.labels for p in slow]
+        sizes.add(len(fast))
+    assert {0, 1, 2} <= sizes
 
 
 def _record_calls(monkeypatch, func) -> list:

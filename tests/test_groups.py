@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,8 +83,24 @@ def test_not_associative():
             [3, 4, 1, 2, 0],
             [4, 2, 0, 1, 3]]
     from prolong.errors import NotAssociative
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative) as info:
         validate_group(loop)
+    first = next((a, b, c) for a, b, c in itertools.product(range(5), repeat=3)
+                 if loop[loop[a][b]][c] != loop[a][loop[b][c]])
+    assert info.value.witness == first
+    a, b, c = first
+    assert str(info.value) == f"({a}*{b})*{c} != {a}*({b}*{c})"
+
+
+def test_hash_ignores_name_and_labels():
+    """Equal groups hash equal whatever their names and labels, with the
+    hash of the compared fields, computed once."""
+    z4 = builtin("Z4")
+    renamed = validate_group(z4.table, labels=("e", "r", "r2", "r3"), name="C4")
+    assert renamed == z4 and renamed.name != z4.name
+    assert hash(renamed) == hash(z4) == hash((z4.order, z4.table, z4.inv))
+    assert len({z4, renamed}) == 1
+    assert hash(builtin("V4")) != hash(z4)
 
 
 def test_cokernel_requires_normal_image():

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from prolong import obstruction
 from prolong.errors import (
     MismatchedBase,
+    NotAssociative,
     ObstructionNonzero,
+    PairingNotAssociative,
     PreconditionFailed,
 )
 from prolong.crossed import induce_crossed_module
@@ -15,10 +18,9 @@ from prolong.extensions import (
     validate_prolongation,
 )
 from prolong.fixtures import builtin
-from prolong.groups import Homomorphism, identity_hom, trivial_hom
+from prolong.groups import Homomorphism, identity_hom, trivial_hom, validate_group
 from prolong.obstruction import (
     PreProlongation,
-    associativity_witness,
     build_prolongation,
     crossed_product,
     derive,
@@ -312,7 +314,11 @@ def test_associativity_iff_preconditions(factory, expected_outcomes):
     for e in fiber:
         h = ((0, 0), (0, e))
         table = pairing_table(d.e0, 2, d.pi0.table, phi, h)
-        associative = associativity_witness(table) is None
+        try:
+            validate_group(table)
+            associative = True
+        except NotAssociative:
+            associative = False
         try:
             crossed_product(pre, lfs.u, h)
             preconditions_hold = True
@@ -323,14 +329,21 @@ def test_associativity_iff_preconditions(factory, expected_outcomes):
     assert seen == expected_outcomes
 
 
-def test_pairing_not_associative_raised_on_forced_build():
-    # bypass the precondition check to exercise the associativity witness
+def test_pairing_not_associative_raised_on_forced_build(monkeypatch):
+    # bypass the cocycle precondition to exercise the associativity witness
     pre = pre_obstructed()
     d = derive(pre)
     lfs = lift_factor_set(pre)
     phi = tuple(pre.theta[lfs.u[x]] for x in d.pi0.elements())
     table = pairing_table(d.e0, 2, d.pi0.table, phi, lfs.h)
-    assert associativity_witness(table) is not None
+    with pytest.raises(NotAssociative) as info:
+        validate_group(table)
+    a, b, c = info.value.witness
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+    monkeypatch.setattr(obstruction, "cocycle_terms", lambda *args: iter(()))
+    with pytest.raises(PairingNotAssociative) as built:
+        crossed_product(pre, lfs.u, lfs.h)
+    assert built.value.witness == (a, b, c)
 
 
 # --- building coverings ----------------------------------------------------------------
