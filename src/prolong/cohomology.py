@@ -3,7 +3,8 @@
 Cochains are dense tables Pi0^n -> A (A-indices) that vanish whenever an
 argument is the identity.  The coefficient group is decomposed once into
 cyclic factors by a Smith normal form of its own presentation; every decision
-procedure (coboundary solving, H^n) is then exact integer linear algebra.
+procedure (coboundary solving, H^n) is then exact integer linear algebra, or
+linear algebra over GF(p) where the coefficients are (Z/p)^r.
 
 Sign convention, fixed throughout:
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 
 from .errors import (
     DegreeOutOfRange,
@@ -382,27 +383,53 @@ def same_class(c1: Cochain, c2: Cochain) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The exact integer presentation of one H^n: basis cocycles and the
+    factorizations a coordinates query reuses.
+
+    k_factor is the Smith form of the cocycle-lattice basis, so a query is a
+    solve against it and a product with u, not a new factorization.
+    """
+
+    invariant_factors: tuple[int, ...]
+    basis: tuple[Cochain, ...]
+    k_factor: snf.SmithForm
+    u: list
+    kept: tuple[int, ...]
+    diag: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class CohomologyGroup:
     """H^degree with invariant factors, basis cocycles, and coordinates.
 
     coordinates(c) expresses the class of a cocycle c with respect to basis;
-    distinct coordinate tuples are non-cohomologous classes.  _k_factor is
-    the Smith form of the cocycle-lattice basis, so a query is a solve
-    against it and a product with _u, not a new factorization.
+    distinct coordinate tuples are non-cohomologous classes.  The invariant
+    factors are known on construction; the exact lattice behind basis,
+    coordinates and from_coordinates sits in the one mutable slot _lattice,
+    filled on first use when cohomology_group decided the factors by ranks.
     """
 
     module: PiModule
     degree: int
     invariant_factors: tuple[int, ...]
-    basis: tuple[Cochain, ...]
-    _k_factor: snf.SmithForm | None = field(repr=False)
-    _u: list = field(repr=False)
-    _kept: tuple[int, ...] = field(repr=False)
-    _diag: tuple[int, ...] = field(repr=False)
+    _lattice: _Lattice | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
+
+    def _exact(self) -> _Lattice:
+        if self._lattice is None:
+            lattice = _integer_lattice(self.module, self.degree)
+            certify(lattice.invariant_factors == self.invariant_factors,
+                    "the integer lattice must have the invariant factors of the ranks")
+            object.__setattr__(self, "_lattice", lattice)
+        return self._lattice
+
+    @property
+    def basis(self) -> tuple[Cochain, ...]:
+        return self._exact().basis if self.invariant_factors else ()
 
     def coordinates(self, c: Cochain) -> tuple[int, ...]:
         if c.module != self.module or c.degree != self.degree:
@@ -411,10 +438,11 @@ class CohomologyGroup:
             raise NotCocycle("only cocycles have class coordinates")
         if not self.invariant_factors:
             return ()
-        x = self._k_factor.solve(_vectorize(c))
+        lattice = self._exact()
+        x = lattice.k_factor.solve(_vectorize(c))
         certify(x is not None, "cocycle vector must lie in the cocycle lattice")
-        w = snf.matvec(self._u, x)
-        return tuple(w[i] % self._diag[i] for i in self._kept)
+        w = snf.matvec(lattice.u, x)
+        return tuple(w[i] % lattice.diag[i] for i in lattice.kept)
 
     def from_coordinates(self, coords) -> Cochain:
         """The basis combination sum_k coords[k] * basis[k]."""
@@ -423,10 +451,11 @@ class CohomologyGroup:
             raise ValueError("coordinate tuple has the wrong length")
         coords = tuple(c % d for c, d in zip(coords, self.invariant_factors))
         a = self.module.a
+        basis = self.basis
         values = []
         for idx in range(self.module.pi.order ** self.degree):
             acc = 0
-            for coeff, b in zip(coords, self.basis):
+            for coeff, b in zip(coords, basis):
                 v = b.values[idx]
                 for _ in range(coeff):
                     acc = a.mul(acc, v)
@@ -434,14 +463,32 @@ class CohomologyGroup:
         return Cochain(self.module, self.degree, tuple(values))
 
 
+def _elementary_prime(struct: AbelianStructure) -> int | None:
+    """p when the coefficients are (Z/p)^r for a prime p, else None."""
+    p = struct.factors[0]
+    if any(f != p for f in struct.factors) or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        return None
+    return p
+
+
+@lru_cache(maxsize=None)
+def _delta_rank(module: PiModule, degree: int) -> int:
+    """Rank of d_degree over GF(p) for coefficients (Z/p)^r, cached so that
+    H^degree and H^(degree + 1) of one module share it."""
+    matrix, _, cols = _delta_matrix(module, degree)
+    return snf.rank_mod_p(matrix, cols, abelian_structure(module.a).factors[0])
+
+
 @lru_cache(maxsize=None)
 def cohomology_group(degree: int, module: PiModule,
                      max_cells: int = DEFAULT_SIZE_BOUND) -> CohomologyGroup:
-    """H^degree = ker d / im d, computed by integer Smith normal form.
+    """H^degree = ker d / im d, with its invariant factors decided exactly.
 
-    Combines the cocycle-kernel lattice with the coboundary image (plus the
-    coefficient moduli) and reads invariant factors and basis representatives
-    off the diagonalization.  Deterministic for fixed inputs.
+    When the coefficients are (Z/p)^r for a prime p, every cochain group is
+    a GF(p) vector space, so H^n = (Z/p)^dim with dim = dim C^n - rank d_n -
+    rank d_(n-1), and the integer lattice waits for the first basis or
+    coordinates request.  Any other coefficients get the lattice at once.
+    Deterministic for fixed inputs.
     """
     if not 1 <= degree <= 3:
         raise DegreeOutOfRange("cohomology is computed in degrees 1..3")
@@ -451,25 +498,34 @@ def cohomology_group(degree: int, module: PiModule,
     if npi ** degree * max(r, 1) > max_cells:
         raise SizeBoundExceeded(
             f"complex size {npi ** degree * max(r, 1)} exceeds bound {max_cells}")
-
-    def trivial():
-        return CohomologyGroup(module=module, degree=degree, invariant_factors=(),
-                               basis=(), _k_factor=None, _u=[], _kept=(), _diag=())
-
     if r == 0 or npi == 1:
-        return trivial()
-    _, out_rows, n_unknowns = _delta_matrix(module, degree)
+        return CohomologyGroup(module=module, degree=degree, invariant_factors=())
+    p = _elementary_prime(struct)
+    if p is None:
+        lattice = _integer_lattice(module, degree)
+        return CohomologyGroup(module=module, degree=degree,
+                               invariant_factors=lattice.invariant_factors,
+                               _lattice=lattice)
+    _, _, cols = _delta_matrix(module, degree)
+    dim = cols - _delta_rank(module, degree) - _delta_rank(module, degree - 1)
+    return CohomologyGroup(module=module, degree=degree, invariant_factors=(p,) * dim)
+
+
+def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
+    """H^degree by integer Smith normal form, for a module with npi > 1 and r > 0.
+
+    Combines the cocycle-kernel lattice with the coboundary image (plus the
+    coefficient moduli) and reads invariant factors and basis representatives
+    off the diagonalization.  Deterministic for fixed inputs.
+    """
+    struct = abelian_structure(module.a)
+    r = struct.rank
+    _, _, n_unknowns = _delta_matrix(module, degree)
     dm, _, prev_cols = _delta_matrix(module, degree - 1)
-    if n_unknowns == 0:
-        return trivial()
     moduli_n = [struct.factors[i % r] for i in range(n_unknowns)]
     # cocycle lattice K = {v : dn v == 0 modulo the coefficient moduli}
-    if out_rows:
-        full_kernel = snf.kernel_basis(*_with_moduli(module, degree))
-        k_gens = [col[:n_unknowns] for col in full_kernel]
-    else:
-        k_gens = [[1 if i == j else 0 for i in range(n_unknowns)]
-                  for j in range(n_unknowns)]
+    full_kernel = snf.kernel_basis(*_with_moduli(module, degree))
+    k_gens = [col[:n_unknowns] for col in full_kernel]
     k_basis_cols = snf.lattice_column_basis(k_gens, n_unknowns)
     certify(len(k_basis_cols) == n_unknowns, "cocycle lattice must have full rank")
     k_basis = [[col[i] for col in k_basis_cols] for i in range(n_unknowns)]
@@ -501,7 +557,5 @@ def cohomology_group(degree: int, module: PiModule,
         rep = _devectorize(module, degree, vec)
         certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
-    return CohomologyGroup(module=module, degree=degree,
-                           invariant_factors=factors, basis=tuple(basis),
-                           _k_factor=k_factor, _u=sf.u, _kept=kept,
-                           _diag=tuple(diag))
+    return _Lattice(invariant_factors=factors, basis=tuple(basis),
+                    k_factor=k_factor, u=sf.u, kept=kept, diag=tuple(diag))

@@ -194,15 +194,6 @@ def is_bijective(f: Homomorphism) -> bool:
     return f.source.order == f.target.order and is_injective(f)
 
 
-def inverse_hom(f: Homomorphism) -> Homomorphism:
-    if not is_bijective(f):
-        raise ValueError("homomorphism is not bijective")
-    inv = [0] * f.target.order
-    for a, x in enumerate(f.map):
-        inv[x] = a
-    return Homomorphism(f.target, f.source, tuple(inv))
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A sorted, closed set of indices of a parent group, containing 0."""

@@ -274,10 +274,14 @@ def obstruction_cocycle(lfs: LiftedFactorSet) -> Cochain:
 
 @dataclass(frozen=True, eq=False)
 class ObstructionResult:
+    """The obstruction cocycle, its class coordinates in H^3, and, when the
+    class vanishes, the 2-cochain witness with d(witness) == cocycle."""
+
     h3: CohomologyGroup
     coordinates: tuple[int, ...]
     cocycle: Cochain
     lift: LiftedFactorSet
+    witness: Cochain | None
 
     @property
     def vanishes(self) -> bool:
@@ -286,12 +290,20 @@ class ObstructionResult:
 
 def obstruction_class(pre: PreProlongation,
                       rng: random.Random | None = None) -> ObstructionResult:
-    """Class coordinates of the obstruction in H^3 of the induced module."""
+    """Class coordinates of the obstruction in H^3 of the induced module.
+
+    Vanishing is decided first by solving k = d(l) against the degree-2
+    factorization; a coboundary has zero coordinates in any basis, so only a
+    nonzero class needs H^3's lattice.
+    """
     lfs = lift_factor_set(pre, rng=rng)
     k = obstruction_cocycle(lfs)
     h3 = cohomology_group(3, derive(pre).module)
-    return ObstructionResult(h3=h3, coordinates=h3.coordinates(k),
-                             cocycle=k, lift=lfs)
+    witness = is_coboundary(k)
+    coords = (h3.coordinates(k) if witness is None
+              else (0,) * len(h3.invariant_factors))
+    return ObstructionResult(h3=h3, coordinates=coords, cocycle=k, lift=lfs,
+                             witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +409,7 @@ def build_prolongation(pre: PreProlongation,
     res = obstruction_class(pre, rng=rng)
     if not res.vanishes:
         raise ObstructionNonzero(res.coordinates, res.h3.invariant_factors)
-    correction = is_coboundary(res.cocycle)
+    correction = res.witness
     certify(correction is not None, "a vanishing class must be a coboundary")
     e0, pi0 = d.e0, d.pi0
     h = res.lift.h

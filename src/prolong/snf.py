@@ -220,6 +220,43 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
                      u_inv=transpose(ui_t), v_inv=vi)
 
 
+def rank_mod_p(a, cols: int, p: int) -> int:
+    """Rank over GF(p), p prime, of the integer matrix a with cols columns.
+
+    Rank is invariant under transposition, so the shorter side is eliminated.
+    For p = 2 each vector is packed one byte per entry into a Python int, and
+    a pivot is kept per leading bit, so reduction is XOR; for odd p vectors are
+    lists reduced modulo p against pivots scaled to a leading 1.
+    """
+    vectors = list(zip(*a)) if len(a) > cols else a
+    if p == 2:
+        pivots: dict = {}
+        for vec in vectors:
+            x = int.from_bytes(bytes(map((1).__and__, vec)), "big")
+            while x:
+                top = x.bit_length()
+                pivot = pivots.get(top)
+                if pivot is None:
+                    pivots[top] = x
+                    break
+                x ^= pivot
+        return len(pivots)
+    pivots = {}
+    for vec in vectors:
+        vec = [x % p for x in vec]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        while lead is not None:
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = pow(vec[lead], -1, p)
+                pivots[lead] = [x * scale % p for x in vec]
+                break
+            c = vec[lead]
+            vec = [(x - c * y) % p for x, y in zip(vec, pivot)]
+            lead = next((j for j in range(lead + 1, len(vec)) if vec[j]), None)
+    return len(pivots)
+
+
 def solve_integer(a, b: list[int], rows: int | None = None,
                   cols: int | None = None) -> list[int] | None:
     """One integer solution x of a @ x == b, or None when unsolvable."""

@@ -34,7 +34,7 @@ from prolong.classify import are_equivalent
 from prolong.crossed import induce_crossed_module
 from prolong.errors import MismatchedBase, NotAssociative
 from prolong.extensions import Prolongation
-from prolong.groups import validate_group
+from prolong.groups import Homomorphism, is_bijective, validate_group
 from prolong.obstruction import (
     covers_as_built,
     crossed_product,
@@ -96,6 +96,16 @@ def brute_automorphisms(g) -> list[tuple[int, ...]]:
         if ok:
             out.append(perm)
     return out
+
+
+def inverse_hom(f):
+    """The inverse of a bijective homomorphism, checked as a homomorphism."""
+    if not is_bijective(f):
+        raise ValueError("homomorphism is not bijective")
+    inv = [0] * f.target.order
+    for a, x in enumerate(f.map):
+        inv[x] = a
+    return Homomorphism(f.target, f.source, tuple(inv))
 
 
 def s3_table_from_permutations() -> list[list[int]]:

@@ -23,7 +23,7 @@ from prolong.errors import (
 )
 from prolong.extensions import make_extension, validate_prolongation
 from prolong.fixtures import builtin, fixtures_dir
-from prolong.groups import Homomorphism, identity_hom, inverse_hom, compose, trivial_hom
+from prolong.groups import Homomorphism, identity_hom, compose, trivial_hom
 from prolong.obstruction import (
     PreProlongation,
     build_prolongation,
@@ -34,7 +34,7 @@ from prolong.obstruction import (
 from prolong.scenario import load_scenario
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
-from oracles import reference_brute_force_coverings, reference_verify_covering
+from oracles import inverse_hom, reference_brute_force_coverings, reference_verify_covering
 from test_seeded_pins import _clear_caches
 
 from test_obstruction import (

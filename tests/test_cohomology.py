@@ -22,6 +22,7 @@ from prolong.cohomology import (
     zero_cochain,
 )
 from prolong.errors import (
+    CertificateFailed,
     DegreeOutOfRange,
     NotAbelian,
     NotCocycle,
@@ -31,6 +32,8 @@ from prolong.errors import (
 from prolong import cohomology, snf
 from prolong.fixtures import builtin, cyclic
 from prolong.groups import all_homomorphisms
+from prolong.obstruction import derive
+from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 from oracles import (
     ReferenceCohomology,
@@ -326,6 +329,7 @@ def test_cohomology_matches_reference_engine(degree, pi, a, action):
     h = cohomology_group(degree, module)
     ref = ReferenceCohomology(degree, module)
     assert h.invariant_factors == ref.invariant_factors
+    assert cohomology._integer_lattice(module, degree).invariant_factors == ref.invariant_factors
     assert tuple(b.values for b in h.basis) == ref.basis
     rng = random.Random(f"{degree}{pi}{a}{action}")
     for _ in range(4):
@@ -356,3 +360,85 @@ def test_queries_reuse_their_factorizations(monkeypatch):
         witness = is_coboundary(c)
         assert (witness is None) == any(coords)
     assert calls == []
+
+
+# --- ranks mod p against the integer lattice and the reference engine ------------
+
+def _factors_agree(module, degree):
+    """H^degree by cohomology_group (ranks mod p where A is (Z/p)^r), by the
+    integer lattice on its own, and by the reference engine: all equal."""
+    h = cohomology_group(degree, module)
+    assert h.invariant_factors == cohomology._integer_lattice(module, degree).invariant_factors
+    assert h.invariant_factors == ReferenceCohomology(degree, module).invariant_factors
+
+
+@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_rank_factors_match_lattice_and_reference(module, degree):
+    _factors_agree(module, degree)
+
+
+def test_rank_factors_match_on_sweep_modules():
+    modules = {derive(pre).module for pre in generate_pre_prolongations(SweepConfig())}
+    nontrivial = [m for m in modules if m.pi.order > 1 and m.a.order > 1]
+    assert len(nontrivial) >= 4
+    for module in nontrivial:
+        for degree in (1, 2, 3):
+            _factors_agree(module, degree)
+
+
+def _forbid_lattice(monkeypatch):
+    def refuse(module, degree):
+        raise AssertionError(f"integer lattice of H^{degree} built")
+    monkeypatch.setattr(cohomology, "_integer_lattice", refuse)
+
+
+def _record_lattices(monkeypatch) -> list:
+    """Degrees of the integer lattices built from here on."""
+    built = []
+    real = cohomology._integer_lattice
+    monkeypatch.setattr(cohomology, "_integer_lattice",
+                        lambda module, degree: built.append(degree) or real(module, degree))
+    return built
+
+
+# Classical values (Brown, Cohomology of Groups, GTM 87) out of reach of
+# enumeration: H^3(S3, Z2) = Z2 and H^3(S3, Z3) = Z3 by universal
+# coefficients from H_2(S3) = 0 and H_3(S3) = Z6, H^3(Z5, Z2) = 0 as the
+# orders are coprime, and the mod-2 dimensions of H^2 and H^3 with trivial
+# Z2 coefficients from the mod-2 cohomology rings (dim H^n is n + 1 for D4
+# and Z4xZ2, C(n + 2, 2) for Z2^3, 1 for Z8, and 1, 2, 2, 1 periodically
+# for Q8).
+CLASSICAL = [
+    (3, "S3", "Z2", (2,)), (3, "S3", "Z3", (3,)), (3, "Z5", "Z2", ()),
+    (2, "D4", "Z2", (2,) * 3), (2, "Q8", "Z2", (2,) * 2),
+    (3, "D4", "Z2", (2,) * 4), (3, "Q8", "Z2", (2,)), (3, "Z8", "Z2", (2,)),
+    (3, "Z4xZ2", "Z2", (2,) * 4), (3, "Z2xZ2xZ2", "Z2", (2,) * 10),
+]
+
+
+@pytest.mark.parametrize("degree,pi,a,factors", CLASSICAL)
+def test_classical_values_decided_by_ranks(monkeypatch, degree, pi, a, factors):
+    cohomology_group.cache_clear()
+    _forbid_lattice(monkeypatch)
+    h = cohomology_group(degree, trivial_module(builtin(pi), builtin(a)))
+    assert h.invariant_factors == factors
+
+
+def test_lattice_is_built_once_on_demand_and_certified(monkeypatch):
+    module = trivial_module(builtin("V4"), Z2)
+    cohomology_group.cache_clear()
+    built = _record_lattices(monkeypatch)
+    h = cohomology_group(2, module)
+    assert h.invariant_factors == (2, 2, 2) and built == []
+    c = h.from_coordinates((1, 0, 1))
+    assert h.coordinates(c) == (1, 0, 1)
+    assert len(h.basis) == 3 and built == [2]
+    # a lattice whose factors disagree with the ranks fails its certificate
+    cohomology_group.cache_clear()
+    monkeypatch.setattr(cohomology, "_delta_rank", lambda m, n: 0)
+    try:
+        with pytest.raises(CertificateFailed):
+            cohomology_group(2, module).basis
+    finally:
+        cohomology_group.cache_clear()    # drop the group with the wrong factors

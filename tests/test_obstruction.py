@@ -1,8 +1,12 @@
+import io
+import json
 import random
 
 import pytest
 
 from prolong import obstruction
+from prolong.cli import run
+from prolong.cohomology import coboundary, is_coboundary
 from prolong.errors import (
     MismatchedBase,
     NotAssociative,
@@ -17,7 +21,7 @@ from prolong.extensions import (
     make_extension,
     validate_prolongation,
 )
-from prolong.fixtures import builtin
+from prolong.fixtures import builtin, fixtures_dir
 from prolong.groups import Homomorphism, identity_hom, trivial_hom, validate_group
 from prolong.obstruction import (
     PreProlongation,
@@ -32,6 +36,10 @@ from prolong.obstruction import (
     validate_pre,
     verify_covering,
 )
+from prolong.scenario import load_scenario
+
+from test_cohomology import _forbid_lattice, _record_lattices
+from test_seeded_pins import _clear_caches
 
 
 def pre_canonical():
@@ -408,3 +416,50 @@ def test_trivial_quotient_every_ladder_covers():
     pre = pre_identity_gamma()
     built = build_prolongation(pre)
     assert verify_covering(built.prolongation, pre)
+
+
+# --- decisions without the integer lattice ------------------------------------------
+
+SCENARIOS = fixtures_dir() / "scenarios"
+
+
+def _cold_scenario(name):
+    """The pre-prolongation of a shipped scenario, with every cache emptied."""
+    pre = load_scenario(SCENARIOS / f"{name}.json").pre_prolongation()
+    _clear_caches()
+    return pre
+
+
+def test_vanishing_class_needs_no_lattice(monkeypatch):
+    """A vanishing obstruction is decided and built, and `prolong cohomology`
+    answers without --basis, with no integer lattice in any degree; the
+    witness found while deciding is the one build corrects h by."""
+    pre = _cold_scenario("klein_quotient")
+    _forbid_lattice(monkeypatch)
+    solves = []
+    monkeypatch.setattr(obstruction, "is_coboundary",
+                        lambda c: solves.append(c) or is_coboundary(c))
+    res = obstruction_class(pre)
+    assert res.h3.invariant_factors == (2, 2, 2, 2)
+    assert res.vanishes and res.coordinates == (0, 0, 0, 0)
+    assert coboundary(res.witness).values == res.cocycle.values
+    built = build_prolongation(pre)
+    assert validate_prolongation(built.prolongation).ok
+    assert len(solves) == 2          # one per obstruction_class, none in build
+    for degree in ("1", "2", "3"):
+        out = io.StringIO()
+        assert run(["--format", "json", "cohomology", "--degree", degree,
+                    str(SCENARIOS / "klein_quotient.json")], out=out) == 0
+        assert json.loads(out.getvalue())["invariant_factors"]
+
+
+def test_nonzero_class_builds_only_the_degree_three_lattice(monkeypatch):
+    pre = _cold_scenario("obstructed")
+    built = _record_lattices(monkeypatch)
+    res = obstruction_class(pre)
+    assert res.coordinates == (1,) and res.witness is None
+    assert built == [3]
+    with pytest.raises(ObstructionNonzero) as info:
+        build_prolongation(pre)
+    assert info.value.coordinates == (1,)
+    assert built == [3]

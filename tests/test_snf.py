@@ -7,6 +7,7 @@ from prolong.snf import (
     lattice_column_basis,
     matmul,
     matvec,
+    rank_mod_p,
     smith_normal_form,
     solve_integer,
 )
@@ -139,3 +140,14 @@ def test_solve_needs_u_and_v():
         smith_normal_form([[2]], track="v").solve([2])
     with pytest.raises(ValueError):
         smith_normal_form([[2]], track="uv").solve([2, 0])
+
+
+@given(sparse_matrix, st.sampled_from([2, 3, 5]))
+def test_rank_mod_p_counts_invariant_factors_prime_to_p(m, p):
+    """Over GF(p) the rank of an integer matrix is the number of its Smith
+    invariant factors that p does not divide, for either orientation."""
+    cols = len(m[0]) if m else 3
+    diag = reference_smith_normal_form(m, len(m), cols, track="").diagonal()
+    expected = sum(1 for d in diag if d % p)
+    assert rank_mod_p(m, cols, p) == expected
+    assert rank_mod_p([list(col) for col in zip(*m)], len(m), p) == expected
