@@ -1,7 +1,9 @@
 """Finite groups as dense Cayley tables, with the identity pinned at index 0.
 
-Everything downstream works with element indices; all structural checks are
-exhaustive, which is fine at the desk-scale orders this package targets.
+Everything downstream works with element indices.  Every structural check is
+exact; associativity and the homomorphism property are proved on a generating
+set (Light's test, and the check on generators), and only a failing check
+reruns the full loop to name its first failing element.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 given by its multiplication table.
 
     table[a][b] is the index of a*b; index 0 is the identity.  Build instances
-    through validate_group, which checks all axioms exhaustively.
+    through validate_group, which checks all axioms exactly.  gens is the
+    greedy generating set of generating_set(g): validate_group passes the one
+    its associativity test used, and it is derived from the table if omitted.
     """
 
     order: int
@@ -40,10 +44,13 @@ class FiniteGroup:
     inv: tuple[int, ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
     name: str = field(default="", compare=False)
+    gens: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         object.__setattr__(self, "inv", tuple(self.inv))
+        object.__setattr__(self, "gens", tuple(self.gens)
+                           or _greedy_generators(self.table))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         # the dataclass hash, computed once: lru_cache keys hash whole groups
@@ -87,10 +94,46 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or f'order {self.order}'})"
 
 
+def _greedy_generators(rows, start=()) -> tuple[int, ...]:
+    """A generating set of a finite magma with identity 0, read off its rows.
+
+    Adjoins the elements of `start`, then repeatedly the least element not yet
+    reached; after each one the reached set, which starts at {0}, is closed
+    under right multiplication by the elements adjoined so far.  Every element
+    is thus a left-normed product of the result.  In a group the reached set
+    is the subgroup the adjoined elements generate.
+    """
+    n = len(rows)
+    reached = [True] + [False] * (n - 1)
+    members = [0]
+    gens: list[int] = []
+
+    def adjoin(s):
+        gens.append(s)
+        stack = [rows[m][s] for m in members]
+        while stack:
+            x = stack.pop()
+            if not reached[x]:
+                reached[x] = True
+                members.append(x)
+                stack.extend([rows[x][t] for t in gens])
+
+    for s in start:
+        adjoin(s)
+    for s in range(n):
+        if not reached[s]:
+            adjoin(s)
+    return tuple(gens)
+
+
 def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
-    """Validate a Cayley table exhaustively and return the group.
+    """Validate a Cayley table exactly and return the group.
 
     The identity must already sit at index 0; inverses are computed here.
+    Associativity is Light's test: with S generating the table under products,
+    (x*s)*y = x*(s*y) for all x, y and every s in S implies it for every s,
+    because the elements that pass are closed under products.  Only a failing
+    test runs the full loop, which names the first failing triple.
     """
     try:
         rows = [list(row) for row in table]
@@ -118,14 +161,16 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
     for b in range(n):
         if {rows[a][b] for a in range(n)} != full:
             raise NotLatinSquare(f"column {b} is not a permutation")
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            rab = rows[ra[b]]
-            rb = rows[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
-                    raise NotAssociative((a, b, c))
+    gens = _greedy_generators(rows)
+    if not all(rows[rx[s]] == [rx[v] for v in rows[s]] for s in gens for rx in rows):
+        for a in range(n):
+            ra = rows[a]
+            for b in range(n):
+                rab = rows[ra[b]]
+                rb = rows[b]
+                for c in range(n):
+                    if rab[c] != ra[rb[c]]:
+                        raise NotAssociative((a, b, c))
     inv = [0] * n
     for a in range(n):
         b = rows[a].index(0)
@@ -133,12 +178,18 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
             raise MissingInverse(f"element {a} has no two-sided inverse")
         inv[a] = b
     return FiniteGroup(order=n, table=tuple(tuple(r) for r in rows),
-                       inv=tuple(inv), labels=labels, name=name)
+                       inv=tuple(inv), labels=labels, name=name, gens=gens)
 
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A total map between groups preserving the operation (checked eagerly)."""
+    """A total map between groups preserving the operation (checked eagerly).
+
+    With map(0) = 0, map(a*s) = map(a)*map(s) for all a and every s in
+    source.gens proves it for all pairs: the elements s that pass are closed
+    under products.  Only a failing check runs the full loop, which names the
+    first failing pair.
+    """
 
     source: FiniteGroup
     target: FiniteGroup
@@ -156,11 +207,13 @@ class Homomorphism:
         if m[0] != 0:
             raise NotHomomorphism("identity is not sent to identity")
         s, t = self.source.table, self.target.table
-        for a in range(self.source.order):
-            ma = m[a]
-            for b in range(self.source.order):
-                if m[s[a][b]] != t[ma][m[b]]:
-                    raise NotHomomorphism(f"map({a}*{b}) != map({a})*map({b})")
+        if not all([m[row[x]] for row in s] == [t[ma][m[x]] for ma in m]
+                   for x in self.source.gens):
+            for a in range(self.source.order):
+                ma = m[a]
+                for b in range(self.source.order):
+                    if m[s[a][b]] != t[ma][m[b]]:
+                        raise NotHomomorphism(f"map({a}*{b}) != map({a})*map({b})")
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -310,13 +363,7 @@ def cokernel(f: Homomorphism) -> QuotientData:
 def generating_set(g: FiniteGroup, start=()) -> tuple[int, ...]:
     """Greedy small generating set: starting from `start`, repeatedly adjoin
     the least missing element."""
-    gens = list(start)
-    closed = subgroup_closure(g, gens)
-    while closed.order < g.order:
-        inside = set(closed.members)
-        gens.append(min(a for a in g.elements() if a not in inside))
-        closed = subgroup_closure(g, gens)
-    return tuple(gens)
+    return _greedy_generators(g.table, start)
 
 
 def _closure_schedule(g: FiniteGroup, gens):

@@ -16,6 +16,13 @@ crossed module of every ladder anew, through `induce_crossed_module`.
 `reference_brute_force_coverings` is the covering search that keeps a lift
 when its pairing table passes `validate_group` and filters the assembled
 ladders by their induced theta.
+
+`reference_validate_group`, `reference_check_homomorphism` and
+`reference_check_crossed_module` are the full-loop structural checks the
+library replaced by checks on generating sets (Light's associativity test
+and its kin): O(n^3) associativity, O(n^2) homomorphism, and the pairwise
+crossed-module axioms.  `reference_generating_set` is the greedy generating
+set computed by repeated subgroup closure.
 """
 
 from __future__ import annotations
@@ -32,9 +39,25 @@ from prolong.cohomology import (
 )
 from prolong.classify import are_equivalent
 from prolong.crossed import induce_crossed_module
-from prolong.errors import MismatchedBase, NotAssociative
+from prolong.errors import (
+    CheckItem,
+    IdentityNotAtZero,
+    MalformedTable,
+    MismatchedBase,
+    MissingInverse,
+    NotAssociative,
+    NotHomomorphism,
+    NotLatinSquare,
+    ValidationReport,
+)
 from prolong.extensions import Prolongation
-from prolong.groups import Homomorphism, is_bijective, validate_group
+from prolong.groups import (
+    FiniteGroup,
+    Homomorphism,
+    is_bijective,
+    subgroup_closure,
+    validate_group,
+)
 from prolong.obstruction import (
     covers_as_built,
     crossed_product,
@@ -481,3 +504,149 @@ def reference_brute_force_coverings(pre) -> tuple:
         if not any(are_equivalent(p, q) is not None for q in reps):
             reps.append(p)
     return tuple(reps)
+
+
+def reference_validate_group(table, labels=None, name: str = "") -> FiniteGroup:
+    """Validate a Cayley table exhaustively and return the group.
+
+    The identity must already sit at index 0; inverses are computed here.
+    """
+    try:
+        rows = [list(row) for row in table]
+    except TypeError:
+        raise MalformedTable("table must be a list of rows") from None
+    n = len(rows)
+    if n == 0:
+        raise MalformedTable("empty table")
+    for a, row in enumerate(rows):
+        if len(row) != n:
+            raise MalformedTable(f"row {a} has length {len(row)}, expected {n}")
+        for b, x in enumerate(row):
+            if type(x) is not int or not 0 <= x < n:
+                raise MalformedTable(f"entry table[{a}][{b}] = {x!r} out of range")
+    for b in range(n):
+        if rows[0][b] != b:
+            raise IdentityNotAtZero(f"table[0][{b}] = {rows[0][b]}, expected {b}")
+    for a in range(n):
+        if rows[a][0] != a:
+            raise IdentityNotAtZero(f"table[{a}][0] = {rows[a][0]}, expected {a}")
+    full = set(range(n))
+    for a in range(n):
+        if set(rows[a]) != full:
+            raise NotLatinSquare(f"row {a} is not a permutation")
+    for b in range(n):
+        if {rows[a][b] for a in range(n)} != full:
+            raise NotLatinSquare(f"column {b} is not a permutation")
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            rab = rows[ra[b]]
+            rb = rows[b]
+            for c in range(n):
+                if rab[c] != ra[rb[c]]:
+                    raise NotAssociative((a, b, c))
+    inv = [0] * n
+    for a in range(n):
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            raise MissingInverse(f"element {a} has no two-sided inverse")
+        inv[a] = b
+    return FiniteGroup(order=n, table=tuple(tuple(r) for r in rows),
+                       inv=tuple(inv), labels=labels, name=name)
+
+
+def reference_check_homomorphism(source, target, m) -> None:
+    """The check Homomorphism made on every pair of source elements; raises
+    NotHomomorphism with the same messages."""
+    m = tuple(m)
+    if len(m) != source.order:
+        raise NotHomomorphism(
+            f"map has length {len(m)}, expected {source.order}")
+    for a, x in enumerate(m):
+        if not 0 <= x < target.order:
+            raise NotHomomorphism(f"map[{a}] = {x} out of range")
+    if m[0] != 0:
+        raise NotHomomorphism("identity is not sent to identity")
+    s, t = source.table, target.table
+    for a in range(source.order):
+        ma = m[a]
+        for b in range(source.order):
+            if m[s[a][b]] != t[ma][m[b]]:
+                raise NotHomomorphism(f"map({a}*{b}) != map({a})*map({b})")
+
+
+def reference_check_crossed_module(cm) -> ValidationReport:
+    """Itemized report: theta well-formed and a homomorphism, then C1 and C2."""
+    items: list[CheckItem] = []
+    b, dg = cm.b, cm.d_group
+    wired = (cm.d.source == b and cm.d.target == dg
+             and len(cm.theta) == dg.order)
+    items.append(CheckItem("wiring", wired))
+    if not wired:
+        return ValidationReport(tuple(items))
+    perms_ok = True
+    detail = ""
+    every = set(b.elements())
+    for g, perm in enumerate(cm.theta):
+        if len(perm) != b.order or set(perm) != every or perm[0] != 0:
+            perms_ok = False
+            detail = f"theta[{g}] is not a permutation fixing the identity"
+            break
+        for x in b.elements():
+            for y in b.elements():
+                if perm[b.mul(x, y)] != b.mul(perm[x], perm[y]):
+                    perms_ok = False
+                    detail = f"theta[{g}] is not an automorphism at ({x}, {y})"
+                    break
+            if not perms_ok:
+                break
+        if not perms_ok:
+            break
+    items.append(CheckItem("theta_automorphisms", perms_ok, detail))
+    if not perms_ok:
+        return ValidationReport(tuple(items))
+    hom_ok, detail = True, ""
+    for g in dg.elements():
+        for h in dg.elements():
+            gh = dg.mul(g, h)
+            for x in b.elements():
+                if cm.theta[gh][x] != cm.theta[g][cm.theta[h][x]]:
+                    hom_ok, detail = False, f"theta[{g}]theta[{h}] != theta[{g}*{h}]"
+                    break
+            if not hom_ok:
+                break
+        if not hom_ok:
+            break
+    items.append(CheckItem("theta_homomorphism", hom_ok, detail))
+    c1_ok, detail = True, ""
+    for x in b.elements():
+        perm = cm.theta[cm.d.map[x]]
+        for y in b.elements():
+            if perm[y] != b.conjugate(x, y):
+                c1_ok, detail = False, f"C1 fails at x={x}, y={y}"
+                break
+        if not c1_ok:
+            break
+    items.append(CheckItem("axiom_c1", c1_ok, detail))
+    c2_ok, detail = True, ""
+    for g in dg.elements():
+        for x in b.elements():
+            if cm.d.map[cm.theta[g][x]] != dg.conjugate(g, cm.d.map[x]):
+                c2_ok, detail = False, f"C2 fails at g={g}, x={x}"
+                break
+        if not c2_ok:
+            break
+    items.append(CheckItem("axiom_c2", c2_ok, detail))
+    return ValidationReport(tuple(items))
+
+
+def reference_generating_set(g, start=()) -> tuple[int, ...]:
+    """Greedy small generating set: starting from `start`, repeatedly adjoin
+    the least missing element."""
+    gens = list(start)
+    closed = subgroup_closure(g, gens)
+    while closed.order < g.order:
+        inside = set(closed.members)
+        gens.append(min(a for a in g.elements() if a not in inside))
+        closed = subgroup_closure(g, gens)
+    return tuple(gens)
