@@ -32,7 +32,7 @@ from .errors import (
     SizeBoundExceeded,
     certify,
 )
-from .groups import FiniteGroup, Homomorphism, generating_set
+from .groups import FiniteGroup, Homomorphism
 from . import snf
 
 MAX_DEGREE = 4
@@ -75,7 +75,7 @@ def abelian_structure(a: FiniteGroup) -> AbelianStructure:
     n = a.order
     if n == 1:
         return AbelianStructure(group=a, factors=(), _to_vec=((),), _index={(): 0})
-    gens = generating_set(a)
+    gens = a.gens
     # presentation on all n elements: e_x + e_y - e_{x*y} = 0 for y a generator
     rows = []
     for x in a.elements():

@@ -35,8 +35,8 @@ class FiniteGroup:
 
     table[a][b] is the index of a*b; index 0 is the identity.  Build instances
     through validate_group, which checks all axioms exactly.  gens is the
-    greedy generating set of generating_set(g): validate_group passes the one
-    its associativity test used, and it is derived from the table if omitted.
+    greedy generating set of generating_set(g), always derived from the table,
+    on which the associativity and homomorphism checks rely.
     """
 
     order: int
@@ -44,13 +44,12 @@ class FiniteGroup:
     inv: tuple[int, ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
     name: str = field(default="", compare=False)
-    gens: tuple[int, ...] = field(default=(), compare=False)
+    gens: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         object.__setattr__(self, "inv", tuple(self.inv))
-        object.__setattr__(self, "gens", tuple(self.gens)
-                           or _greedy_generators(self.table))
+        object.__setattr__(self, "gens", _greedy_generators(self.table))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         # the dataclass hash, computed once: lru_cache keys hash whole groups
@@ -161,8 +160,8 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
     for b in range(n):
         if {rows[a][b] for a in range(n)} != full:
             raise NotLatinSquare(f"column {b} is not a permutation")
-    gens = _greedy_generators(rows)
-    if not all(rows[rx[s]] == [rx[v] for v in rows[s]] for s in gens for rx in rows):
+    if not all(rows[rx[s]] == [rx[v] for v in rows[s]]
+               for s in _greedy_generators(rows) for rx in rows):
         for a in range(n):
             ra = rows[a]
             for b in range(n):
@@ -178,7 +177,7 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
             raise MissingInverse(f"element {a} has no two-sided inverse")
         inv[a] = b
     return FiniteGroup(order=n, table=tuple(tuple(r) for r in rows),
-                       inv=tuple(inv), labels=labels, name=name, gens=gens)
+                       inv=tuple(inv), labels=labels, name=name)
 
 
 @dataclass(frozen=True)

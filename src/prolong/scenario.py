@@ -74,7 +74,7 @@ def _parse_groups(obj) -> dict[str, FiniteGroup]:
         else:
             raise ScenarioError(f"group {name!r} must be a fixture name or a table")
         groups[name] = FiniteGroup(order=g.order, table=g.table, inv=g.inv,
-                                   labels=g.labels, name=name, gens=g.gens)
+                                   labels=g.labels, name=name)
     return groups
 
 

@@ -17,6 +17,7 @@ from prolong.crossed import CrossedModule, check_crossed_module
 from prolong.errors import NotAssociative, ProlongError
 from prolong.fixtures import builtin, builtin_names
 from prolong.groups import (
+    FiniteGroup,
     Homomorphism,
     all_homomorphisms,
     automorphism_group_table,
@@ -124,6 +125,15 @@ def test_order_one_table():
     g = validate_group([[0]])
     assert g.gens == () and generating_set(g) == ()
     assert outcome(validate_group, [[0]]) == outcome(reference_validate_group, [[0]])
+
+
+def test_gens_are_always_derived_from_the_table():
+    # the checks trust gens, so no caller may supply a set that does not generate
+    v4 = builtin("V4")
+    with pytest.raises(TypeError):
+        FiniteGroup(order=4, table=v4.table, inv=v4.inv, gens=(1,))
+    renamed = FiniteGroup(order=4, table=v4.table, inv=v4.inv, name="K")
+    assert renamed.gens == v4.gens == reference_generating_set(v4)
 
 
 @st.composite
