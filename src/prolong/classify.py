@@ -34,9 +34,9 @@ from .extensions import (
 )
 from .groups import Homomorphism, is_bijective
 from .obstruction import (
+    CrossedProductExtension,
     PreProlongation,
     build_prolongation,
-    covers_as_built,
     crossed_product,
     derive,
     ladder_crossed_module,
@@ -89,7 +89,11 @@ class _Reduction:
 
 
 def _reduce(p: Prolongation) -> _Reduction:
-    icm = ladder_crossed_module(p)
+    return _reduction(p, ladder_crossed_module(p))
+
+
+def _reduction(p: Prolongation, icm: InducedCrossedModule) -> _Reduction:
+    """The reduction of p, given the crossed module p induces."""
     ind = icm.induced
     u = ind.coker.reps
     least = choose_section(p.e).u
@@ -123,8 +127,7 @@ def to_crossed_product(p: Prolongation) -> tuple[Prolongation, EquivalenceWitnes
     red = _reduce(p)
     pre = _pre_of(p, red)
     cp = crossed_product(pre, red.u, red.fs.f)
-    target = Prolongation(e0=p.e0, e=cp.ext, alpha=p.alpha,
-                          beta=cp.beta, gamma=p.gamma)
+    target = cp.ladder
     npi = len(red.u)
     bmap = tuple(e * npi + x for e, x in _coordinates(red.fs))
     witness = EquivalenceWitness(
@@ -199,7 +202,15 @@ def are_equivalent(p1: Prolongation, p2: Prolongation,
     """
     _require_same_frame(p1, p2)
     red1 = _reduce(p1)
-    eps2 = ladder_crossed_module(p2).induced.eps
+    return _equivalence(p1, red1, p2, ladder_crossed_module(p2).induced.eps,
+                        max_candidates)
+
+
+def _equivalence(p1: Prolongation, red1: _Reduction, p2: Prolongation,
+                 eps2: Homomorphism, max_candidates: int = DEFAULT_SEARCH_BOUND
+                 ) -> EquivalenceWitness | None:
+    """are_equivalent on ladders of one frame, given the reduction of p1 and
+    the eps of p2's induced row."""
     b2 = p2.e.b
     candidates = [[0]] + [[bb for bb in b2.elements()
                            if p2.e.p.map[bb] == p1.e.p.map[v]]
@@ -263,7 +274,11 @@ def torsor_act(tau, p: Prolongation) -> Prolongation:
     Reduces p to crossed-product form, shifts the lift by the representative
     cocycle of tau transported into E0, and rebuilds.
     """
-    red = _reduce(p)
+    return _act(tau, p, _reduce(p)).ladder
+
+
+def _act(tau, p: Prolongation, red: _Reduction) -> CrossedProductExtension:
+    """torsor_act on p, given its reduction."""
     pre = _pre_of(p, red)
     d = derive(pre)
     h2 = cohomology_group(2, d.module)
@@ -273,9 +288,7 @@ def torsor_act(tau, p: Prolongation) -> Prolongation:
         tuple(e0.mul(red.fs.f[x][y], d.i.map[rep.value((x, y))])
               for y in pi0.elements())
         for x in pi0.elements())
-    cp = crossed_product(pre, red.u, h_new)
-    return Prolongation(e0=p.e0, e=cp.ext, alpha=p.alpha,
-                        beta=cp.beta, gamma=p.gamma)
+    return crossed_product(pre, red.u, h_new)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,12 +302,16 @@ class ProlongationClass:
 
 def enumerate_classes(pre: PreProlongation,
                       verify_distinct: bool = False) -> tuple[ProlongationClass, ...]:
-    """One class per element of H^2, obtained by acting on the base covering."""
-    base = build_prolongation(pre).prolongation
+    """One class per element of H^2, obtained by acting on the base covering.
+
+    The base is reduced once, from the crossed module read off its pairs.
+    """
+    base = build_prolongation(pre).crossed
+    red = _reduction(base.ladder, base.icm)
     h2 = cohomology_group(2, derive(pre).module)
     classes = []
     for coords in itertools.product(*(range(d) for d in h2.invariant_factors)):
-        rep = torsor_act(coords, base)
+        rep = _act(coords, base.ladder, red).ladder
         classes.append(ProlongationClass(representative=rep, coordinates=coords))
     if verify_distinct:
         for i in range(len(classes)):
@@ -313,10 +330,11 @@ def brute_force_coverings(pre: PreProlongation,
                           ) -> tuple[Prolongation, ...]:
     """Exhaustive covering search, independent of the H^2/torsor machinery.
 
-    Enumerates every normalized lift h of the canonical factor set, keeps the
-    ones crossed_product accepts (its preconditions hold exactly when the
-    twisted pairing is associative), certifies that each assembled ladder
-    induces theta, and deduplicates with the equivalence search.
+    Enumerates every normalized lift h of the canonical factor set and keeps
+    the ones crossed_product accepts (its preconditions hold exactly when the
+    twisted pairing is associative; it certifies that each assembled ladder
+    validates and induces theta).  The equivalence search deduplicates them,
+    each ladder reduced once, from the crossed module read off its pairs.
     """
     d = derive(pre)
     total_order = d.module.a.order * pre.g.order
@@ -342,17 +360,16 @@ def brute_force_coverings(pre: PreProlongation,
         for (x, y), e in zip(positions, combo):
             h[x][y] = e
         try:
-            cp = crossed_product(pre, lfs.u, h)
+            found.append(crossed_product(pre, lfs.u, h, what="assembled"))
         except PreconditionFailed:
             continue
-        p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
-                         beta=cp.beta, gamma=pre.gamma)
-        certify(covers_as_built(p, pre, "assembled"),
-                "assembled ladder must induce theta")
-        found.append(p)
-    found.sort(key=lambda p: p.e.b.table)
-    reps: list[Prolongation] = []
-    for p in found:
-        if not any(are_equivalent(p, q) is not None for q in reps):
-            reps.append(p)
-    return tuple(reps)
+    found.sort(key=lambda cp: cp.ext.b.table)
+    reps: list[CrossedProductExtension] = []
+    for cp in found:
+        if reps:
+            red = _reduction(cp.ladder, cp.icm)
+            if any(_equivalence(cp.ladder, red, q.ladder, q.icm.induced.eps)
+                   is not None for q in reps):
+                continue
+        reps.append(cp)
+    return tuple(cp.ladder for cp in reps)

@@ -215,8 +215,43 @@ class Prolongation:
     gamma: Homomorphism
 
 
+def frame_checks(e0: ShortExtension, alpha: Homomorphism, gamma: Homomorphism
+                 ) -> tuple[tuple[CheckItem, ...], tuple[CheckItem, ...]]:
+    """The items of validate_prolongation that read only the frame.
+
+    First the e0 row's exactness items; then, when those pass, e0_central,
+    alpha_epi, gamma_mono and gamma_image_normal (empty otherwise, as the
+    report stops first).
+    """
+    row = tuple(extension_checks(e0, "e0_"))
+    if not all(item.ok for item in row):
+        return row, ()
+    gamma_mono = is_injective(gamma)
+    return row, (
+        CheckItem("e0_central", is_central(e0)),
+        CheckItem("alpha_epi", is_surjective(alpha)),
+        CheckItem("gamma_mono", gamma_mono),
+        CheckItem("gamma_image_normal", is_normal(image(gamma))) if gamma_mono
+        else CheckItem("gamma_image_normal", False, "gamma not injective"))
+
+
+@lru_cache(maxsize=None)
+def frame_is_valid(e0: ShortExtension, alpha: Homomorphism,
+                   gamma: Homomorphism) -> bool:
+    """Every item of frame_checks passes, decided once per frame.
+
+    The items name no group, so the frame alone is the cache key.
+    """
+    row, rest = frame_checks(e0, alpha, gamma)
+    return all(item.ok for item in row + rest)
+
+
 def validate_prolongation(p: Prolongation) -> ValidationReport:
-    """Full report of the ladder invariants; never raises."""
+    """Full report of the ladder invariants; never raises.
+
+    The frame's items come from frame_checks; the e row, the squares and
+    kernel(beta) are checked per ladder.
+    """
     items: list[CheckItem] = []
     wired = (p.alpha.source == p.e0.a and p.alpha.target == p.e.a
              and p.beta.source == p.e0.b and p.beta.target == p.e.b
@@ -224,32 +259,31 @@ def validate_prolongation(p: Prolongation) -> ValidationReport:
     items.append(CheckItem("wiring", wired))
     if not wired:
         return ValidationReport(tuple(items))
-    items.extend(extension_checks(p.e0, "e0_"))
+    row, frame = frame_checks(p.e0, p.alpha, p.gamma)
+    items.extend(row)
     items.extend(extension_checks(p.e, "e_"))
     if not all(item.ok for item in items):
         return ValidationReport(tuple(items))
-    items.append(CheckItem("e0_central", is_central(p.e0)))
-    items.append(CheckItem("alpha_epi", is_surjective(p.alpha)))
-    gamma_mono = is_injective(p.gamma)
-    items.append(CheckItem("gamma_mono", gamma_mono))
-    if gamma_mono:
-        items.append(CheckItem("gamma_image_normal", is_normal(image(p.gamma))))
-    else:
-        items.append(CheckItem("gamma_image_normal", False, "gamma not injective"))
+    items.extend(frame)
+    items.extend(ladder_checks(p))
+    return ValidationReport(tuple(items))
+
+
+def ladder_checks(p: Prolongation) -> tuple[CheckItem, ...]:
+    """The squares and kernel(beta) = j0(kernel(alpha)), at O(|B0|)."""
     left = all(p.beta.map[p.e0.j.map[a0]] == p.e.j.map[p.alpha.map[a0]]
                for a0 in p.e0.a.elements())
-    items.append(CheckItem("left_square", left,
-                           "" if left else "beta . j0 != j . alpha"))
     right = all(p.e.p.map[p.beta.map[b0]] == p.gamma.map[p.e0.p.map[b0]]
                 for b0 in p.e0.b.elements())
-    items.append(CheckItem("right_square", right,
-                           "" if right else "p . beta != gamma . p0"))
     ker_beta = set(kernel(p.beta).members)
     j0_ker_alpha = {p.e0.j.map[a0] for a0 in kernel(p.alpha).members}
-    items.append(CheckItem("kernel_beta", ker_beta == j0_ker_alpha,
-                           "" if ker_beta == j0_ker_alpha
-                           else "kernel(beta) != j0(kernel(alpha))"))
-    return ValidationReport(tuple(items))
+    return (CheckItem("left_square", left,
+                      "" if left else "beta . j0 != j . alpha"),
+            CheckItem("right_square", right,
+                      "" if right else "p . beta != gamma . p0"),
+            CheckItem("kernel_beta", ker_beta == j0_ker_alpha,
+                      "" if ker_beta == j0_ker_alpha
+                      else "kernel(beta) != j0(kernel(alpha))"))
 
 
 @dataclass(frozen=True, eq=False)

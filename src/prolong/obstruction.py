@@ -31,7 +31,6 @@ from .crossed import (
 )
 from .errors import (
     CheckItem,
-    InvalidProlongation,
     MismatchedBase,
     NotAssociative,
     NotCentralValue,
@@ -45,6 +44,7 @@ from .errors import (
     certify,
 )
 from .extensions import (
+    InducedSequence,
     Prolongation,
     ShortExtension,
     choose_section,
@@ -52,9 +52,11 @@ from .extensions import (
     e0_quotient,
     extension_checks,
     factor_set,
+    frame_is_valid,
     gamma_cokernel,
     group_tags,
     is_central,
+    ladder_checks,
     make_extension,
 )
 from .groups import (
@@ -314,29 +316,35 @@ def pairing_table(e0: FiniteGroup, npi: int, pi0_table, phi, h) -> list[list[int
     """Raw Cayley table of the twisted pairing on pairs (e, x), lex-indexed.
 
     (e, x) * (e', y) = (e * phi(x)e' * h(x, y), x y); no axioms are checked.
+    Built one row at a time: row (e, x) reads only e's row of E0 and x's
+    phi, h and Pi0 rows.
     """
-    n = e0.order * npi
-    table = [[0] * n for _ in range(n)]
-    for e in e0.elements():
-        for x in range(npi):
-            row = table[e * npi + x]
-            phix = phi[x]
-            for e2 in e0.elements():
-                left = e0.mul(e, phix[e2])
-                for y in range(npi):
-                    row[e2 * npi + y] = (e0.mul(left, h[x][y]) * npi
-                                         + pi0_table[x][y])
-    return table
+    et = e0.table
+    cols = [(e2, y) for e2 in e0.elements() for y in range(npi)]
+    return [[et[erow[phix[e2]]][hx[y]] * npi + pix[y] for e2, y in cols]
+            for erow in et for phix, hx, pix in zip(phi, h, pi0_table)]
 
 
 @dataclass(frozen=True, eq=False)
 class CrossedProductExtension:
-    """A crossed product together with its extension maps and beta into it."""
+    """A crossed product as the bottom row of a ladder over the
+    pre-prolongation's frame, with the crossed module that ladder induces,
+    read off the pairs."""
 
-    ext: ShortExtension       # 0 -> A -> B_h -> G -> 0
-    beta: Homomorphism        # B0 -> B_h
+    ladder: Prolongation
+    icm: InducedCrossedModule
     u: tuple[int, ...]
     h: tuple[tuple[int, ...], ...]
+
+    @property
+    def ext(self) -> ShortExtension:
+        """0 -> A -> B_h -> G -> 0."""
+        return self.ladder.e
+
+    @property
+    def beta(self) -> Homomorphism:
+        """B0 -> B_h."""
+        return self.ladder.beta
 
     def pair(self, index: int) -> tuple[int, int]:
         """Decode an element index of B_h into its (e0, x) pair."""
@@ -344,7 +352,8 @@ class CrossedProductExtension:
         return divmod(index, npi)
 
 
-def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
+def crossed_product(pre: PreProlongation, u, h,
+                    what: str = "crossed-product") -> CrossedProductExtension:
     """Build B_h = pairs (e0, x) under the twisted operation, plus j', p', beta.
 
     Preconditions checked first: phi is a homomorphism twisted by inner
@@ -353,6 +362,25 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
     exactly when the pairing is associative; validate_group proves it on
     the table, once, and a pairing that still fails raises
     PairingNotAssociative with validate_group's witness triple.
+
+    The ladder's induced crossed module is read off the pairs, not derived
+    from the ladder.  Its induced row is 0 -> E0 -eps-> B_h -> Pi0 -> 1 with
+    eps(e) = (e, 0) and projection (e, x) -> x, and its crossed module is
+    derive(pre).cm.  With p(e, x) = gammapi(e) u_x:
+
+        conjugation by b acts on eps(E0) as theta[p(b)], for every b.
+
+    Both sides are homomorphisms from B_h (theta is one into Aut(E0), as
+    derive certified, and p is a checked Homomorphism), and for each b both
+    are automorphisms of E0; so the identity holds iff it holds for b in
+    B_h.gens on E0.gens, which is what is checked.  The induced phi is
+    theta . p, the induced theta is theta, and conjugation by j(A) is trivial
+    on E0.  The ladder's items are checked at O(|B0|): the frame's once per
+    frame (frame_is_valid), the squares and kernel(beta) (ladder_checks), and
+    beta = eps . proj, eps . i = j, p . eps = gamma . pi and the projection of
+    the induced row.  A failure is the program's fault and raises
+    CertificateFailed: "<what> ladder must validate", or "<what> ladder must
+    induce theta" for the conjugation identity.
     """
     d = derive(pre)
     e0, pi0, g = d.e0, d.pi0, pre.g
@@ -383,10 +411,36 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
                  for e in e0.elements() for x in pi0.elements())
     ext = make_extension(Homomorphism(d.module.a, bh, jmap),
                          Homomorphism(bh, g, pmap))
-    beta = Homomorphism(pre.e0.b, bh,
-                        tuple(d.e0_data.projection.map[b0] * npi
-                              for b0 in pre.e0.b.elements()))
-    return CrossedProductExtension(ext=ext, beta=beta, u=u, h=h)
+    proj = d.e0_data.projection.map
+    beta = Homomorphism(pre.e0.b, bh, tuple(proj[b0] * npi
+                                            for b0 in pre.e0.b.elements()))
+    ladder = Prolongation(e0=pre.e0, e=ext, alpha=pre.alpha, beta=beta,
+                          gamma=pre.gamma)
+    eps = Homomorphism(e0, bh, tuple(e * npi for e in e0.elements()))
+    seq = make_extension(eps, Homomorphism(bh, pi0, tuple(
+        x for e in e0.elements() for x in pi0.elements())))
+    sigma, gamma = d.coker.projection.map, pre.gamma.map
+    certify(frame_is_valid(pre.e0, pre.alpha, pre.gamma)
+            and all(item.ok for item in ladder_checks(ladder))
+            and beta.map == tuple(eps.map[e] for e in proj)         # eps . proj
+            and jmap == tuple(eps.map[e] for e in d.i.map)          # eps . i
+            and tuple(pmap[b] for b in eps.map) == tuple(gamma[g0] for g0 in d.pi.map)
+            and tuple(sigma[y] for y in pmap) == seq.p.map,         # sigma . p
+            f"{what} ladder must validate")
+    theta = d.cm.theta
+    certify(_conjugates_by_theta(bh, e0, eps.map, pmap, theta),
+            f"{what} ladder must induce theta")
+    induced = InducedSequence(seq=seq, eps=eps, i=d.i, pi=d.pi,
+                              e0_data=d.e0_data, coker=d.coker, top=d.top)
+    icm = InducedCrossedModule(cm=d.cm, phi=tuple(theta[y] for y in pmap),
+                               induced=induced)
+    return CrossedProductExtension(ladder=ladder, icm=icm, u=u, h=h)
+
+
+def _conjugates_by_theta(bh: FiniteGroup, e0: FiniteGroup, eps, p, theta) -> bool:
+    """s eps(t) s^-1 = eps(theta[p(s)](t)) for s in bh.gens and t in e0.gens."""
+    return all(bh.conjugate(s, eps[t]) == eps[theta[p[s]][t]]
+               for s in bh.gens for t in e0.gens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,12 +471,8 @@ def build_prolongation(pre: PreProlongation,
         tuple(e0.mul(h[x][y], e0.inv[d.i.map[correction.value((x, y))]])
               for y in pi0.elements())
         for x in pi0.elements())
-    cp = crossed_product(pre, res.lift.u, h_adj)
-    p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
-                     beta=cp.beta, gamma=pre.gamma)
-    certify(covers_as_built(p, pre, "constructed"),
-            "constructed ladder must induce theta")
-    return BuildResult(prolongation=p, crossed=cp, obstruction=res,
+    cp = crossed_product(pre, res.lift.u, h_adj, what="constructed")
+    return BuildResult(prolongation=cp.ladder, crossed=cp, obstruction=res,
                        h_adjusted=h_adj)
 
 
@@ -450,16 +500,3 @@ def verify_covering(p: Prolongation, pre: PreProlongation) -> bool:
         raise MismatchedBase("ladder and pre-prolongation share no common base")
     return ladder_crossed_module(p).cm.theta == pre.theta
 
-
-def covers_as_built(p: Prolongation, pre: PreProlongation, what: str) -> bool:
-    """verify_covering for a ladder the program assembled itself.
-
-    verify_covering validates the ladder once; here a ladder that fails that
-    validation is a failed certificate, not an invalid input.
-    """
-    try:
-        covers = verify_covering(p, pre)
-    except InvalidProlongation:
-        covers = None
-    certify(covers is not None, f"{what} ladder must validate")
-    return covers

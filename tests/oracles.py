@@ -14,8 +14,9 @@ cochains.  The fast path must agree with it number for number.
 `reference_verify_covering` is the covering check that certifies the
 crossed module of every ladder anew, through `induce_crossed_module`.
 `reference_brute_force_coverings` is the covering search that keeps a lift
-when its pairing table passes `validate_group` and filters the assembled
-ladders by their induced theta.
+when its pairing table (built entry by entry, `reference_pairing_table`)
+passes `validate_group` and filters the assembled ladders by the theta
+`induce_crossed_module` derives.
 
 `reference_validate_group`, `reference_check_homomorphism` and
 `reference_check_crossed_module` are the full-loop structural checks the
@@ -58,13 +59,7 @@ from prolong.groups import (
     subgroup_closure,
     validate_group,
 )
-from prolong.obstruction import (
-    covers_as_built,
-    crossed_product,
-    derive,
-    lift_factor_set,
-    pairing_table,
-)
+from prolong.obstruction import crossed_product, derive, lift_factor_set
 from prolong.snf import SmithForm, identity_matrix, matmul
 
 
@@ -473,6 +468,22 @@ def reference_verify_covering(p, pre) -> bool:
     return induce_crossed_module(p).cm.theta == pre.theta
 
 
+def reference_pairing_table(e0, npi: int, pi0_table, phi, h) -> list[list[int]]:
+    """pairing_table built entry by entry."""
+    n = e0.order * npi
+    table = [[0] * n for _ in range(n)]
+    for e in e0.elements():
+        for x in range(npi):
+            row = table[e * npi + x]
+            phix = phi[x]
+            for e2 in e0.elements():
+                left = e0.mul(e, phix[e2])
+                for y in range(npi):
+                    row[e2 * npi + y] = (e0.mul(left, h[x][y]) * npi
+                                         + pi0_table[x][y])
+    return table
+
+
 def reference_brute_force_coverings(pre) -> tuple:
     """brute_force_coverings with lifts filtered by the associativity of their
     pairing table and ladders by their induced theta (default bounds)."""
@@ -490,13 +501,13 @@ def reference_brute_force_coverings(pre) -> tuple:
         for (x, y), e in zip(positions, combo):
             h[x][y] = e
         try:
-            validate_group(pairing_table(e0, npi, d.pi0.table, phi, h))
+            validate_group(reference_pairing_table(e0, npi, d.pi0.table, phi, h))
         except NotAssociative:
             continue
         cp = crossed_product(pre, lfs.u, h)
         p = Prolongation(e0=pre.e0, e=cp.ext, alpha=pre.alpha,
                          beta=cp.beta, gamma=pre.gamma)
-        if covers_as_built(p, pre, "assembled"):
+        if reference_verify_covering(p, pre):
             found.append(p)
     found.sort(key=lambda p: p.e.b.table)
     reps: list = []

@@ -13,8 +13,9 @@ from prolong.classify import (
     torsor_act,
     witness_is_valid,
 )
-from prolong import crossed, groups, obstruction
+from prolong import classify, crossed, extensions, groups, obstruction
 from prolong.cohomology import cohomology_group, same_class
+from prolong.crossed import induce_crossed_module
 from prolong.errors import (
     MismatchedFrame,
     ObstructionNonzero,
@@ -350,21 +351,42 @@ def _outcome(check, p, pre):
         return type(exc)
 
 
-def test_verify_covering_matches_full_path(monkeypatch):
-    """Every ladder brute_force_coverings assembles, over every tenth frame of
-    the default sweep, gets the same answer against each theta of its frame
-    whether or not its crossed module is certified anew."""
+def _sweep_frames() -> dict:
+    """The default-sweep inputs grouped by frame, in sweep order."""
     frames: dict = {}
     for pre in generate_pre_prolongations(SweepConfig()):
         frames.setdefault((pre.e0, pre.alpha, pre.gamma), []).append(pre)
-    assembled = []
-    real = obstruction.verify_covering
-    monkeypatch.setattr(obstruction, "verify_covering",
-                        lambda p, pre: assembled.append((p, pre)) or real(p, pre))
+    return frames
+
+
+def _record_crossed_products(monkeypatch) -> list:
+    """(pre, crossed product) for every later crossed_product call that
+    returns, from any prolong module."""
+    built = []
+    real = obstruction.crossed_product
+
+    def recorded(pre, *args, **kwargs):
+        cp = real(pre, *args, **kwargs)
+        built.append((pre, cp))
+        return cp
+
+    for module in (obstruction, classify):
+        monkeypatch.setattr(module, "crossed_product", recorded)
+    return built
+
+
+def test_verify_covering_matches_full_path(monkeypatch):
+    """Every ladder brute_force_coverings assembles and crossed_product
+    certifies, over every tenth frame of the default sweep, gets the same
+    answer against each theta of its frame whether or not its crossed module
+    is certified anew."""
+    frames = _sweep_frames()
+    built = _record_crossed_products(monkeypatch)
     for thetas in list(frames.values())[::10]:
         for pre in thetas:
             brute_force_coverings(pre)
     monkeypatch.undo()
+    assembled = [(cp.ladder, pre) for pre, cp in built]
     answers = []
     for p, pre in assembled:
         for other in frames[(pre.e0, pre.alpha, pre.gamma)]:
@@ -373,6 +395,31 @@ def test_verify_covering_matches_full_path(monkeypatch):
             answers.append((other.theta == pre.theta, answer))
     assert (True, True) in answers and (False, False) in answers
     assert {answer for _, answer in answers} == {True, False}
+
+
+def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch):
+    """Over every tenth frame of the default sweep, every ladder that
+    build_prolongation, brute_force_coverings and enumerate_classes build
+    carries the crossed module induce_crossed_module derives from it: the same
+    theta, phi, eps and projection of the induced row."""
+    built = _record_crossed_products(monkeypatch)
+    for thetas in list(_sweep_frames().values())[::10]:
+        for pre in thetas:
+            brute_force_coverings(pre)
+            if obstruction_class(pre).vanishes:
+                build_prolongation(pre)
+                enumerate_classes(pre)
+    monkeypatch.undo()
+    assert len(built) > 100
+    noncentral = 0
+    for pre, cp in built:
+        read, full = cp.icm, induce_crossed_module(cp.ladder)
+        assert read.cm == full.cm and read.cm.theta == full.cm.theta == pre.theta
+        assert read.phi == full.phi
+        assert read.induced.eps.map == full.induced.eps.map
+        assert read.induced.seq.p.map == full.induced.seq.p.map
+        noncentral += any(p != read.phi[0] for p in read.phi)
+    assert noncentral
 
 
 def test_brute_force_coverings_matches_reference():
@@ -402,6 +449,29 @@ def _record_calls(monkeypatch, func) -> list:
                 and getattr(module, func.__name__, None) is func):
             monkeypatch.setattr(module, func.__name__, recorded)
     return calls
+
+
+def _inversion_scenario():
+    scenario = fixtures_dir() / "scenarios" / "inversion_action.json"
+    return load_scenario(scenario).pre_prolongation()
+
+
+@pytest.mark.parametrize("factory,classes", [(_inversion_scenario, 1),
+                                             (pre_canonical, 2)])
+def test_built_ladders_are_not_validated_again(monkeypatch, factory, classes):
+    """From cold caches, building, the brute-force search (which reduces its
+    second ladder for the dedup when there is one) and the class enumeration
+    read every ladder's crossed module off its construction: no ladder is
+    validated or induced again, and the one crossed module is checked once."""
+    pre = factory()
+    _clear_caches()
+    validations = _record_calls(monkeypatch, extensions.validate_prolongation)
+    inductions = _record_calls(monkeypatch, extensions.induced_sequence)
+    checks = _record_calls(monkeypatch, crossed.check_crossed_module)
+    build_prolongation(pre)
+    assert len(brute_force_coverings(pre)) == len(enumerate_classes(pre)) == classes
+    assert validations == [] and inductions == []
+    assert checks == [(derive(pre).cm,)]
 
 
 def test_frames_and_crossed_modules_are_certified_once(monkeypatch):

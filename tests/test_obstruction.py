@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prolong import obstruction
 from prolong.cli import run
@@ -38,6 +39,7 @@ from prolong.obstruction import (
 )
 from prolong.scenario import load_scenario
 
+from oracles import reference_pairing_table
 from test_cohomology import _forbid_lattice, _record_lattices
 from test_seeded_pins import _clear_caches
 
@@ -184,7 +186,7 @@ def test_certificates_survive_python_O():
         "import prolong.obstruction as ob\n"
         "from prolong.errors import CertificateFailed\n"
         "from test_obstruction import pre_canonical\n"
-        "ob.verify_covering = lambda p, pre: False\n"
+        "ob._conjugates_by_theta = lambda *args: False\n"
         "try:\n"
         "    ob.build_prolongation(pre_canonical())\n"
         "except CertificateFailed as exc:\n"
@@ -195,6 +197,58 @@ def test_certificates_survive_python_O():
         env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
     assert res.returncode == 0, res.stderr
     assert "certificate: constructed ladder must induce theta" in res.stdout
+
+
+# The certificates of crossed_product, fed mutated data: a theta changed at
+# the image of one generator of B_h, and a beta that breaks the squares.
+MUTANTS = {
+    "theta": (
+        "real = ob._conjugates_by_theta\n"
+        "def mutant(bh, e0, eps, p, theta):\n"
+        "    g = next(p[s] for s in bh.gens if p[s] != 0)\n"
+        "    theta = list(theta)\n"
+        "    theta[g] = next(t for t in theta if t != theta[g])\n"
+        "    return real(bh, e0, eps, p, theta)\n"
+        "ob._conjugates_by_theta = mutant\n",
+        "constructed ladder must induce theta"),
+    "beta": (
+        "from dataclasses import replace\n"
+        "from prolong.groups import trivial_hom\n"
+        "real = ob.ladder_checks\n"
+        "def mutant(p):\n"
+        "    bad = replace(p, beta=trivial_hom(p.beta.source, p.beta.target))\n"
+        "    if any(item.ok for item in real(bad)[:2]):\n"
+        "        raise SystemExit('the mutant keeps a square')\n"
+        "    return real(bad)\n"
+        "ob.ladder_checks = mutant\n",
+        "constructed ladder must validate"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_crossed_product_certificates_catch_mutants(mutant):
+    """Under python -O, a crossed product whose certificates read a wrong
+    theta or a beta that breaks both squares raises CertificateFailed."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    patch, message = MUTANTS[mutant]
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import prolong.obstruction as ob\n"
+        "from prolong.errors import CertificateFailed\n"
+        "from test_obstruction import pre_inversion\n"
+        + patch +
+        "try:\n"
+        "    ob.build_prolongation(pre_inversion())\n"
+        "except CertificateFailed as exc:\n"
+        "    print('certificate:', exc)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"certificate: {message}\n"
 
 
 # --- lifting ---------------------------------------------------------------------
@@ -295,6 +349,24 @@ def test_crossed_product_with_twisting_cocycle():
     h = ((0, 0), (0, 1))  # shift the lift by the nontrivial 2-cocycle
     cp = crossed_product(pre, lfs.u, h)
     assert cp.ext.b.order_profile() == (1, 2, 4, 4)  # cyclic of order 4
+
+
+@st.composite
+def pairings(draw):
+    """An E0 and a Pi0 from the fixtures, with arbitrary phi and h over them."""
+    e0 = builtin(draw(st.sampled_from(("Z1", "Z2", "Z3", "V4", "S3", "D4", "Q8"))))
+    pi0 = builtin(draw(st.sampled_from(("Z1", "Z2", "Z3", "Z4", "V4"))))
+    npi, element = pi0.order, st.integers(0, e0.order - 1)
+    phi = draw(st.lists(st.lists(element, min_size=e0.order, max_size=e0.order),
+                        min_size=npi, max_size=npi))
+    h = draw(st.lists(st.lists(element, min_size=npi, max_size=npi),
+                      min_size=npi, max_size=npi))
+    return e0, npi, pi0.table, phi, h
+
+
+@given(pairings())
+def test_pairing_table_matches_oracle(case):
+    assert pairing_table(*case) == reference_pairing_table(*case)
 
 
 def test_crossed_product_rejects_non_cocycle():
