@@ -147,12 +147,6 @@ class PreconditionFailed(ProlongError):
         self.witness = witness
 
 
-class PairingNotAssociative(ProlongError):
-    def __init__(self, witness: tuple):
-        super().__init__(f"crossed product pairing not associative at {witness}")
-        self.witness = witness
-
-
 class NotCentralValue(ProlongError):
     pass
 

@@ -34,7 +34,8 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 given by its multiplication table.
 
     table[a][b] is the index of a*b; index 0 is the identity.  Build instances
-    through validate_group, which checks all axioms exactly.  gens is the
+    through validate_group, which checks all axioms exactly, or where a
+    checked theorem proves them (obstruction.crossed_product).  gens is the
     greedy generating set of generating_set(g), always derived from the table,
     on which the associativity and homomorphism checks rely.
     """
@@ -129,7 +130,8 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
     """Validate a Cayley table exactly and return the group.
 
     The identity must already sit at index 0; inverses are computed here.
-    Associativity is Light's test: with S generating the table under products,
+    The group is built once the table is a Latin square, and its gens are
+    the S of Light's test: with S generating the table under products,
     (x*s)*y = x*(s*y) for all x, y and every s in S implies it for every s,
     because the elements that pass are closed under products.  Only a failing
     test runs the full loop, which names the first failing triple.
@@ -160,8 +162,10 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
     for b in range(n):
         if {rows[a][b] for a in range(n)} != full:
             raise NotLatinSquare(f"column {b} is not a permutation")
+    inv = [row.index(0) for row in rows]
+    g = FiniteGroup(order=n, table=rows, inv=inv, labels=labels, name=name)
     if not all(rows[rx[s]] == [rx[v] for v in rows[s]]
-               for s in _greedy_generators(rows) for rx in rows):
+               for s in g.gens for rx in rows):
         for a in range(n):
             ra = rows[a]
             for b in range(n):
@@ -170,14 +174,10 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
                 for c in range(n):
                     if rab[c] != ra[rb[c]]:
                         raise NotAssociative((a, b, c))
-    inv = [0] * n
     for a in range(n):
-        b = rows[a].index(0)
-        if rows[b][a] != 0:
+        if rows[inv[a]][a] != 0:
             raise MissingInverse(f"element {a} has no two-sided inverse")
-        inv[a] = b
-    return FiniteGroup(order=n, table=tuple(tuple(r) for r in rows),
-                       inv=tuple(inv), labels=labels, name=name)
+    return g
 
 
 @dataclass(frozen=True)

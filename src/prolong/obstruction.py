@@ -32,12 +32,10 @@ from .crossed import (
 from .errors import (
     CheckItem,
     MismatchedBase,
-    NotAssociative,
     NotCentralValue,
     NotCocycle,
     NotInKernel,
     ObstructionNonzero,
-    PairingNotAssociative,
     PreconditionFailed,
     ProlongError,
     ValidationReport,
@@ -69,7 +67,6 @@ from .groups import (
     is_injective,
     is_normal,
     is_surjective,
-    validate_group,
 )
 
 
@@ -88,6 +85,15 @@ class PreProlongation:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(tuple(p) for p in self.theta))
+        # the dataclass hash and derive's group tags, computed once: every
+        # derive lookup keys on both
+        object.__setattr__(self, "_hash", hash(
+            (self.e0, self.alpha, self.gamma, self.theta)))
+        object.__setattr__(self, "_tags", group_tags(
+            self.e0.j, self.e0.p, self.alpha, self.gamma))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def g(self) -> FiniteGroup:
@@ -121,10 +127,12 @@ def derive(pre: PreProlongation) -> PreDerived:
 
     Group equality ignores names and labels, so the cache key carries their
     group tags: a pre-prolongation equal to an earlier one up to them gets its
-    own.  E0, the top row and the cokernel come from the frame caches of
-    `extensions`, shared by every pre-prolongation over one frame.
+    own.  Both the hash and the tags are computed once per pre-prolongation,
+    so a lookup rehashes no table.  E0, the top row and the cokernel come
+    from the frame caches of `extensions`, shared by every pre-prolongation
+    over one frame.
     """
-    return _derive(pre, group_tags(pre.e0.j, pre.e0.p, pre.alpha, pre.gamma))
+    return _derive(pre, pre._tags)
 
 
 @lru_cache(maxsize=None)
@@ -356,12 +364,29 @@ def crossed_product(pre: PreProlongation, u, h,
                     what: str = "crossed-product") -> CrossedProductExtension:
     """Build B_h = pairs (e0, x) under the twisted operation, plus j', p', beta.
 
-    Preconditions checked first: phi is a homomorphism twisted by inner
-    automorphisms of h, and h satisfies the cocycle identity.  Violations
-    raise PreconditionFailed with the offending tuple.  Together they hold
-    exactly when the pairing is associative; validate_group proves it on
-    the table, once, and a pairing that still fails raises
-    PairingNotAssociative with validate_group's witness triple.
+    With phi_x = theta[u_x], three preconditions are checked in this order,
+    and a violation raises PreconditionFailed with the offending tuple:
+
+    - "twisted-homomorphism": phi_x phi_y = inn(h(x, y)) phi_xy.  derive
+      certified theta a homomorphism G -> Aut(E0), so phi_x phi_y is
+      theta[u_x u_y]; both sides are automorphisms of E0, so they agree iff
+      they agree on E0.gens, which is what is compared.
+    - "cocycle": phi_x(h(y, z)) h(x, yz) = h(x, y) h(xy, z).
+    - "normalized": h(0, y) = h(x, 0) = 0.
+
+    Together they make (e, x)(e', y) = (e phi_x(e') h(x, y), xy) a group
+    (Schreier; Brown, GTM 87 §IV.6), so B_h is built straight from the
+    pairing table with no axiom checked on it:
+
+    - associativity: both bracketings of (e, x)(e', y)(e'', z) have second
+      entry xyz, and their first entries agree once phi_x phi_y(e'') is
+      rewritten by the twisted identity and phi_x(h(y, z)) h(x, yz) by the
+      cocycle identity;
+    - identity (0, 0): h is normalized, and phi_0 = id because the twisted
+      identity at (0, 0) reads phi_0 phi_0 = phi_0;
+    - inverses: (e, x)(e', x^-1) = (0, 0) for e' = phi_x^-1(e^-1 h(x, x^-1)^-1),
+      since phi_x is bijective.  A finite monoid with right inverses is a
+      group, so each inverse is read off its row.
 
     The ladder's induced crossed module is read off the pairs, not derived
     from the ladder.  Its induced row is 0 -> E0 -eps-> B_h -> Pi0 -> 1 with
@@ -387,25 +412,28 @@ def crossed_product(pre: PreProlongation, u, h,
     npi = pi0.order
     u = tuple(u)
     h = tuple(tuple(row) for row in h)
-    phi = tuple(pre.theta[u[x]] for x in pi0.elements())
+    theta = d.cm.theta
+    phi = tuple(theta[u[x]] for x in pi0.elements())
     for x in pi0.elements():
         for y in pi0.elements():
-            xy = pi0.mul(x, y)
-            composed = tuple(phi[x][phi[y][e]] for e in e0.elements())
-            twisted = tuple(e0.conjugate(h[x][y], phi[xy][e]) for e in e0.elements())
-            if composed != twisted:
+            composed = theta[g.mul(u[x], u[y])]
+            twisted = phi[pi0.mul(x, y)]
+            hxy = h[x][y]
+            if any(composed[t] != e0.conjugate(hxy, twisted[t]) for t in e0.gens):
                 raise PreconditionFailed("twisted-homomorphism", (x, y))
     for x, y, z, left, right in cocycle_terms(e0, pi0, phi, h):
         if left != right:
             raise PreconditionFailed("cocycle", (x, y, z))
+    for x in pi0.elements():
+        for y in pi0.elements():
+            if (x == 0 or y == 0) and h[x][y] != 0:
+                raise PreconditionFailed("normalized", (x, y))
     table = pairing_table(e0, npi, pi0.table, phi, h)
     labels = tuple(f"({e0.label(e)},{pi0.label(x)})"
                    for e in e0.elements() for x in pi0.elements())
-    try:
-        bh = validate_group(table, labels=labels,
-                            name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
-    except NotAssociative as exc:
-        raise PairingNotAssociative(exc.witness) from None
+    bh = FiniteGroup(order=len(table), table=table,
+                     inv=tuple(row.index(0) for row in table), labels=labels,
+                     name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
     jmap = tuple(d.i.map[a] * npi for a in d.module.a.elements())
     pmap = tuple(g.mul(d.gammapi.map[e], u[x])
                  for e in e0.elements() for x in pi0.elements())
@@ -427,7 +455,6 @@ def crossed_product(pre: PreProlongation, u, h,
             and tuple(pmap[b] for b in eps.map) == tuple(gamma[g0] for g0 in d.pi.map)
             and tuple(sigma[y] for y in pmap) == seq.p.map,         # sigma . p
             f"{what} ladder must validate")
-    theta = d.cm.theta
     certify(_conjugates_by_theta(bh, e0, eps.map, pmap, theta),
             f"{what} ladder must induce theta")
     induced = InducedSequence(seq=seq, eps=eps, i=d.i, pi=d.pi,

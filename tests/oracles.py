@@ -18,6 +18,12 @@ when its pairing table (built entry by entry, `reference_pairing_table`)
 passes `validate_group` and filters the assembled ladders by the theta
 `induce_crossed_module` derives.
 
+`reference_crossed_product` is the crossed-product construction that proves
+the group axioms of each pairing table a second time: it compares
+phi_x phi_y with inn(h(x, y)) phi_xy on all of E0, then runs
+`validate_group` on the table and raises `PairingNotAssociative` when it
+fails associativity.
+
 `reference_validate_group`, `reference_check_homomorphism` and
 `reference_check_crossed_module` are the full-loop structural checks the
 library replaced by checks on generating sets (Light's associativity test
@@ -39,7 +45,7 @@ from prolong.cohomology import (
     iter_normalized_cochains,
 )
 from prolong.classify import are_equivalent
-from prolong.crossed import induce_crossed_module
+from prolong.crossed import InducedCrossedModule, induce_crossed_module
 from prolong.errors import (
     CheckItem,
     IdentityNotAtZero,
@@ -49,9 +55,19 @@ from prolong.errors import (
     NotAssociative,
     NotHomomorphism,
     NotLatinSquare,
+    PreconditionFailed,
+    ProlongError,
     ValidationReport,
+    certify,
 )
-from prolong.extensions import Prolongation
+from prolong.extensions import (
+    InducedSequence,
+    Prolongation,
+    cocycle_terms,
+    frame_is_valid,
+    ladder_checks,
+    make_extension,
+)
 from prolong.groups import (
     FiniteGroup,
     Homomorphism,
@@ -59,7 +75,12 @@ from prolong.groups import (
     subgroup_closure,
     validate_group,
 )
-from prolong.obstruction import crossed_product, derive, lift_factor_set
+from prolong.obstruction import (
+    CrossedProductExtension,
+    crossed_product,
+    derive,
+    lift_factor_set,
+)
 from prolong.snf import SmithForm, identity_matrix, matmul
 
 
@@ -482,6 +503,71 @@ def reference_pairing_table(e0, npi: int, pi0_table, phi, h) -> list[list[int]]:
                     row[e2 * npi + y] = (e0.mul(left, h[x][y]) * npi
                                          + pi0_table[x][y])
     return table
+
+
+class PairingNotAssociative(ProlongError):
+    def __init__(self, witness: tuple):
+        super().__init__(f"crossed product pairing not associative at {witness}")
+        self.witness = witness
+
+
+def reference_crossed_product(pre, u, h):
+    """crossed_product with phi_x phi_y composed and compared on all of E0,
+    and the group axioms of the pairing table proved by validate_group."""
+    d = derive(pre)
+    e0, pi0, g = d.e0, d.pi0, pre.g
+    npi = pi0.order
+    u = tuple(u)
+    h = tuple(tuple(row) for row in h)
+    phi = tuple(pre.theta[u[x]] for x in pi0.elements())
+    for x in pi0.elements():
+        for y in pi0.elements():
+            xy = pi0.mul(x, y)
+            composed = tuple(phi[x][phi[y][e]] for e in e0.elements())
+            twisted = tuple(e0.conjugate(h[x][y], phi[xy][e]) for e in e0.elements())
+            if composed != twisted:
+                raise PreconditionFailed("twisted-homomorphism", (x, y))
+    for x, y, z, left, right in cocycle_terms(e0, pi0, phi, h):
+        if left != right:
+            raise PreconditionFailed("cocycle", (x, y, z))
+    table = reference_pairing_table(e0, npi, pi0.table, phi, h)
+    labels = tuple(f"({e0.label(e)},{pi0.label(x)})"
+                   for e in e0.elements() for x in pi0.elements())
+    try:
+        bh = validate_group(table, labels=labels,
+                            name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
+    except NotAssociative as exc:
+        raise PairingNotAssociative(exc.witness) from None
+    jmap = tuple(d.i.map[a] * npi for a in d.module.a.elements())
+    pmap = tuple(g.mul(d.gammapi.map[e], u[x])
+                 for e in e0.elements() for x in pi0.elements())
+    ext = make_extension(Homomorphism(d.module.a, bh, jmap),
+                         Homomorphism(bh, g, pmap))
+    proj = d.e0_data.projection.map
+    beta = Homomorphism(pre.e0.b, bh, tuple(proj[b0] * npi
+                                            for b0 in pre.e0.b.elements()))
+    ladder = Prolongation(e0=pre.e0, e=ext, alpha=pre.alpha, beta=beta,
+                          gamma=pre.gamma)
+    eps = Homomorphism(e0, bh, tuple(e * npi for e in e0.elements()))
+    seq = make_extension(eps, Homomorphism(bh, pi0, tuple(
+        x for e in e0.elements() for x in pi0.elements())))
+    sigma, gamma = d.coker.projection.map, pre.gamma.map
+    certify(frame_is_valid(pre.e0, pre.alpha, pre.gamma)
+            and all(item.ok for item in ladder_checks(ladder))
+            and beta.map == tuple(eps.map[e] for e in proj)
+            and jmap == tuple(eps.map[e] for e in d.i.map)
+            and tuple(pmap[b] for b in eps.map) == tuple(gamma[g0] for g0 in d.pi.map)
+            and tuple(sigma[y] for y in pmap) == seq.p.map,
+            "crossed-product ladder must validate")
+    theta = d.cm.theta
+    certify(all(bh.conjugate(s, eps.map[t]) == eps.map[theta[pmap[s]][t]]
+                for s in bh.gens for t in e0.gens),
+            "crossed-product ladder must induce theta")
+    induced = InducedSequence(seq=seq, eps=eps, i=d.i, pi=d.pi,
+                              e0_data=d.e0_data, coker=d.coker, top=d.top)
+    icm = InducedCrossedModule(cm=d.cm, phi=tuple(theta[y] for y in pmap),
+                               induced=induced)
+    return CrossedProductExtension(ladder=ladder, icm=icm, u=u, h=h)
 
 
 def reference_brute_force_coverings(pre) -> tuple:

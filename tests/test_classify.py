@@ -1,5 +1,7 @@
 import itertools
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -28,14 +30,21 @@ from prolong.groups import Homomorphism, identity_hom, compose, trivial_hom
 from prolong.obstruction import (
     PreProlongation,
     build_prolongation,
+    crossed_product,
     derive,
+    lift_factor_set,
     obstruction_class,
     verify_covering,
 )
 from prolong.scenario import load_scenario
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
-from oracles import inverse_hom, reference_brute_force_coverings, reference_verify_covering
+from oracles import (
+    inverse_hom,
+    reference_brute_force_coverings,
+    reference_crossed_product,
+    reference_verify_covering,
+)
 from test_seeded_pins import _clear_caches
 
 from test_obstruction import (
@@ -422,6 +431,60 @@ def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch):
     assert noncentral
 
 
+LIFTS_PER_FRAME = 64
+
+
+def _lifts(e0_order: int, npi: int, rng: random.Random) -> list:
+    """Normalized lifts with values drawn from all of E0 at each position
+    (x, y), x, y >= 1: every one when there are at most LIFTS_PER_FRAME,
+    else that many drawn at random."""
+    positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
+    if e0_order ** len(positions) <= LIFTS_PER_FRAME:
+        combos = list(itertools.product(range(e0_order), repeat=len(positions)))
+    else:
+        combos = [[rng.randrange(e0_order) for _ in positions]
+                  for _ in range(LIFTS_PER_FRAME)]
+    lifts = []
+    for combo in combos:
+        h = [[0] * npi for _ in range(npi)]
+        for (x, y), e in zip(positions, combo):
+            h[x][y] = e
+        lifts.append(h)
+    return lifts
+
+
+def _construction(build, pre, u, h):
+    """B_h and the ladder's maps, or the exception's type and message."""
+    try:
+        cp = build(pre, u, h)
+    except ProlongError as exc:
+        return type(exc), str(exc)
+    bh, induced = cp.ext.b, cp.icm.induced
+    return (bh.table, bh.inv, bh.gens, bh.labels, bh.name, cp.ext.j.map,
+            cp.ext.p.map, cp.beta.map, induced.eps.map, induced.seq.p.map,
+            cp.icm.phi, cp.u, cp.h)
+
+
+def test_crossed_product_matches_reference_construction():
+    """Over every tenth frame of the default sweep and every theta on it,
+    crossed_product and the construction that composes phi_x phi_y on all of
+    E0 and proves B_h a group with validate_group agree on every lift drawn
+    from E0: the same group, labels, name and ladder maps, or the same
+    exception and message."""
+    rng = random.Random(9)
+    outcomes = Counter()
+    for thetas in list(_sweep_frames().values())[::10]:
+        d = derive(thetas[0])
+        lifts = _lifts(d.e0.order, d.pi0.order, rng)
+        for pre in thetas:
+            u = lift_factor_set(pre).u
+            for h in lifts:
+                fast = _construction(crossed_product, pre, u, h)
+                assert fast == _construction(reference_crossed_product, pre, u, h)
+                outcomes[fast[0].__name__ if isinstance(fast[0], type) else "accepted"] += 1
+    assert outcomes.keys() == {"accepted", "PreconditionFailed", "NotHomomorphism"}
+
+
 def test_brute_force_coverings_matches_reference():
     """On every tenth input of the default sweep, keeping the lifts
     crossed_product accepts gives the ladders, in order, that filtering by an
@@ -440,9 +503,9 @@ def _record_calls(monkeypatch, func) -> list:
     """The arguments of every later call to func, in every prolong module holding it."""
     calls = []
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return func(*args)
+        return func(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if ((name == "prolong" or name.startswith("prolong."))
@@ -462,16 +525,21 @@ def test_built_ladders_are_not_validated_again(monkeypatch, factory, classes):
     """From cold caches, building, the brute-force search (which reduces its
     second ladder for the dedup when there is one) and the class enumeration
     read every ladder's crossed module off its construction: no ladder is
-    validated or induced again, and the one crossed module is checked once."""
+    validated or induced again, the one crossed module is checked once, and
+    the only tables validated are the frame's two quotients, E0 and Pi0."""
     pre = factory()
     _clear_caches()
     validations = _record_calls(monkeypatch, extensions.validate_prolongation)
     inductions = _record_calls(monkeypatch, extensions.induced_sequence)
     checks = _record_calls(monkeypatch, crossed.check_crossed_module)
+    tables = _record_calls(monkeypatch, groups.validate_group)
     build_prolongation(pre)
     assert len(brute_force_coverings(pre)) == len(enumerate_classes(pre)) == classes
     assert validations == [] and inductions == []
-    assert checks == [(derive(pre).cm,)]
+    d = derive(pre)
+    assert checks == [(d.cm,)]
+    assert [tuple(map(tuple, table)) for table, *_ in tables] == [d.e0.table,
+                                                                  d.pi0.table]
 
 
 def test_frames_and_crossed_modules_are_certified_once(monkeypatch):

@@ -12,7 +12,6 @@ from prolong.errors import (
     MismatchedBase,
     NotAssociative,
     ObstructionNonzero,
-    PairingNotAssociative,
     PreconditionFailed,
 )
 from prolong.crossed import induce_crossed_module
@@ -409,8 +408,7 @@ def test_associativity_iff_preconditions(factory, expected_outcomes):
     assert seen == expected_outcomes
 
 
-def test_pairing_not_associative_raised_on_forced_build(monkeypatch):
-    # bypass the cocycle precondition to exercise the associativity witness
+def test_obstructed_pairing_fails_associativity_with_witness():
     pre = pre_obstructed()
     d = derive(pre)
     lfs = lift_factor_set(pre)
@@ -420,10 +418,19 @@ def test_pairing_not_associative_raised_on_forced_build(monkeypatch):
         validate_group(table)
     a, b, c = info.value.witness
     assert table[table[a][b]][c] != table[a][table[b][c]]
-    monkeypatch.setattr(obstruction, "cocycle_terms", lambda *args: iter(()))
-    with pytest.raises(PairingNotAssociative) as built:
-        crossed_product(pre, lfs.u, lfs.h)
-    assert built.value.witness == (a, b, c)
+
+
+def test_crossed_product_refuses_unnormalized_lift():
+    """A constant h = c on an abelian E0 with trivial theta satisfies both
+    identities but is not normalized: (0, 0) would not be B_h's identity."""
+    pre = pre_z8()
+    lfs = lift_factor_set(pre)
+    c = 1
+    h = ((c, c), (c, c))
+    with pytest.raises(PreconditionFailed) as info:
+        crossed_product(pre, lfs.u, h)
+    assert info.value.which == "normalized"
+    assert info.value.witness == (0, 0)
 
 
 # --- building coverings ----------------------------------------------------------------
