@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the systematic pre-prolongation sweep and report the landscape.
 
-For every generated pre-prolongation this computes the obstruction class,
-attempts the crossed-product construction, runs the exhaustive covering
+For every generated pre-prolongation this computes the obstruction class
+with the covering it builds when it vanishes, runs the exhaustive covering
 search, and cross-checks the three answers.  It also tallies where the
 constructed coverings fail to be central extensions (exactly the cases with
 a nontrivial induced action on the kernel).  An input past the covering
@@ -24,9 +24,9 @@ from typing import NoReturn
 
 from prolong.classify import brute_force_coverings, enumerate_classes
 from prolong.cohomology import cohomology_group
-from prolong.errors import ObstructionNonzero, SearchBoundExceeded
+from prolong.errors import SearchBoundExceeded
 from prolong.extensions import is_central
-from prolong.obstruction import build_prolongation, derive, obstruction_class
+from prolong.obstruction import derive, obstruction_class
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 
@@ -54,11 +54,7 @@ def main() -> None:
     noncentral = []
     for idx, pre in enumerate(pres):
         res = obstruction_class(pre)
-        try:
-            built = build_prolongation(pre)
-            constructed = True
-        except ObstructionNonzero:
-            constructed = False
+        constructed = res.covering is not None
         try:
             coverings = brute_force_coverings(pre)
             found = len(coverings)
@@ -82,12 +78,12 @@ def main() -> None:
         stats[f"{len(classes)} class(es)"] += 1
         trivial_action = all(
             p == tuple(range(pre.a.order)) for p in derive(pre).module.action)
-        central = is_central(built.prolongation.e)
+        central = is_central(res.prolongation.e)
         if central != trivial_action:
             disagree(idx, f"centrality: covering central {central}, "
                           f"kernel action trivial {trivial_action}")
         if not central:
-            noncentral.append((idx, built.prolongation.e.b.order_profile()))
+            noncentral.append((idx, res.prolongation.e.b.order_profile()))
 
     print(f"processed in {time.time() - t1:.1f}s")
     for key in sorted(stats):

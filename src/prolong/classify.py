@@ -274,21 +274,21 @@ def torsor_act(tau, p: Prolongation) -> Prolongation:
     Reduces p to crossed-product form, shifts the lift by the representative
     cocycle of tau transported into E0, and rebuilds.
     """
-    return _act(tau, p, _reduce(p)).ladder
+    red = _reduce(p)
+    return _act(tau, _pre_of(p, red), red.u, red.fs.f).ladder
 
 
-def _act(tau, p: Prolongation, red: _Reduction) -> CrossedProductExtension:
-    """torsor_act on p, given its reduction."""
-    pre = _pre_of(p, red)
+def _act(tau, pre: PreProlongation, u, h) -> CrossedProductExtension:
+    """torsor_act on the crossed product of pre over u = coker.reps and h."""
     d = derive(pre)
     h2 = cohomology_group(2, d.module)
     rep = h2.from_coordinates(tau)
     e0, pi0 = d.e0, d.pi0
     h_new = tuple(
-        tuple(e0.mul(red.fs.f[x][y], d.i.map[rep.value((x, y))])
+        tuple(e0.mul(h[x][y], d.i.map[rep.value((x, y))])
               for y in pi0.elements())
         for x in pi0.elements())
-    return crossed_product(pre, red.u, h_new)
+    return crossed_product(pre, u, h_new)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,14 +304,14 @@ def enumerate_classes(pre: PreProlongation,
                       verify_distinct: bool = False) -> tuple[ProlongationClass, ...]:
     """One class per element of H^2, obtained by acting on the base covering.
 
-    The base is reduced once, from the crossed module read off its pairs.
+    The base is the covering of the canonical obstruction result, a crossed
+    product over u = coker.reps: its own u and h are its reduction.
     """
-    base = build_prolongation(pre).crossed
-    red = _reduction(base.ladder, base.icm)
+    base = build_prolongation(pre).covering
     h2 = cohomology_group(2, derive(pre).module)
     classes = []
     for coords in itertools.product(*(range(d) for d in h2.invariant_factors)):
-        rep = _act(coords, base.ladder, red).ladder
+        rep = _act(coords, pre, base.u, base.h).ladder
         classes.append(ProlongationClass(representative=rep, coordinates=coords))
     if verify_distinct:
         for i in range(len(classes)):

@@ -171,9 +171,8 @@ def _cmd_obstruction(scn: Scenario, args) -> tuple[int, dict]:
         "vanishes": res.vanishes,
     }
     if res.vanishes:
-        built = build_prolongation(pre, rng=rng)
         payload["built_scenario"] = prolongation_to_scenario(
-            built.prolongation, theta=pre.theta)
+            res.prolongation, theta=pre.theta)
         return EXIT_OK, payload
     return EXIT_NONZERO, payload
 

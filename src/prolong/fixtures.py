@@ -1,21 +1,16 @@
 """Built-in group fixtures and their JSON interchange format.
 
 Ships every group of order <= 8 plus Z9 and Z3xZ3.  The JSON files under
-fixtures/ mirror the programmatic constructions exactly; an environment
-variable (PROLONG_FIXTURES) may point at an alternative fixtures directory.
+fixtures/ mirror the programmatic constructions exactly.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 from pathlib import Path
 
 from .errors import ScenarioError
 from .groups import FiniteGroup, direct_product, validate_group
-
-FIXTURES_ENV = "PROLONG_FIXTURES"
 
 
 def cyclic(n: int, name: str = "") -> FiniteGroup:
@@ -138,23 +133,20 @@ def group_from_json(obj: dict) -> FiniteGroup:
     if "order" in obj and obj["order"] != len(table):
         raise ScenarioError(
             f"declared order {obj['order']} disagrees with table size {len(table)}")
-    return validate_group(table, labels=obj.get("labels"), name=obj.get("name", ""))
+    name, labels = obj.get("name", ""), obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ScenarioError(f"group {name!r}: labels must be a list, got {labels!r}")
+    g = validate_group(table, labels=labels, name=name)
+    if labels is not None and len(labels) != g.order:
+        raise ScenarioError(
+            f"group {name!r} has {len(labels)} labels for {g.order} elements")
+    return g
 
 
 def fixtures_dir() -> Path:
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        return Path(override)
     return Path(__file__).parent / "fixtures"
 
 
 def resolve_group(name: str) -> FiniteGroup:
-    """Look a group up by fixture name, honoring the directory override."""
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        path = Path(override) / f"{name}.json"
-        if path.exists():
-            return group_from_json(json.loads(path.read_text()))
-    if name in _BUILDERS:
-        return builtin(name)
-    raise ScenarioError(f"unknown fixture group {name!r}")
+    """Look a group up by fixture name."""
+    return builtin(name)

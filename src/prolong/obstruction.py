@@ -285,35 +285,58 @@ def obstruction_cocycle(lfs: LiftedFactorSet) -> Cochain:
 @dataclass(frozen=True, eq=False)
 class ObstructionResult:
     """The obstruction cocycle, its class coordinates in H^3, and, when the
-    class vanishes, the 2-cochain witness with d(witness) == cocycle."""
+    class vanishes, the witness with d(witness) == cocycle and the covering."""
 
     h3: CohomologyGroup
     coordinates: tuple[int, ...]
     cocycle: Cochain
     lift: LiftedFactorSet
     witness: Cochain | None
+    covering: CrossedProductExtension | None
 
     @property
     def vanishes(self) -> bool:
         return all(c == 0 for c in self.coordinates)
 
+    @property
+    def prolongation(self) -> Prolongation | None:
+        return None if self.covering is None else self.covering.ladder
+
 
 def obstruction_class(pre: PreProlongation,
                       rng: random.Random | None = None) -> ObstructionResult:
-    """Class coordinates of the obstruction in H^3 of the induced module.
+    """Class coordinates of the obstruction in H^3 of the induced module,
+    and the covering they build when the class vanishes.
 
     Vanishing is decided first by solving k = d(l) against the degree-2
     factorization; a coboundary has zero coordinates in any basis, so only a
-    nonzero class needs H^3's lattice.
+    nonzero class needs H^3's lattice.  The covering is the crossed product
+    on h' = h - i(l), with beta'(b0) = (b0 + ker, 1).  Without an rng the
+    result depends on pre alone, and the last one is kept, keyed like derive.
     """
+    if rng is None:
+        return _canonical(pre, pre._tags)
+    return _solve(pre, rng)
+
+
+@lru_cache(maxsize=1)
+def _canonical(pre: PreProlongation, tags) -> ObstructionResult:
+    return _solve(pre, None)
+
+
+def _solve(pre: PreProlongation, rng: random.Random | None) -> ObstructionResult:
+    d = derive(pre)
     lfs = lift_factor_set(pre, rng=rng)
     k = obstruction_cocycle(lfs)
-    h3 = cohomology_group(3, derive(pre).module)
+    h3 = cohomology_group(3, d.module)
     witness = is_coboundary(k)
-    coords = (h3.coordinates(k) if witness is None
-              else (0,) * len(h3.invariant_factors))
-    return ObstructionResult(h3=h3, coordinates=coords, cocycle=k, lift=lfs,
-                             witness=witness)
+    if witness is None:
+        return ObstructionResult(h3, h3.coordinates(k), k, lfs, None, None)
+    e0, i = d.e0, d.i.map
+    h = tuple(tuple(e0.mul(hxy, e0.inv[i[witness.value((x, y))]])
+                    for y, hxy in enumerate(row)) for x, row in enumerate(lfs.h))
+    return ObstructionResult(h3, (0,) * len(h3.invariant_factors), k, lfs, witness,
+                             crossed_product(pre, lfs.u, h, what="constructed"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,37 +493,15 @@ def _conjugates_by_theta(bh: FiniteGroup, e0: FiniteGroup, eps, p, theta) -> boo
                for s in bh.gens for t in e0.gens)
 
 
-@dataclass(frozen=True, eq=False)
-class BuildResult:
-    prolongation: Prolongation
-    crossed: CrossedProductExtension
-    obstruction: ObstructionResult
-    h_adjusted: tuple[tuple[int, ...], ...]
-
-
 def build_prolongation(pre: PreProlongation,
-                       rng: random.Random | None = None) -> BuildResult:
-    """Realize a covering when the obstruction vanishes, else raise.
-
-    When the class is zero, k = d(l) is solved exactly, h is corrected to
-    h' = h - i(l), and the crossed product on h' is assembled into a full
-    ladder with beta'(b0) = (b0 + ker, 1).
-    """
-    d = derive(pre)
+                       rng: random.Random | None = None) -> ObstructionResult:
+    """The obstruction result of pre, whose covering realizes a prolongation
+    when the class vanishes; a nonzero class raises ObstructionNonzero."""
     res = obstruction_class(pre, rng=rng)
     if not res.vanishes:
         raise ObstructionNonzero(res.coordinates, res.h3.invariant_factors)
-    correction = res.witness
-    certify(correction is not None, "a vanishing class must be a coboundary")
-    e0, pi0 = d.e0, d.pi0
-    h = res.lift.h
-    h_adj = tuple(
-        tuple(e0.mul(h[x][y], e0.inv[d.i.map[correction.value((x, y))]])
-              for y in pi0.elements())
-        for x in pi0.elements())
-    cp = crossed_product(pre, res.lift.u, h_adj, what="constructed")
-    return BuildResult(prolongation=cp.ladder, crossed=cp, obstruction=res,
-                       h_adjusted=h_adj)
+    certify(res.covering is not None, "a vanishing class must be a coboundary")
+    return res
 
 
 def ladder_crossed_module(p: Prolongation) -> InducedCrossedModule:

@@ -70,7 +70,7 @@ def _parse_groups(obj) -> dict[str, FiniteGroup]:
         if isinstance(entry, str):
             g = resolve_group(entry)
         elif isinstance(entry, dict):
-            g = group_from_json({**entry, "name": entry.get("name", name)})
+            g = group_from_json({**entry, "name": name})
         else:
             raise ScenarioError(f"group {name!r} must be a fixture name or a table")
         groups[name] = FiniteGroup(order=g.order, table=g.table, inv=g.inv,
@@ -112,15 +112,19 @@ def _parse_theta(raw) -> tuple[tuple[int, ...], ...]:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a path, JSON text, or an already-decoded dict."""
+    """Parse a scenario from a path, JSON text, or an already-decoded dict.
+
+    A str whose first non-blank character is "{" is JSON text; any other str
+    is a path.  Telling them apart touches no file.
+    """
     try:
-        if isinstance(source, (str, Path)) and Path(source).exists():
-            raw = json.loads(Path(source).read_text())
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            raw = json.loads(source)
         elif isinstance(source, (str, Path)):
-            raw = json.loads(str(source))
+            raw = json.loads(Path(source).read_text())
         else:
             raw = source
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise ScenarioError(f"cannot read scenario {source!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")

@@ -431,6 +431,22 @@ def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch):
     assert noncentral
 
 
+def test_base_covering_is_its_own_reduction():
+    """Over every tenth frame of the default sweep, the covering of each
+    vanishing class is a crossed product over coker.reps whose reduction is
+    its own u and h, the data enumerate_classes acts on."""
+    checked = 0
+    for thetas in list(_sweep_frames().values())[::10]:
+        for pre in thetas:
+            base = obstruction_class(pre).covering
+            if base is None:
+                continue
+            red = classify._reduction(base.ladder, base.icm)
+            assert red.u == base.u and red.fs.f == base.h
+            checked += 1
+    assert checked > 50
+
+
 LIFTS_PER_FRAME = 64
 
 

@@ -74,10 +74,8 @@ def test_unknown_fixture():
         resolve_group("Z99")
 
 
-def test_fixture_dir_override(tmp_path, monkeypatch):
-    custom = {"name": "Z2", "order": 2, "table": [[0, 1], [1, 0]],
-              "labels": ["e", "x"]}
-    (tmp_path / "Z2.json").write_text(json.dumps(custom))
-    monkeypatch.setenv("PROLONG_FIXTURES", str(tmp_path))
-    g = resolve_group("Z2")
-    assert g.labels == ("e", "x")
+@pytest.mark.parametrize("labels", [5, "ex", ["e"], ["e", "x", "y"]])
+def test_group_json_rejects_bad_labels(labels):
+    obj = {"name": "B0", "table": [[0, 1], [1, 0]], "labels": labels}
+    with pytest.raises(ScenarioError, match="'B0'"):
+        group_from_json(obj)

@@ -524,12 +524,37 @@ def test_vanishing_class_needs_no_lattice(monkeypatch):
     assert coboundary(res.witness).values == res.cocycle.values
     built = build_prolongation(pre)
     assert validate_prolongation(built.prolongation).ok
-    assert len(solves) == 2          # one per obstruction_class, none in build
+    assert len(solves) == 1          # one solve, shared by the class and build
     for degree in ("1", "2", "3"):
         out = io.StringIO()
         assert run(["--format", "json", "cohomology", "--degree", degree,
                     str(SCENARIOS / "klein_quotient.json")], out=out) == 0
         assert json.loads(out.getvalue())["invariant_factors"]
+
+
+def test_class_covering_and_classes_share_one_solve(monkeypatch):
+    """On a cold cache, the class, the covering and the classes of one input
+    cost one obstruction cocycle, one coboundary solve and one constructed
+    crossed product."""
+    from prolong.classify import enumerate_classes
+    pre = _cold_scenario("klein_quotient")
+    calls = {"obstruction_cocycle": 0, "is_coboundary": 0, "constructed": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            if name != "crossed_product":
+                calls[name] += 1
+            elif kwargs.get("what") == "constructed":
+                calls["constructed"] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(obstruction, name, wrapper)
+
+    for name in ("obstruction_cocycle", "is_coboundary", "crossed_product"):
+        counted(name, getattr(obstruction, name))
+    res = obstruction_class(pre)
+    assert build_prolongation(pre) is res
+    assert len(enumerate_classes(pre)) == 8
+    assert calls == {"obstruction_cocycle": 1, "is_coboundary": 1, "constructed": 1}
 
 
 def test_nonzero_class_builds_only_the_degree_three_lattice(monkeypatch):

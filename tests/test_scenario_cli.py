@@ -147,6 +147,27 @@ def test_malformed_inline_table_exit_2(tmp_path, table):
     assert payload["kind"] == "MalformedTable"
 
 
+def test_labels_not_a_list_exit_2(tmp_path):
+    doc = json.loads((SCENARIOS / "klein_quotient.json").read_text())
+    doc["groups"]["B0"] = {"table": [[0, 1], [1, 0]], "labels": 5}
+    path = tmp_path / "bad_labels.json"
+    path.write_text(json.dumps(doc))
+    code, payload = invoke_json("obstruction", str(path))
+    assert code == 2
+    assert payload["kind"] == "scenario"
+    assert "'B0'" in payload["error"]
+
+
+def test_load_scenario_from_long_json_text():
+    """JSON text longer than a file name may be is parsed, not looked up."""
+    text = (SCENARIOS / "klein_quotient.json").read_text()
+    assert len(text.encode()) > 255
+    from_text = load_scenario(text).pre_prolongation()
+    assert from_text == load_scenario(SCENARIOS / "klein_quotient.json").pre_prolongation()
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario("{" + "x" * 300)
+
+
 def test_cohomology_subcommand():
     code, payload = invoke_json("cohomology", str(SCENARIOS / "cohomology_z2.json"))
     assert code == 0

@@ -78,6 +78,21 @@ def test_seeded_output_is_pinned(golden, command, scenario, seed):
     assert text == json.dumps(want["stdout"], sort_keys=True, indent=2) + "\n"
 
 
+def _vanishing_cases(golden: dict):
+    return [(s, k) for s in _pinned_scenarios() for k in SEEDS
+            if "built_scenario" in golden[_key("obstruction", s, k)]["stdout"]]
+
+
+@pytest.mark.parametrize("scenario,seed", _vanishing_cases(
+    json.loads(GOLDEN.read_text())))
+def test_obstruction_emits_the_built_covering(scenario, seed):
+    """obstruction --seed k prints the covering of the class it reports, which
+    is the one build --seed k builds: one lift, one solve."""
+    built = [json.loads(_invoke(command, scenario, seed)[1])["built_scenario"]
+             for command in COMMANDS]
+    assert built[0] == built[1]
+
+
 if __name__ == "__main__":
     pins = {}
     for case in _cases():
