@@ -115,13 +115,11 @@ def _cmd_validate(scn: Scenario, args) -> tuple[int, dict]:
     if scn.mode == "full-ladder":
         payload: dict = {"command": "validate", "mode": scn.mode, "ladders": []}
         code = EXIT_OK
-        for idx in range(len(scn.ladders)):
-            ladder = scn.ladder(idx)
+        for idx, ladder in enumerate(scn.ladders):
             report = validate_prolongation(ladder)
             entry = {"index": idx, "report": report.as_dict()}
             if report.ok and scn.theta is not None:
-                pre = scn.pre_prolongation()
-                entry["covering"] = verify_covering(ladder, pre)
+                entry["covering"] = verify_covering(ladder, scn.pre_prolongation())
             payload["ladders"].append(entry)
             if not report.ok:
                 code = EXIT_INVALID
@@ -191,9 +189,12 @@ def _cmd_build(scn: Scenario, args) -> tuple[int, dict]:
         }
     doc = prolongation_to_scenario(built.prolongation, theta=pre.theta)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     payload = {
         "command": "build",
         "vanishes": True,
@@ -274,10 +275,7 @@ def _cmd_oracle(scn: Scenario, args) -> tuple[int, dict]:
 def _cmd_pullback(scn: Scenario, args) -> tuple[int, dict]:
     if scn.mode != "full-ladder":
         raise ScenarioError("pullback needs a full-ladder scenario")
-    ladder = scn.ladder(0)
-    if scn.gamma is None:
-        raise ScenarioError("pullback needs gamma")
-    pb = pullback(ladder.e, scn.gamma)
+    pb = pullback(scn.ladder(0).e, scn.gamma)
     payload = {
         "command": "pullback",
         "middle_group": group_to_json(pb.ext.b),
@@ -302,15 +300,13 @@ _HANDLERS = {
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        scn = load_scenario(args.scenario)
+        code, payload = _HANDLERS[args.command](scn, args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=out)
         return EXIT_USAGE
-    try:
-        scn = load_scenario(args.scenario)
-        code, payload = _HANDLERS[args.command](scn, args)
     except ScenarioError as exc:
         _emit({"error": str(exc), "kind": "scenario"}, args.format, out)
         return EXIT_INVALID

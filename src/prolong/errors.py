@@ -204,6 +204,10 @@ class ScenarioError(ProlongError):
     pass
 
 
+class ShapeError(ScenarioError):
+    """A value in a scenario document has the wrong JSON shape."""
+
+
 # ---------------------------------------------------------------------------
 # Validation reports
 # ---------------------------------------------------------------------------

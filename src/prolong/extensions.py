@@ -69,7 +69,7 @@ def extension_checks(ext: ShortExtension, prefix: str = "") -> list[CheckItem]:
 
 def make_extension(j: Homomorphism, p: Homomorphism) -> ShortExtension:
     if j.target != p.source:
-        raise ValueError("j and p are not composable")
+        raise NotExact("j and p are not composable")
     if not is_injective(j):
         raise NotInjective("kernel map is not injective")
     if not is_surjective(p):

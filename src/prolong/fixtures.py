@@ -1,7 +1,8 @@
-"""Built-in group fixtures and their JSON interchange format.
+"""Built-in group fixtures and their JSON export.
 
 Ships every group of order <= 8 plus Z9 and Z3xZ3.  The JSON files under
-fixtures/ mirror the programmatic constructions exactly.
+fixtures/ mirror the programmatic constructions exactly;
+scenario.group_from_json reads them back.
 """
 
 from __future__ import annotations
@@ -125,28 +126,6 @@ def group_to_json(g: FiniteGroup) -> dict:
     return obj
 
 
-def group_from_json(obj: dict) -> FiniteGroup:
-    try:
-        table = obj["table"]
-    except (KeyError, TypeError):
-        raise ScenarioError("group object needs a 'table' field") from None
-    if "order" in obj and obj["order"] != len(table):
-        raise ScenarioError(
-            f"declared order {obj['order']} disagrees with table size {len(table)}")
-    name, labels = obj.get("name", ""), obj.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise ScenarioError(f"group {name!r}: labels must be a list, got {labels!r}")
-    g = validate_group(table, labels=labels, name=name)
-    if labels is not None and len(labels) != g.order:
-        raise ScenarioError(
-            f"group {name!r} has {len(labels)} labels for {g.order} elements")
-    return g
-
-
 def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
-
-def resolve_group(name: str) -> FiniteGroup:
-    """Look a group up by fixture name."""
-    return builtin(name)

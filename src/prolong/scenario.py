@@ -2,24 +2,116 @@
 
 Modes: "pre-prolongation" (e0 + alpha + gamma + theta), "full-ladder"
 (adds one or two complete bottom rows) and "cohomology-only" (a module and a
-degree).  Groups may be given inline as tables or by fixture name; all tables
-validate on load.
+degree).  Groups may be given inline as tables or by fixture name.
+
+The shape of a document is declared once (SCENARIO, GROUP) and checked by
+`check` before anything is built, naming the JSON path at fault; what runs
+after it checks algebra only and builds each group, map and ladder once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ProlongError, ScenarioError
+from .errors import ProlongError, ScenarioError, ShapeError
 from .extensions import Prolongation, ShortExtension, make_extension
-from .fixtures import group_from_json, group_to_json, resolve_group
-from .groups import FiniteGroup, Homomorphism
+from .fixtures import builtin, group_to_json
+from .groups import FiniteGroup, Homomorphism, validate_group
 from .cohomology import PiModule, pi_module
 from .obstruction import PreProlongation
 
-MODES = ("pre-prolongation", "full-ladder", "cohomology-only")
+NEEDS = {
+    "pre-prolongation": ("e0", "alpha", "gamma", "theta"),
+    "full-ladder": ("e0", "alpha", "gamma", "ladders"),
+    "cohomology-only": ("cohomology",),
+}
+
+# A shape is a type (int refuses bool), a literal, [s] (a list of s),
+# {str: s} (every name maps to s), a dict of keys (a trailing "?" makes one
+# optional; unknown keys are ignored) or a tuple of alternatives.  A table's
+# rows and entries are validate_group's to check.
+GROUP = {"table": list, "order?": int, "labels?": list, "name?": str}
+SCENARIO = {
+    "mode": tuple(NEEDS),
+    "groups?": {str: (str, dict)},
+    "homs?": {str: {"source": str, "target": str, "map": [int]}},
+    "e0?": {"j": str, "p": str},
+    "alpha?": str,
+    "gamma?": str,
+    "theta?": [[int]],
+    "ladders?": [{"j": str, "p": str, "beta": str}],
+    "cohomology?": {"pi": str, "a": str, "action?": (None, [[int]]),
+                    "degree?": (None, int)},
+}
+_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _fits(value, shape) -> bool:
+    """Whether value has the outermost JSON type (or literal value) of shape."""
+    if isinstance(shape, type):
+        return type(value) is shape
+    return type(value) is type(shape) and (isinstance(shape, (list, dict))
+                                           or value == shape)
+
+
+def _describe(shape) -> str:
+    if isinstance(shape, tuple):
+        return " or ".join(map(_describe, shape))
+    if isinstance(shape, (list, dict)):
+        return _NAMES[type(shape)]
+    return _NAMES.get(shape) or json.dumps(shape)
+
+
+def check(value, shape, path: str = "") -> None:
+    """Raise a ShapeError naming the JSON path where value leaves shape."""
+    alts = shape if isinstance(shape, tuple) else (shape,)
+    shape = next((alt for alt in alts if _fits(value, alt)), alts)
+    if shape is alts:
+        raise ShapeError(f"{path.lstrip('.') or 'document'} must be "
+                         f"{_describe(alts)}, got {value!r}")
+    if isinstance(shape, list):
+        for index, item in enumerate(value):
+            check(item, shape[0], f"{path}[{index}]")
+    elif isinstance(shape, dict) and str in shape:
+        for name, item in value.items():
+            check(item, shape[str], f"{path}.{name}")
+    elif isinstance(shape, dict):
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                check(value[name], sub, f"{path}.{name}")
+            elif name == key:
+                raise ShapeError(f"{path}.{name}".lstrip(".") + " is missing")
+
+
+def _named(table: dict, name: str, path: str, kind: str):
+    """table[name], where name is the reference found at the JSON path."""
+    if name not in table:
+        raise ScenarioError(f"{path} names unknown {kind} {name!r}")
+    return table[name]
+
+
+def group_from_json(obj, path: str = "") -> FiniteGroup:
+    """A group from its JSON object, which is checked against GROUP first.
+
+    path is where obj sits in its document; every error names the group.
+    """
+    name = obj.get("name", "") if isinstance(obj, dict) else ""
+    try:
+        check(obj, GROUP, path)
+    except ShapeError as exc:
+        raise ShapeError(f"group {name!r}: {exc}") from None
+    table, labels = obj["table"], obj.get("labels")
+    if "order" in obj and obj["order"] != len(table):
+        raise ScenarioError(f"group {name!r}: declared order {obj['order']} "
+                            f"disagrees with table size {len(table)}")
+    g = validate_group(table, labels=labels, name=name)
+    if labels is not None and len(labels) != g.order:
+        raise ScenarioError(
+            f"group {name!r} has {len(labels)} labels for {g.order} elements")
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,26 +123,19 @@ class Scenario:
     alpha: Homomorphism | None
     gamma: Homomorphism | None
     theta: tuple[tuple[int, ...], ...] | None
-    ladders: tuple[dict, ...] = ()
+    ladders: tuple[Prolongation, ...] = ()
     cohomology: dict | None = None
 
     def pre_prolongation(self) -> PreProlongation:
-        if self.e0 is None or self.alpha is None or self.gamma is None:
-            raise ScenarioError("scenario does not define e0, alpha and gamma")
-        if self.theta is None:
-            raise ScenarioError("scenario does not define theta")
+        if None in (self.e0, self.alpha, self.gamma, self.theta):
+            raise ScenarioError("scenario does not define e0, alpha, gamma and theta")
         return PreProlongation(e0=self.e0, alpha=self.alpha,
                                gamma=self.gamma, theta=self.theta)
 
     def ladder(self, index: int = 0) -> Prolongation:
         if index >= len(self.ladders):
             raise ScenarioError(f"scenario defines {len(self.ladders)} ladder(s)")
-        entry = self.ladders[index]
-        ext = make_extension(entry["j"], entry["p"])
-        if self.e0 is None or self.alpha is None or self.gamma is None:
-            raise ScenarioError("a full ladder needs e0, alpha and gamma")
-        return Prolongation(e0=self.e0, e=ext, alpha=self.alpha,
-                            beta=entry["beta"], gamma=self.gamma)
+        return self.ladders[index]
 
     def module(self) -> PiModule:
         if self.cohomology is None:
@@ -58,57 +143,13 @@ class Scenario:
         return self.cohomology["module"]
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError(f"{where} is missing the {key!r} field")
-    return obj[key]
-
-
-def _parse_groups(obj) -> dict[str, FiniteGroup]:
-    groups = {}
-    for name, entry in obj.items():
-        if isinstance(entry, str):
-            g = resolve_group(entry)
-        elif isinstance(entry, dict):
-            g = group_from_json({**entry, "name": name})
-        else:
-            raise ScenarioError(f"group {name!r} must be a fixture name or a table")
-        groups[name] = FiniteGroup(order=g.order, table=g.table, inv=g.inv,
-                                   labels=g.labels, name=name)
-    return groups
-
-
-def _parse_homs(obj, groups) -> dict[str, Homomorphism]:
-    homs = {}
-    for name, entry in obj.items():
-        src = _require(entry, "source", f"homomorphism {name!r}")
-        tgt = _require(entry, "target", f"homomorphism {name!r}")
-        if src not in groups or tgt not in groups:
-            raise ScenarioError(f"homomorphism {name!r} references unknown groups")
-        try:
-            homs[name] = Homomorphism(groups[src], groups[tgt],
-                                      tuple(_require(entry, "map", f"hom {name!r}")))
-        except ProlongError as exc:
-            raise ScenarioError(f"homomorphism {name!r} is invalid: {exc}") from exc
-    return homs
-
-
-def _hom_ref(name, homs, where) -> Homomorphism:
-    if name not in homs:
-        raise ScenarioError(f"{where} references unknown homomorphism {name!r}")
-    return homs[name]
-
-
-def _parse_theta(raw) -> tuple[tuple[int, ...], ...]:
-    """theta as a table of ints; JSON floats and booleans are refused."""
-    if not isinstance(raw, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in raw):
-        raise ScenarioError("theta must be a list of lists of integers")
-    for g, row in enumerate(raw):
-        for x, v in enumerate(row):
-            if type(v) is not int:
-                raise ScenarioError(f"theta[{g}][{x}] must be an integer, got {v!r}")
-    return tuple(tuple(row) for row in raw)
+def _row(homs: dict, entry: dict, path: str) -> ShortExtension:
+    j = _named(homs, entry["j"], f"{path}.j", "homomorphism")
+    p = _named(homs, entry["p"], f"{path}.p", "homomorphism")
+    try:
+        return make_extension(j, p)
+    except ProlongError as exc:
+        raise ScenarioError(f"{path} row is invalid: {exc}") from exc
 
 
 def load_scenario(source) -> Scenario:
@@ -126,62 +167,49 @@ def load_scenario(source) -> Scenario:
             raw = source
     except (ValueError, OSError) as exc:
         raise ScenarioError(f"cannot read scenario {source!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    mode = _require(raw, "mode", "scenario")
-    if mode not in MODES:
-        raise ScenarioError(f"unknown mode {mode!r}; expected one of {MODES}")
-    groups = _parse_groups(raw.get("groups", {}))
-    homs = _parse_homs(raw.get("homs", {}), groups)
+    check(raw, SCENARIO)
+    mode = raw["mode"]
+    if any(key not in raw for key in NEEDS[mode]):
+        raise ScenarioError(f"{mode} scenarios need {', '.join(NEEDS[mode])}")
 
-    e0 = alpha = gamma = None
-    theta = None
-    if "e0" in raw:
-        entry = raw["e0"]
+    groups = {key: replace(builtin(entry), name=key) if isinstance(entry, str)
+              else group_from_json({**entry, "name": key}, f"groups.{key}")
+              for key, entry in raw.get("groups", {}).items()}
+    homs = {}
+    for key, entry in raw.get("homs", {}).items():
+        source = _named(groups, entry["source"], f"homs.{key}.source", "group")
+        target = _named(groups, entry["target"], f"homs.{key}.target", "group")
         try:
-            e0 = make_extension(_hom_ref(_require(entry, "j", "e0"), homs, "e0"),
-                                _hom_ref(_require(entry, "p", "e0"), homs, "e0"))
+            homs[key] = Homomorphism(source, target, tuple(entry["map"]))
         except ProlongError as exc:
-            raise ScenarioError(f"e0 row is invalid: {exc}") from exc
-    if "alpha" in raw:
-        alpha = _hom_ref(raw["alpha"], homs, "alpha")
-    if "gamma" in raw:
-        gamma = _hom_ref(raw["gamma"], homs, "gamma")
-    if "theta" in raw:
-        theta = _parse_theta(raw["theta"])
+            raise ScenarioError(f"homomorphism {key!r} is invalid: {exc}") from exc
+
+    e0 = _row(homs, raw["e0"], "e0") if "e0" in raw else None
+    alpha, gamma = (_named(homs, raw[key], key, "homomorphism") if key in raw
+                    else None for key in ("alpha", "gamma"))
+    theta = tuple(tuple(row) for row in raw["theta"]) if "theta" in raw else None
 
     ladders = []
-    for idx, entry in enumerate(raw.get("ladders", [])):
-        j = _hom_ref(_require(entry, "j", f"ladder {idx}"), homs, f"ladder {idx}")
-        p = _hom_ref(_require(entry, "p", f"ladder {idx}"), homs, f"ladder {idx}")
-        beta = _hom_ref(_require(entry, "beta", f"ladder {idx}"), homs, f"ladder {idx}")
-        try:
-            make_extension(j, p)
-        except ProlongError as exc:
-            raise ScenarioError(f"ladder {idx} row is invalid: {exc}") from exc
-        ladders.append({"j": j, "p": p, "beta": beta})
+    for index, entry in enumerate(raw.get("ladders", [])):
+        path = f"ladders[{index}]"
+        if e0 is None or alpha is None or gamma is None:
+            raise ScenarioError(f"{path} needs e0, alpha and gamma")
+        beta = _named(homs, entry["beta"], f"{path}.beta", "homomorphism")
+        ladders.append(Prolongation(e0=e0, e=_row(homs, entry, path),
+                                    alpha=alpha, beta=beta, gamma=gamma))
+    if mode == "full-ladder" and not ladders:
+        raise ScenarioError("full-ladder scenarios need at least one ladder")
 
     cohomology = None
     if "cohomology" in raw:
         entry = raw["cohomology"]
-        pi_name = _require(entry, "pi", "cohomology section")
-        a_name = _require(entry, "a", "cohomology section")
-        if pi_name not in groups or a_name not in groups:
-            raise ScenarioError("cohomology section references unknown groups")
+        pi = _named(groups, entry["pi"], "cohomology.pi", "group")
+        a = _named(groups, entry["a"], "cohomology.a", "group")
         try:
-            module = pi_module(groups[pi_name], groups[a_name], entry.get("action"))
+            module = pi_module(pi, a, entry.get("action"))
         except ProlongError as exc:
             raise ScenarioError(f"cohomology module is invalid: {exc}") from exc
         cohomology = {"module": module, "degree": entry.get("degree")}
-
-    if mode == "pre-prolongation":
-        if e0 is None or alpha is None or gamma is None or theta is None:
-            raise ScenarioError(
-                "pre-prolongation scenarios need e0, alpha, gamma and theta")
-    if mode == "full-ladder" and not ladders:
-        raise ScenarioError("full-ladder scenarios need at least one ladder")
-    if mode == "cohomology-only" and cohomology is None:
-        raise ScenarioError("cohomology-only scenarios need a cohomology section")
 
     return Scenario(mode=mode, groups=groups, homs=homs, e0=e0, alpha=alpha,
                     gamma=gamma, theta=theta, ladders=tuple(ladders),
@@ -194,16 +222,9 @@ def prolongation_to_scenario(p: Prolongation,
 
     The output re-validates on load, so built prolongations round-trip.
     """
-    def gjson(g: FiniteGroup, name: str) -> dict:
-        obj = group_to_json(g)
-        obj["name"] = name
-        return obj
-
-    groups = {
-        "A0": gjson(p.e0.a, "A0"), "B0": gjson(p.e0.b, "B0"),
-        "G0": gjson(p.e0.g, "G0"), "A": gjson(p.e.a, "A"),
-        "B": gjson(p.e.b, "B"), "G": gjson(p.e.g, "G"),
-    }
+    groups = {name: {**group_to_json(g), "name": name} for name, g in (
+        ("A0", p.e0.a), ("B0", p.e0.b), ("G0", p.e0.g),
+        ("A", p.e.a), ("B", p.e.b), ("G", p.e.g))}
     homs = {
         "j0": {"source": "A0", "target": "B0", "map": list(p.e0.j.map)},
         "p0": {"source": "B0", "target": "G0", "map": list(p.e0.p.map)},

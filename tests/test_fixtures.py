@@ -2,15 +2,9 @@ import json
 
 import pytest
 
-from prolong.fixtures import (
-    builtin,
-    builtin_names,
-    fixtures_dir,
-    group_from_json,
-    group_to_json,
-    resolve_group,
-)
+from prolong.fixtures import builtin, builtin_names, fixtures_dir, group_to_json
 from prolong.errors import ScenarioError
+from prolong.scenario import group_from_json
 
 EXPECTED_ORDERS = {
     "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "V4": 4, "Z5": 5, "Z6": 6, "S3": 6,
@@ -71,7 +65,7 @@ def test_group_json_rejects_bad_order():
 
 def test_unknown_fixture():
     with pytest.raises(ScenarioError):
-        resolve_group("Z99")
+        builtin("Z99")
 
 
 @pytest.mark.parametrize("labels", [5, "ex", ["e"], ["e", "x", "y"]])

@@ -1,12 +1,16 @@
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import prolong.scenario as scenario_mod
 from prolong.cli import run
-from prolong.errors import ScenarioError
-from prolong.extensions import validate_prolongation
-from prolong.fixtures import fixtures_dir
+from prolong.errors import ScenarioError, ShapeError
+from prolong.extensions import make_extension, validate_prolongation
+from prolong.fixtures import builtin, fixtures_dir, group_to_json
+from prolong.groups import FiniteGroup
 from prolong.obstruction import validate_pre, verify_covering
 from prolong.scenario import load_scenario, prolongation_to_scenario
 
@@ -22,6 +26,43 @@ def invoke(*argv):
 def invoke_json(*argv):
     code, text = invoke("--format", "json", *argv)
     return code, json.loads(text)
+
+
+# --- one-field mutations of the shipped scenarios ---------------------------------
+
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+COMMANDS = ("validate", "cohomology", "obstruction", "build", "classify",
+            "equiv", "oracle", "pullback")
+POOL = (None, True, False, -1, 0, 1, 10 ** 30, 2.5, "", "x", "Z2", "alpha",
+        [], [0], [[0, None]], {}, {"j": "j0"}, {"table": [[0]]})
+
+
+def _paths(value, path=()):
+    """Every JSON path inside value, as a tuple of keys and indices."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+def _dotted(path) -> str:
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+MUTATIONS = [(name, path) for name, doc in SHIPPED.items() for path in _paths(doc)]
 
 
 # --- scenario parsing ------------------------------------------------------------
@@ -156,6 +197,72 @@ def test_labels_not_a_list_exit_2(tmp_path):
     assert code == 2
     assert payload["kind"] == "scenario"
     assert "'B0'" in payload["error"]
+
+
+def test_group_table_not_a_list_names_its_path(tmp_path):
+    doc = json.loads((SCENARIOS / "klein_quotient.json").read_text())
+    doc["groups"]["B0"] = {"table": 5, "order": 2}
+    path = tmp_path / "table_not_a_list.json"
+    path.write_text(json.dumps(doc))
+    code, payload = invoke_json("obstruction", str(path))
+    assert code == 2
+    assert payload["kind"] == "scenario"
+    assert "groups.B0.table" in payload["error"]
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("homs", "alpha", "map", 1), True, "homs.alpha.map[1]"),
+    (("homs", "alpha", "source"), 3, "homs.alpha.source"),
+    (("e0",), {"j": "j0"}, "e0.p"),
+    (("ladders", 0, "beta"), None, "ladders[0].beta"),
+    (("mode",), "nonsense", "mode"),
+])
+def test_shape_errors_name_their_path(path, value, where):
+    doc = _replaced(SHIPPED["klein_ladder.json"], path, value)
+    with pytest.raises(ShapeError) as info:
+        load_scenario(doc)
+    assert str(info.value).startswith(f"{where} ")
+
+
+def test_full_ladder_needs_its_frame_on_load():
+    doc = copy.deepcopy(SHIPPED["klein_ladder.json"])
+    del doc["gamma"]
+    with pytest.raises(ScenarioError, match="full-ladder scenarios need"):
+        load_scenario(doc)
+
+
+def test_load_builds_each_group_and_ladder_once(monkeypatch):
+    doc = _replaced(SHIPPED["ladder_pair.json"], ("groups", "B"),
+                    group_to_json(builtin("V4")))
+    for entry in doc["groups"].values():
+        if isinstance(entry, str):
+            builtin(entry)  # fixtures are cached: built before the count
+    built = {"groups": 0, "rows": 0}
+    post_init = FiniteGroup.__post_init__
+
+    def count_group(g):
+        built["groups"] += 1
+        post_init(g)
+
+    def count_row(j, p):
+        built["rows"] += 1
+        return make_extension(j, p)
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", count_group)
+    monkeypatch.setattr(scenario_mod, "make_extension", count_row)
+    scn = load_scenario(doc)
+    ladders = [scn.ladder(0), scn.ladder(1)]
+    assert built == {"groups": len(doc["groups"]), "rows": 3}  # e0 and two ladders
+    assert ladders[1] is scn.ladders[1] and ladders[1].e0 is scn.e0
+    assert scn.groups["A"].name == "A" and scn.groups["B"].name == "B"
+
+
+def test_build_out_unwritable_is_usage_error(tmp_path):
+    missing = tmp_path / "no" / "such" / "dir" / "built.json"
+    code, text = invoke("build", str(SCENARIOS / "inversion_action.json"),
+                        "--out", str(missing))
+    assert code == 1
+    assert text.startswith("usage error: cannot write") and text.count("\n") == 1
 
 
 def test_load_scenario_from_long_json_text():
@@ -347,3 +454,26 @@ def test_prolongation_serialization_round_trip():
     ladder = again.ladder()
     assert validate_prolongation(ladder).ok
     assert verify_covering(ladder, again.pre_prolongation())
+
+
+# --- one-field mutation fuzz ----------------------------------------------------
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.sampled_from(MUTATIONS), st.sampled_from(POOL), st.sampled_from(COMMANDS))
+def test_one_field_mutation_exits_cleanly(mutation, value, command):
+    """One JSON value of a shipped scenario replaced by a value of any shape:
+    every command exits 0, 2, 3 or 4 without an exception, and a shape
+    error names the replaced path (its own path starts there)."""
+    name, path = mutation
+    doc = _replaced(SHIPPED[name], path, value)
+    code, text = invoke("--format", "json", command, json.dumps(doc))
+    assert code in (0, 2, 3, 4), text
+    payload = json.loads(text)
+    if payload.get("kind") == "scenario":
+        try:
+            load_scenario(doc)
+        except ShapeError as exc:
+            assert str(exc) == payload["error"]
+            assert _dotted(path) in payload["error"]
+        except ScenarioError:
+            pass

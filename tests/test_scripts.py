@@ -12,9 +12,11 @@ SMALL_SWEEP = ["sweep.py", "--max-kernel", "2", "--max-cokernel", "2",
 
 
 def test_scripts_check_without_assert():
-    """python -O strips assert statements, so every check a script makes is explicit."""
-    paths = sorted(SCRIPTS.glob("*.py"))
-    assert paths
+    """python -O strips assert statements, so every check a script or the
+    library makes is explicit."""
+    library = sorted((ROOT / "src" / "prolong").glob("*.py"))
+    paths = sorted(SCRIPTS.glob("*.py")) + library
+    assert paths and library
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
