@@ -14,9 +14,9 @@ from prolong.fixtures import builtin, builtin_names, group_to_json
 OUT = Path(__file__).resolve().parent.parent / "src" / "prolong" / "fixtures"
 
 
-def write(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    print("wrote", path)
+def render(obj: dict) -> str:
+    """The text of a fixture file holding obj."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def scenario_canonical() -> dict:
@@ -126,19 +126,29 @@ def scenario_cohomology() -> dict:
     }
 
 
+def documents() -> dict[Path, dict]:
+    """Every shipped fixture file, by path, with the document it holds."""
+    docs = {OUT / f"{name}.json": group_to_json(builtin(name))
+            for name in builtin_names()}
+    scenarios = {
+        "canonical_order4": scenario_canonical(),
+        "inversion_action": scenario_inversion_action(),
+        "obstructed": scenario_obstructed(),
+        "klein_ladder": scenario_klein_ladder(),
+        "ladder_pair": scenario_ladder_pair(),
+        "klein_quotient": scenario_klein_quotient(),
+        "cohomology_z2": scenario_cohomology(),
+    }
+    docs.update({OUT / "scenarios" / f"{name}.json": doc
+                 for name, doc in scenarios.items()})
+    return docs
+
+
 def main() -> None:
-    OUT.mkdir(exist_ok=True)
-    for name in builtin_names():
-        write(OUT / f"{name}.json", group_to_json(builtin(name)))
-    scen_dir = OUT / "scenarios"
-    scen_dir.mkdir(exist_ok=True)
-    write(scen_dir / "canonical_order4.json", scenario_canonical())
-    write(scen_dir / "inversion_action.json", scenario_inversion_action())
-    write(scen_dir / "obstructed.json", scenario_obstructed())
-    write(scen_dir / "klein_ladder.json", scenario_klein_ladder())
-    write(scen_dir / "ladder_pair.json", scenario_ladder_pair())
-    write(scen_dir / "klein_quotient.json", scenario_klein_quotient())
-    write(scen_dir / "cohomology_z2.json", scenario_cohomology())
+    for path, obj in documents().items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(render(obj))
+        print("wrote", path)
 
 
 if __name__ == "__main__":

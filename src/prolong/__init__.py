@@ -25,6 +25,7 @@ from .groups import (
     cokernel,
     compose,
     direct_product,
+    fibers,
     identity_hom,
     image,
     inner_automorphism,

@@ -32,7 +32,7 @@ from .extensions import (
     choose_section,
     factor_set,
 )
-from .groups import Homomorphism, is_bijective
+from .groups import Homomorphism, fibers, is_bijective
 from .obstruction import (
     CrossedProductExtension,
     PreProlongation,
@@ -138,7 +138,7 @@ def to_crossed_product(p: Prolongation) -> tuple[Prolongation, EquivalenceWitnes
 
 
 def _search_equivalence(fs: FactorSet, kernel_map: Homomorphism,
-                        candidates: list[list[int]], max_candidates: int
+                        candidates: list[tuple[int, ...]], max_candidates: int
                         ) -> Homomorphism | None:
     """The first isomorphism of middle groups extending kernel_map, or None.
 
@@ -211,10 +211,8 @@ def _equivalence(p1: Prolongation, red1: _Reduction, p2: Prolongation,
                  ) -> EquivalenceWitness | None:
     """are_equivalent on ladders of one frame, given the reduction of p1 and
     the eps of p2's induced row."""
-    b2 = p2.e.b
-    candidates = [[0]] + [[bb for bb in b2.elements()
-                           if p2.e.p.map[bb] == p1.e.p.map[v]]
-                          for v in red1.fs.section.u[1:]]
+    over = fibers(p2.e.p)
+    candidates = [(0,)] + [over[p1.e.p.map[v]] for v in red1.fs.section.u[1:]]
     beta_star = _search_equivalence(red1.fs, eps2, candidates, max_candidates)
     if beta_star is None:
         return None
@@ -233,8 +231,7 @@ def equivalent_extensions(e1: ShortExtension, e2: ShortExtension,
     """
     if e1.a != e2.a or e1.g != e2.g:
         raise MismatchedFrame("extensions do not share kernel and quotient")
-    candidates = [[0]] + [[bb for bb in e2.b.elements() if e2.p.map[bb] == x]
-                          for x in range(1, e1.g.order)]
+    candidates = [(0,), *fibers(e2.p)[1:]]
     fs = factor_set(e1, choose_section(e1))
     return _search_equivalence(fs, e2.j, candidates, max_candidates)
 
@@ -342,20 +339,17 @@ def brute_force_coverings(pre: PreProlongation,
         raise SearchBoundExceeded(
             f"middle group order {total_order} exceeds {max_order}")
     lfs = lift_factor_set(pre)
-    e0, pi0 = d.e0, d.pi0
-    npi = pi0.order
-    fibers: dict[int, list[int]] = {}
-    for e in e0.elements():
-        fibers.setdefault(d.gammapi.map[e], []).append(e)
+    npi = d.pi0.order
+    over = fibers(d.gammapi)
     positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
     count = 1
     for (x, y) in positions:
-        count *= len(fibers[lfs.f[x][y]])
+        count *= len(over[lfs.f[x][y]])
         if count > max_candidates:
             raise SearchBoundExceeded(
                 f"lift enumeration exceeds {max_candidates} candidates")
     found = []
-    for combo in itertools.product(*(fibers[lfs.f[x][y]] for (x, y) in positions)):
+    for combo in itertools.product(*(over[lfs.f[x][y]] for (x, y) in positions)):
         h = [[0] * npi for _ in range(npi)]
         for (x, y), e in zip(positions, combo):
             h[x][y] = e

@@ -22,7 +22,7 @@ from .classify import (
     enumerate_classes,
 )
 from .cohomology import cohomology_group
-from .errors import ObstructionNonzero, ProlongError, ScenarioError
+from .errors import InvalidProlongation, ObstructionNonzero, ProlongError, ScenarioError
 from .extensions import pullback, validate_prolongation
 from .fixtures import group_to_json
 from .obstruction import (
@@ -275,7 +275,11 @@ def _cmd_oracle(scn: Scenario, args) -> tuple[int, dict]:
 def _cmd_pullback(scn: Scenario, args) -> tuple[int, dict]:
     if scn.mode != "full-ladder":
         raise ScenarioError("pullback needs a full-ladder scenario")
-    pb = pullback(scn.ladder(0).e, scn.gamma)
+    ladder = scn.ladder(0)
+    report = validate_prolongation(ladder)
+    if not report.ok:
+        raise InvalidProlongation(report)
+    pb = pullback(ladder.e, ladder.gamma)
     payload = {
         "command": "pullback",
         "middle_group": group_to_json(pb.ext.b),

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .extensions import InducedSequence, Prolongation, induced_sequence
 from .cohomology import PiModule, pi_module
-from .groups import FiniteGroup, Homomorphism, QuotientData, compose
+from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,8 @@ def induced_action(p: Prolongation
             raise FiberInconsistency(
                 f"conjugation by j({a}) acts nontrivially on E0")
     theta = []
-    for g in p.e.g.elements():
-        fiber_maps = {phi[x] for x in b.elements() if p.e.p.map[x] == g}
+    for g, over in enumerate(fibers(p.e.p)):
+        fiber_maps = {phi[x] for x in over}
         if len(fiber_maps) != 1:
             raise FiberInconsistency(f"phi is not constant on the fiber over {g}")
         theta.append(next(iter(fiber_maps)))
@@ -219,11 +219,10 @@ def induced_module_action(cm: CrossedModule, i: Homomorphism,
             r.append(i_index[y])
         restricted.append(tuple(r))
     action = []
-    for x in coker.quotient.elements():
-        fiber = [g for g in cm.d_group.elements() if coker.projection.map[g] == x]
-        maps = {restricted[g] for g in fiber}
+    for x, over in enumerate(fibers(coker.projection)):
+        maps = {restricted[g] for g in over}
         if len(maps) != 1:
             raise FiberDependentAction(
                 f"fiber over {x} induces {len(maps)} distinct actions")
-        action.append(restricted[fiber[0]])
+        action.append(restricted[over[0]])
     return pi_module(coker.quotient, a, tuple(action))

@@ -78,6 +78,10 @@ class NotExact(ProlongError):
     pass
 
 
+class NotCentral(ProlongError):
+    """The kernel of a row is not central in its middle group."""
+
+
 class ValueOutsideExpectedSubgroup(ProlongError):
     pass
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .errors import (
     CheckItem,
     InvalidProlongation,
+    MismatchedBase,
     NotExact,
     NotInjective,
     NotSurjective,
@@ -28,9 +29,9 @@ from .groups import (
     Homomorphism,
     QuotientData,
     Subgroup,
-    center,
     cokernel,
     compose,
+    fibers,
     image,
     is_injective,
     is_normal,
@@ -80,8 +81,9 @@ def make_extension(j: Homomorphism, p: Homomorphism) -> ShortExtension:
 
 
 def is_central(ext: ShortExtension) -> bool:
-    zb = set(center(ext.b).members)
-    return all(x in zb for x in ext.j.map)
+    """j(a) commutes with every element of b iff it commutes with b.gens."""
+    t = ext.b.table
+    return all(t[x][s] == t[s][x] for x in ext.j.map for s in ext.b.gens)
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,9 @@ def choose_section(ext: ShortExtension, rng: random.Random | None = None) -> Sec
 
     u[0] = 0 always, so factor sets built from the section are normalized.
     """
-    u = []
-    for g in ext.g.elements():
-        fiber = [b for b in ext.b.elements() if ext.p.map[b] == g]
-        if g == 0 or rng is None:
-            u.append(fiber[0])
-        else:
-            u.append(rng.choice(fiber))
-    return Section(ext=ext, u=tuple(u))
+    u = tuple(fiber[0] if g == 0 or rng is None else rng.choice(fiber)
+              for g, fiber in enumerate(fibers(ext.p)))
+    return Section(ext=ext, u=u)
 
 
 @dataclass(frozen=True)
@@ -183,10 +180,10 @@ class PullbackExtension:
 
 def pullback(ext: ShortExtension, along: Homomorphism) -> PullbackExtension:
     if along.target != ext.g:
-        raise ValueError("pullback map must land in the quotient of the extension")
+        raise MismatchedBase("pullback map must land in the quotient of the extension")
     cprime = along.source
-    pairs = [(b, c) for b in ext.b.elements() for c in cprime.elements()
-             if ext.p.map[b] == along.map[c]]
+    over = fibers(along)
+    pairs = [(b, c) for b in ext.b.elements() for c in over[ext.p.map[b]]]
     index = {pc: i for i, pc in enumerate(pairs)}
     n = len(pairs)
     table = [[0] * n for _ in range(n)]
@@ -215,35 +212,31 @@ class Prolongation:
     gamma: Homomorphism
 
 
-def frame_checks(e0: ShortExtension, alpha: Homomorphism, gamma: Homomorphism
-                 ) -> tuple[tuple[CheckItem, ...], tuple[CheckItem, ...]]:
-    """The items of validate_prolongation that read only the frame.
-
-    First the e0 row's exactness items; then, when those pass, e0_central,
-    alpha_epi, gamma_mono and gamma_image_normal (empty otherwise, as the
-    report stops first).
-    """
-    row = tuple(extension_checks(e0, "e0_"))
-    if not all(item.ok for item in row):
-        return row, ()
-    gamma_mono = is_injective(gamma)
-    return row, (
-        CheckItem("e0_central", is_central(e0)),
-        CheckItem("alpha_epi", is_surjective(alpha)),
-        CheckItem("gamma_mono", gamma_mono),
-        CheckItem("gamma_image_normal", is_normal(image(gamma))) if gamma_mono
-        else CheckItem("gamma_image_normal", False, "gamma not injective"))
+# one object per distinct frame_checks result, shared by every frame that has it
+_FRAME_RESULTS: dict = {}
 
 
 @lru_cache(maxsize=None)
-def frame_is_valid(e0: ShortExtension, alpha: Homomorphism,
-                   gamma: Homomorphism) -> bool:
-    """Every item of frame_checks passes, decided once per frame.
+def frame_checks(e0: ShortExtension, alpha: Homomorphism, gamma: Homomorphism
+                 ) -> tuple[tuple[CheckItem, ...], tuple[CheckItem, ...]]:
+    """The report items that read only the frame, decided once per frame.
 
-    The items name no group, so the frame alone is the cache key.
+    First the e0 row's exactness items; then, when those pass, e0_central,
+    alpha_epi, gamma_mono and gamma_image_normal (empty otherwise, as the
+    report stops first).  The items name no group, so the frame alone is the
+    cache key, and frames with equal items share one result.
     """
-    row, rest = frame_checks(e0, alpha, gamma)
-    return all(item.ok for item in row + rest)
+    row = tuple(extension_checks(e0, "e0_"))
+    rest = ()
+    if all(item.ok for item in row):
+        gamma_mono = is_injective(gamma)
+        rest = (
+            CheckItem("e0_central", is_central(e0)),
+            CheckItem("alpha_epi", is_surjective(alpha)),
+            CheckItem("gamma_mono", gamma_mono),
+            CheckItem("gamma_image_normal", is_normal(image(gamma))) if gamma_mono
+            else CheckItem("gamma_image_normal", False, "gamma not injective"))
+    return _FRAME_RESULTS.setdefault((row, rest), (row, rest))
 
 
 def validate_prolongation(p: Prolongation) -> ValidationReport:
@@ -319,8 +312,9 @@ def e0_quotient(e0: ShortExtension, alpha: Homomorphism
     """E0 = B0 / j0(ker alpha) and the identified row 0 -> A -i-> E0 -pi-> G0 -> 0.
 
     pi(b0 + ker) = p0(b0) and i(a) is the class of j0(a0) for any a0 over a
-    (the least one is taken), so alpha must be onto.  Built once per
-    (e0, alpha) and group tags, so every ladder over one frame shares it.
+    (the least one is taken), so alpha must be onto: every caller has checked
+    alpha_epi first.  Built once per (e0, alpha) and group tags, so every
+    ladder over one frame shares it.
     """
     return _e0_quotient(e0, alpha, group_tags(e0.j, e0.p, alpha))
 
@@ -328,18 +322,14 @@ def e0_quotient(e0: ShortExtension, alpha: Homomorphism
 @lru_cache(maxsize=None)
 def _e0_quotient(e0: ShortExtension, alpha: Homomorphism, tags
                  ) -> tuple[QuotientData, ShortExtension]:
-    if not is_surjective(alpha):
-        raise NotSurjective("alpha is not surjective")
     b0 = e0.b
     ker = Subgroup(b0, tuple(e0.j.map[a0] for a0 in kernel(alpha).members))
     e0_data = quotient(b0, ker)
     pi = Homomorphism(e0_data.quotient, e0.g,
                       tuple(e0.p.map[r] for r in e0_data.reps))
-    i_map = []
-    for aa in alpha.target.elements():
-        a0 = min(x for x in e0.a.elements() if alpha.map[x] == aa)
-        i_map.append(e0_data.projection.map[e0.j.map[a0]])
-    i = Homomorphism(alpha.target, e0_data.quotient, tuple(i_map))
+    proj = e0_data.projection.map
+    i = Homomorphism(alpha.target, e0_data.quotient,
+                     tuple(proj[e0.j.map[over[0]]] for over in fibers(alpha)))
     return e0_data, make_extension(i, pi)
 
 

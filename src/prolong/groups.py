@@ -27,6 +27,8 @@ from .errors import (
 )
 
 DEFAULT_AUT_BOUND = 24
+MAX_HOM_CANDIDATES = 500000   # product of the candidate image lists
+SUBGROUP_MAX_GENS = 3         # exhaustive for every group of order <= 15
 
 
 @dataclass(frozen=True)
@@ -281,29 +283,42 @@ def center(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(members))
 
 
+def _walk(rows, gens) -> list[tuple[int, int, int]]:
+    """Breadth-first walk from 0 under right multiplication by gens.
+
+    Lists every element reached other than 0 once, as (x, m, k) with
+    x = m*gens[k] and m either 0 or listed earlier.  Walking 0 first enters
+    each generator as (gens[k], 0, k), so a map built as
+    f[x] = f[m]*image[k] sends each generator to its own image.  In a finite
+    group the elements reached are the subgroup gens generate.
+    """
+    reached = {0}
+    steps = []
+    queue = [0]
+    for m in queue:
+        row = rows[m]
+        for k, s in enumerate(gens):
+            x = row[s]
+            if x not in reached:
+                reached.add(x)
+                steps.append((x, m, k))
+                queue.append(x)
+    return steps
+
+
 def subgroup_closure(g: FiniteGroup, gens) -> Subgroup:
-    members = {0}
-    frontier = [0]
-    for x in gens:
-        if x not in members:
-            members.add(x)
-            frontier.append(x)
-    while frontier:
-        new = []
-        for a in list(members):
-            for b in frontier:
-                for p in (g.table[a][b], g.table[b][a]):
-                    if p not in members:
-                        members.add(p)
-                        new.append(p)
-        frontier = new
-    return Subgroup(g, tuple(sorted(members)))
+    return Subgroup(g, (0, *(x for x, _, _ in _walk(g.table, gens))))
 
 
 def is_normal(h: Subgroup) -> bool:
+    """Conjugation by each of parent.gens maps h into h.
+
+    The elements whose conjugation maps h into h are closed under products,
+    so in a finite group they are all of it once they include the gens.
+    """
     g = h.parent
     inside = set(h.members)
-    return all(g.conjugate(a, x) in inside for a in g.elements() for x in h.members)
+    return all(g.conjugate(a, x) in inside for a in g.gens for x in h.members)
 
 
 @dataclass(frozen=True)
@@ -344,6 +359,14 @@ def quotient(g: FiniteGroup, n: Subgroup) -> QuotientData:
                         projection=projection, reps=tuple(reps))
 
 
+def fibers(f: Homomorphism) -> tuple[tuple[int, ...], ...]:
+    """The preimage of each target element under f, in ascending order."""
+    out: list[list[int]] = [[] for _ in f.target.elements()]
+    for a, x in enumerate(f.map):
+        out[x].append(a)
+    return tuple(map(tuple, out))
+
+
 def kernel(f: Homomorphism) -> Subgroup:
     return Subgroup(f.source, tuple(a for a in f.source.elements() if f.map[a] == 0))
 
@@ -365,47 +388,25 @@ def generating_set(g: FiniteGroup, start=()) -> tuple[int, ...]:
     return _greedy_generators(g.table, start)
 
 
-def _closure_schedule(g: FiniteGroup, gens):
-    """Construction order for <gens> with, per element, how to rebuild it.
-
-    Returns a list of (element, kind, data) where kind is "id", "gen" (data is
-    the position in gens) or "mul" (data is a pair of earlier elements).
-    """
-    schedule = [(0, "id", None)]
-    known = {0}
-    for pos, x in enumerate(gens):
-        if x not in known:
-            schedule.append((x, "gen", pos))
-            known.add(x)
-    changed = True
-    while changed:
-        changed = False
-        for a, _, _ in list(schedule):
-            for b, _, _ in list(schedule):
-                p = g.table[a][b]
-                if p not in known:
-                    schedule.append((p, "mul", (a, b)))
-                    known.add(p)
-                    changed = True
-    return schedule
-
-
 def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
                       injective_only: bool = False,
-                      fixed: dict[int, int] | None = None,
-                      max_candidates: int = 500000) -> tuple[Homomorphism, ...]:
-    """All homomorphisms source -> target by backtracking over generator images.
+                      fixed: dict[int, int] | None = None) -> tuple[Homomorphism, ...]:
+    """All homomorphisms source -> target, one candidate map per choice of
+    generator images.
 
+    Each generator's images are the target elements whose order divides its
+    own (equals it, when injective_only); every choice in their product is
+    extended along the closure walk and kept if it is a homomorphism.
     `fixed` pins the image of some elements in advance (their consistency is
     checked by the final homomorphism validation).  Results are sorted by map
     array, so the enumeration order is deterministic.
     """
     fixed = dict(fixed or {})
     gens = generating_set(source, start=sorted(k for k in fixed if k != 0))
-    schedule = _closure_schedule(source, gens)
+    steps = _walk(source.table, gens)
 
     candidate_lists: list[list[int]] = []
-    for pos, x in enumerate(gens):
+    for x in gens:
         if x in fixed:
             candidate_lists.append([fixed[x]])
             continue
@@ -419,22 +420,17 @@ def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
     total = 1
     for c in candidate_lists:
         total *= len(c)
-        if total > max_candidates:
+        if total > MAX_HOM_CANDIDATES:
             raise SearchBoundExceeded(
-                f"homomorphism search space exceeds {max_candidates}")
+                f"homomorphism search space exceeds {MAX_HOM_CANDIDATES}")
 
     n = source.order
+    t = target.table
     found: list[Homomorphism] = []
     for images in itertools.product(*candidate_lists):
-        m = [-1] * n
-        for elem, kind, data in schedule:
-            if kind == "id":
-                m[elem] = 0
-            elif kind == "gen":
-                m[elem] = images[data]
-            else:
-                a, b = data
-                m[elem] = target.table[m[a]][m[b]]
+        m = [0] * n
+        for x, parent, k in steps:
+            m[x] = t[m[parent]][images[k]]
         if injective_only and len(set(m)) != n:
             continue
         try:
@@ -474,16 +470,15 @@ def inner_automorphism(g: FiniteGroup, b: int) -> Homomorphism:
     return Homomorphism(g, g, tuple(g.conjugate(b, a) for a in g.elements()))
 
 
-def enumerate_subgroups(g: FiniteGroup, max_gens: int = 3) -> tuple[Subgroup, ...]:
-    """All subgroups generated by at most max_gens elements, sorted by size.
-
-    max_gens = 3 is exhaustive for every group of order <= 15 and for all the
-    shipped fixtures.
+def enumerate_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
+    """All subgroups generated by at most SUBGROUP_MAX_GENS elements, sorted
+    by size: every subgroup of a group of order <= 15 and of every shipped
+    fixture.
     """
     seen: set[tuple[int, ...]] = set()
     out: list[Subgroup] = []
     elems = list(g.elements())
-    for k in range(max_gens + 1):
+    for k in range(SUBGROUP_MAX_GENS + 1):
         for gens in itertools.combinations(elems, k):
             sub = subgroup_closure(g, gens)
             if sub.members not in seen:

@@ -31,10 +31,15 @@ from .crossed import (
 )
 from .errors import (
     CheckItem,
+    ImageNotNormal,
     MismatchedBase,
+    NotCentral,
     NotCentralValue,
     NotCocycle,
+    NotExact,
+    NotInjective,
     NotInKernel,
+    NotSurjective,
     ObstructionNonzero,
     PreconditionFailed,
     ProlongError,
@@ -48,26 +53,15 @@ from .extensions import (
     choose_section,
     cocycle_terms,
     e0_quotient,
-    extension_checks,
     factor_set,
-    frame_is_valid,
+    frame_checks,
     gamma_cokernel,
     group_tags,
     is_central,
     ladder_checks,
     make_extension,
 )
-from .groups import (
-    FiniteGroup,
-    Homomorphism,
-    QuotientData,
-    center,
-    compose,
-    image,
-    is_injective,
-    is_normal,
-    is_surjective,
-)
+from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
 
 
 @dataclass(frozen=True)
@@ -122,8 +116,20 @@ class PreDerived:
     module: PiModule
 
 
+# the error derive raises for each frame item; the e0 row's items raise NotExact
+_FRAME_ERRORS = {
+    "e0_central": (NotCentral, "the kernel of e0 is not central"),
+    "alpha_epi": (NotSurjective, "alpha is not surjective"),
+    "gamma_mono": (NotInjective, "gamma is not injective"),
+    "gamma_image_normal": (ImageNotNormal, "the image of gamma is not normal"),
+}
+
+
 def derive(pre: PreProlongation) -> PreDerived:
     """The derived data of pre, cached per pre-prolongation.
+
+    A frame that frame_checks rejects is refused with the error of its first
+    failing item, so every frame derive accepts is one validate_pre passes.
 
     Group equality ignores names and labels, so the cache key carries their
     group tags: a pre-prolongation equal to an earlier one up to them gets its
@@ -141,6 +147,12 @@ def _derive(pre: PreProlongation, tags) -> PreDerived:
         raise MismatchedBase("alpha must start at the kernel group of the base row")
     if pre.gamma.source != pre.e0.g:
         raise MismatchedBase("gamma must start at the quotient group of the base row")
+    row, rest = frame_checks(pre.e0, pre.alpha, pre.gamma)
+    for item in row + rest:
+        if not item.ok:
+            error, message = _FRAME_ERRORS.get(
+                item.name, (NotExact, f"{item.name}: {item.detail or 'failed'}"))
+            raise error(message)
     e0_data, top = e0_quotient(pre.e0, pre.alpha)
     e0, pi, i = e0_data.quotient, top.p, top.j
     coker = gamma_cokernel(pre.gamma)
@@ -163,16 +175,10 @@ def validate_pre(pre: PreProlongation) -> ValidationReport:
     items.append(CheckItem("wiring", wired))
     if not wired:
         return ValidationReport(tuple(items))
-    items.extend(extension_checks(pre.e0, "e0_"))
-    items.append(CheckItem("e0_central", is_central(pre.e0)))
-    items.append(CheckItem("alpha_epi", is_surjective(pre.alpha)))
-    gamma_mono = is_injective(pre.gamma)
-    items.append(CheckItem("gamma_mono", gamma_mono))
-    if not gamma_mono or not all(item.ok for item in items):
-        return ValidationReport(tuple(items))
-    items.append(CheckItem("gamma_image_normal", is_normal(image(pre.gamma))))
-    if not items[-1].ok:
-        return ValidationReport(tuple(items))
+    for part in frame_checks(pre.e0, pre.alpha, pre.gamma):
+        items.extend(part)
+        if not all(item.ok for item in part):
+            return ValidationReport(tuple(items))
     e0_data, top = e0_quotient(pre.e0, pre.alpha)
     e0, pi, i = e0_data.quotient, top.p, top.j
     shape_ok = (len(pre.theta) == pre.g.order
@@ -187,9 +193,7 @@ def validate_pre(pre: PreProlongation) -> ValidationReport:
         items.append(CheckItem("crossed_" + item.name, item.ok, item.detail))
     if not cm_report.ok:
         return ValidationReport(tuple(items))
-    ze0 = set(center(e0).members)
-    items.append(CheckItem("kernel_central_in_e0",
-                           all(x in ze0 for x in i.map)))
+    items.append(CheckItem("kernel_central_in_e0", is_central(top)))
     # the rest of derive, on the crossed module just checked
     try:
         induced_module_action(cm, i, gamma_cokernel(pre.gamma))
@@ -230,9 +234,7 @@ def lift_factor_set(pre: PreProlongation,
     d = derive(pre)
     pi0 = d.pi0
     fs = factor_set(d.g_row, choose_section(d.g_row, rng))
-    fibers: dict[int, list[int]] = {}
-    for e in d.e0.elements():
-        fibers.setdefault(d.pi.map[e], []).append(e)
+    over = fibers(d.pi)
     h = []
     for x in pi0.elements():
         row = []
@@ -240,9 +242,9 @@ def lift_factor_set(pre: PreProlongation,
             if x == 0 or y == 0:
                 row.append(0)
             elif rng is None:
-                row.append(fibers[fs.f[x][y]][0])
+                row.append(over[fs.f[x][y]][0])
             else:
-                row.append(rng.choice(fibers[fs.f[x][y]]))
+                row.append(rng.choice(over[fs.f[x][y]]))
         h.append(tuple(row))
     f = tuple(tuple(pre.gamma.map[g0] for g0 in row) for row in fs.f)
     return LiftedFactorSet(pre=pre, u=fs.section.u, f=f, h=tuple(h))
@@ -377,11 +379,6 @@ class CrossedProductExtension:
         """B0 -> B_h."""
         return self.ladder.beta
 
-    def pair(self, index: int) -> tuple[int, int]:
-        """Decode an element index of B_h into its (e0, x) pair."""
-        npi = len(self.h)
-        return divmod(index, npi)
-
 
 def crossed_product(pre: PreProlongation, u, h,
                     what: str = "crossed-product") -> CrossedProductExtension:
@@ -423,10 +420,11 @@ def crossed_product(pre: PreProlongation, u, h,
     are automorphisms of E0; so the identity holds iff it holds for b in
     B_h.gens on E0.gens, which is what is checked.  The induced phi is
     theta . p, the induced theta is theta, and conjugation by j(A) is trivial
-    on E0.  The ladder's items are checked at O(|B0|): the frame's once per
-    frame (frame_is_valid), the squares and kernel(beta) (ladder_checks), and
-    beta = eps . proj, eps . i = j, p . eps = gamma . pi and the projection of
-    the induced row.  A failure is the program's fault and raises
+    on E0.  The frame's items are not checked again: derive refused any frame
+    that fails one.  The ladder's own items are checked at O(|B0|): the
+    squares and kernel(beta) (ladder_checks), and beta = eps . proj,
+    eps . i = j, p . eps = gamma . pi and the projection of the induced row.
+    A failure is the program's fault and raises
     CertificateFailed: "<what> ladder must validate", or "<what> ladder must
     induce theta" for the conjugation identity.
     """
@@ -471,8 +469,7 @@ def crossed_product(pre: PreProlongation, u, h,
     seq = make_extension(eps, Homomorphism(bh, pi0, tuple(
         x for e in e0.elements() for x in pi0.elements())))
     sigma, gamma = d.coker.projection.map, pre.gamma.map
-    certify(frame_is_valid(pre.e0, pre.alpha, pre.gamma)
-            and all(item.ok for item in ladder_checks(ladder))
+    certify(all(item.ok for item in ladder_checks(ladder))
             and beta.map == tuple(eps.map[e] for e in proj)         # eps . proj
             and jmap == tuple(eps.map[e] for e in d.i.map)          # eps . i
             and tuple(pmap[b] for b in eps.map) == tuple(gamma[g0] for g0 in d.pi.map)

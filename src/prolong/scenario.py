@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ProlongError, ScenarioError, ShapeError
 from .extensions import Prolongation, ShortExtension, make_extension
-from .fixtures import builtin, group_to_json
+from .fixtures import builtin, builtin_names, group_to_json
 from .groups import FiniteGroup, Homomorphism, validate_group
 from .cohomology import PiModule, pi_module
 from .obstruction import PreProlongation
@@ -172,7 +172,10 @@ def load_scenario(source) -> Scenario:
     if any(key not in raw for key in NEEDS[mode]):
         raise ScenarioError(f"{mode} scenarios need {', '.join(NEEDS[mode])}")
 
-    groups = {key: replace(builtin(entry), name=key) if isinstance(entry, str)
+    fixtures = {name: name for name in builtin_names()}
+    groups = {key: replace(builtin(_named(fixtures, entry, f"groups.{key}",
+                                          "fixture group")), name=key)
+              if isinstance(entry, str)
               else group_from_json({**entry, "name": key}, f"groups.{key}")
               for key, entry in raw.get("groups", {}).items()}
     homs = {}

@@ -41,15 +41,14 @@ class SweepConfig:
     max_cokernel: int = 3    # |Pi0|
     max_e0: int = 8          # |E0| (enforced through |B0|)
     max_total: int = 16      # |A| * |G| = order of any covering
-    base_names: tuple[str, ...] = ()   # default: all fixtures of order <= max_e0
 
 
 def _central_rows(cfg: SweepConfig):
     """(row, a0_group) pairs: central extensions A0 -> B0 -> G0 from fixtures."""
-    names = cfg.base_names or tuple(
-        n for n in builtin_names() if builtin(n).order <= cfg.max_e0)
-    for name in names:
+    for name in builtin_names():
         b0 = builtin(name)
+        if b0.order > cfg.max_e0:
+            continue
         zb0 = set(center(b0).members)
         for sub in enumerate_subgroups(b0):
             if not all(m in zb0 for m in sub.members):

@@ -64,7 +64,7 @@ from prolong.extensions import (
     InducedSequence,
     Prolongation,
     cocycle_terms,
-    frame_is_valid,
+    frame_checks,
     ladder_checks,
     make_extension,
 )
@@ -552,7 +552,8 @@ def reference_crossed_product(pre, u, h):
     seq = make_extension(eps, Homomorphism(bh, pi0, tuple(
         x for e in e0.elements() for x in pi0.elements())))
     sigma, gamma = d.coker.projection.map, pre.gamma.map
-    certify(frame_is_valid(pre.e0, pre.alpha, pre.gamma)
+    certify(all(item.ok for part in frame_checks(pre.e0, pre.alpha, pre.gamma)
+                for item in part)
             and all(item.ok for item in ladder_checks(ladder))
             and beta.map == tuple(eps.map[e] for e in proj)
             and jmap == tuple(eps.map[e] for e in d.i.map)

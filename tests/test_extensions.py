@@ -3,7 +3,7 @@ import random
 import pytest
 
 from prolong.classify import equivalent_extensions
-from prolong.errors import NotExact, NotInjective, NotSurjective
+from prolong.errors import MismatchedBase, NotExact, NotInjective, NotSurjective
 from prolong.extensions import (
     FactorSet,
     Prolongation,
@@ -167,6 +167,12 @@ def test_pullback_along_trivial_splits():
     sections = all_homomorphisms(z4, pb.ext.b)
     assert any(tuple(pb.ext.p.map[s.map[c]] for c in z4.elements())
                == tuple(z4.elements()) for s in sections)
+
+
+def test_pullback_along_a_map_into_another_group_raises():
+    ext = ext_z2_z4()
+    with pytest.raises(MismatchedBase):
+        pullback(ext, identity_hom(builtin("Z4")))
 
 
 def test_pullback_fiber_count_and_squares():

@@ -1,6 +1,7 @@
 """The structural checks on generating sets against their full-loop oracles.
 
-validate_group (Light's test), Homomorphism (the check on generators) and
+validate_group (Light's test), Homomorphism (the check on generators),
+is_normal and is_central (conjugation and commutation by generators) and
 check_crossed_module (theta, C1 and C2 on generators) must agree with the
 full loops in tests/oracles.py on acceptance, exception type, message,
 witness and every report item.  The sweep's inputs are pinned by hash, so
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from prolong.crossed import CrossedModule, check_crossed_module
 from prolong.errors import NotAssociative, ProlongError
+from prolong.extensions import is_central, make_extension
 from prolong.fixtures import builtin, builtin_names
 from prolong.groups import (
     FiniteGroup,
@@ -24,12 +26,17 @@ from prolong.groups import (
     enumerate_subgroups,
     generating_set,
     identity_hom,
+    is_normal,
+    quotient,
+    subgroup_as_group,
     trivial_hom,
     validate_group,
 )
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 from oracles import (
+    brute_center,
+    brute_is_normal,
     reference_check_crossed_module,
     reference_check_homomorphism,
     reference_generating_set,
@@ -262,6 +269,18 @@ def test_c2_failure_over_homomorphic_theta():
     report = check_crossed_module(cm)
     assert report == reference_check_crossed_module(cm)
     assert [f.name for f in report.failures()] == ["axiom_c2"]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_normal_and_central_match_oracles(name):
+    g = builtin(name)
+    center = set(brute_center(g))
+    for sub in enumerate_subgroups(g):
+        assert is_normal(sub) == brute_is_normal(g, sub.members)
+        if is_normal(sub):
+            inclusion = subgroup_as_group(sub)[1]
+            row = make_extension(inclusion, quotient(g, sub).projection)
+            assert is_central(row) == center.issuperset(sub.members)
 
 
 @pytest.mark.parametrize("name", builtin_names())

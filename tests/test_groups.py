@@ -21,6 +21,7 @@ from prolong.groups import (
     center,
     cokernel,
     compose,
+    fibers,
     identity_hom,
     image,
     inner_automorphism,
@@ -273,6 +274,40 @@ def test_hom_enumeration_counts():
     assert len(all_homomorphisms(z4, z2)) == 2
     assert len(all_homomorphisms(z3, z4)) == 1
     assert len(all_homomorphisms(builtin("S3"), z2)) == 2
+
+
+def brute_homomorphisms(source, target) -> list[tuple[int, ...]]:
+    """Every map source -> target that preserves products, in lex order."""
+    s, t = source.table, target.table
+    pairs = list(itertools.product(source.elements(), repeat=2))
+    return [m for m in itertools.product(target.elements(), repeat=source.order)
+            if all(m[s[a][b]] == t[m[a]][m[b]] for a, b in pairs)]
+
+
+@pytest.mark.parametrize("source, target", [
+    ("Z4", "Z2"), ("V4", "S3"), ("S3", "V4"), ("Z2xZ2xZ2", "Z2"), ("D4", "Z2"),
+    ("Q8", "V4"), ("Z3", "Z6"), ("Z6", "S3"), ("Z4", "Z4xZ2")])
+def test_hom_enumeration_matches_every_map(source, target):
+    """The closure walk extends each choice of generator images; what it
+    keeps is every homomorphism, with and without pinned elements."""
+    g, h = builtin(source), builtin(target)
+    every = brute_homomorphisms(g, h)
+    assert [f.map for f in all_homomorphisms(g, h)] == every
+    injective = [m for m in every if len(set(m)) == g.order]
+    assert [f.map for f in all_homomorphisms(g, h, injective_only=True)] == injective
+    for m in every:
+        fixed = {x: m[x] for x in g.elements() if g.element_order(x) == 2}
+        pinned = [f.map for f in all_homomorphisms(g, h, fixed=fixed)]
+        assert pinned == [n for n in every if all(n[x] == y for x, y in fixed.items())]
+
+
+@pytest.mark.parametrize("source, target", [("Z4", "Z2"), ("S3", "Z2"), ("Z3", "Z6"),
+                                            ("D4", "V4")])
+def test_fibers_are_the_ascending_preimages(source, target):
+    g, h = builtin(source), builtin(target)
+    for f in all_homomorphisms(g, h):
+        assert fibers(f) == tuple(tuple(a for a in g.elements() if f.map[a] == y)
+                                  for y in h.elements())
 
 
 def test_trivial_hom_and_compose():

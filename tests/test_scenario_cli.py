@@ -151,6 +151,58 @@ def test_alpha_not_onto_exit_2(tmp_path, command):
     assert payload["kind"] == "NotSurjective"
 
 
+# A3 = {0, 3, 4} is normal in S3 but not central: e0 is not a central row
+NON_CENTRAL = {
+    "mode": "pre-prolongation",
+    "groups": {"A0": "Z3", "B0": "S3", "G0": "Z2", "A": "Z1", "G": "Z2"},
+    "homs": {
+        "j0": {"source": "A0", "target": "B0", "map": [0, 3, 4]},
+        "p0": {"source": "B0", "target": "G0", "map": [0, 1, 1, 0, 0, 1]},
+        "alpha": {"source": "A0", "target": "A", "map": [0, 0, 0]},
+        "gamma": {"source": "G0", "target": "G", "map": [0, 1]},
+    },
+    "e0": {"j": "j0", "p": "p0"},
+    "alpha": "alpha",
+    "gamma": "gamma",
+    "theta": [[0, 1], [0, 1]],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "obstruction",
+                                     "build", "classify", "oracle"])
+def test_non_central_base_row_exit_2(command):
+    """Every command refuses the frame validate rejects, with a typed error."""
+    code, payload = invoke_json(command, json.dumps(NON_CENTRAL))
+    assert code == 2
+    if command == "validate":
+        checks = payload["report"]["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == ["e0_central"]
+        assert checks[-1]["name"] == "gamma_image_normal"
+    else:
+        assert payload["kind"] == "NotCentral"
+
+
+@pytest.mark.parametrize("path, value, item, kind", [
+    (("homs", "alpha", "map"), [0, 0, 0], "alpha_epi", "NotSurjective"),
+    (("homs", "gamma", "map"), [0, 0], "gamma_mono", "NotInjective"),
+    (("groups", "G"), "S3", "gamma_image_normal", "ImageNotNormal"),
+])
+def test_derive_refuses_each_failing_frame_item(path, value, item, kind):
+    """A frame item that fails in validate's report is the error derive
+    raises, and the report stops after the frame's items."""
+    doc = _replaced(SHIPPED["inversion_action.json"], path, value)
+    if path == ("groups", "G"):
+        doc["homs"]["gamma"]["map"] = [0, 1]  # onto a transposition of S3
+    code, payload = invoke_json("validate", json.dumps(doc))
+    checks = payload["report"]["checks"]
+    assert code == 2
+    assert next(c["name"] for c in checks if not c["ok"]) == item
+    assert checks[-1]["name"] == "gamma_image_normal"
+    for command in ("cohomology", "obstruction"):
+        code, payload = invoke_json(command, json.dumps(doc))
+        assert (code, payload["kind"]) == (2, kind)
+
+
 @pytest.mark.parametrize("command",
                          ["obstruction", "build", "classify", "cohomology"])
 def test_alpha_off_the_base_row_exit_2(tmp_path, command):
@@ -197,6 +249,13 @@ def test_labels_not_a_list_exit_2(tmp_path):
     assert code == 2
     assert payload["kind"] == "scenario"
     assert "'B0'" in payload["error"]
+
+
+def test_unknown_fixture_names_its_path():
+    doc = _replaced(SHIPPED["klein_quotient.json"], ("groups", "B0"), "Z99")
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(doc)
+    assert str(info.value) == "groups.B0 names unknown fixture group 'Z99'"
 
 
 def test_group_table_not_a_list_names_its_path(tmp_path):
@@ -423,6 +482,21 @@ def test_pullback_subcommand():
     assert code == 0
     # pulling back along gamma: Z1 -> Z2 gives the fiber over the identity
     assert payload["middle_group"]["order"] == 2
+
+
+def test_pullback_of_an_invalid_ladder_exit_2():
+    """A ladder row that ends in another group than gamma's target is
+    reported, not pulled back."""
+    doc = copy.deepcopy(SHIPPED["klein_ladder.json"])
+    doc["groups"].update({"G2": "Z1", "A": "V4"})
+    doc["homs"]["j"]["map"] = [0, 1, 2, 3]
+    doc["homs"]["p"] = {"source": "B", "target": "G2", "map": [0, 0, 0, 0]}
+    doc["homs"]["alpha"]["map"] = [0, 1]
+    code, payload = invoke_json("validate", json.dumps(doc))
+    assert code == 2
+    code, payload = invoke_json("pullback", json.dumps(doc))
+    assert (code, payload["kind"]) == (2, "InvalidProlongation")
+    assert "wiring" in payload["error"]
 
 
 def test_usage_error_exit_1():

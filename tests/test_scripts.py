@@ -44,6 +44,19 @@ def test_no_unused_imports():
     assert not unused
 
 
+def test_fixture_files_match_their_generator():
+    """scripts/gen_fixtures.py reproduces every shipped group and scenario
+    file byte for byte, and ships no other."""
+    spec = importlib.util.spec_from_file_location("gen_fixtures",
+                                                  SCRIPTS / "gen_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs = gen.documents()
+    assert sorted(docs) == sorted(gen.OUT.rglob("*.json"))
+    for path, doc in docs.items():
+        assert path.read_text() == gen.render(doc), path.name
+
+
 def _landscape(out: str) -> list[str]:
     return [line for line in out.splitlines()
             if not line.startswith(("generated", "processed", "  oracle-unchecked"))]
