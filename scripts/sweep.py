@@ -11,12 +11,15 @@ On the first disagreement it names the sweep index and the kind of
 disagreement and exits 1; the checks are explicit, so they also run under
 `python -O`.
 
-Usage: python scripts/sweep.py [--max-kernel 3] [--max-cokernel 3]
+Usage: python scripts/sweep.py [--max-kernel N] [--max-cokernel N]
+                               [--max-e0 N] [--max-total N]
+Each flag sets the SweepConfig field of its name and defaults to it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from collections import Counter
@@ -37,14 +40,13 @@ def disagree(idx: int, kind: str) -> NoReturn:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-kernel", type=int, default=3)
-    parser.add_argument("--max-cokernel", type=int, default=3)
-    parser.add_argument("--max-e0", type=int, default=8)
-    parser.add_argument("--max-total", type=int, default=16)
+    fields = [f.name for f in dataclasses.fields(SweepConfig)]
+    for name in fields:
+        parser.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=getattr(SweepConfig, name))
     args = parser.parse_args()
 
-    cfg = SweepConfig(max_kernel=args.max_kernel, max_cokernel=args.max_cokernel,
-                      max_e0=args.max_e0, max_total=args.max_total)
+    cfg = SweepConfig(**{name: getattr(args, name) for name in fields})
     t0 = time.time()
     pres = generate_pre_prolongations(cfg)
     print(f"generated {len(pres)} pre-prolongations in {time.time() - t0:.1f}s")

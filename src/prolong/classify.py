@@ -20,7 +20,6 @@ from .errors import (
     NotHomomorphism,
     NotInKernel,
     PreconditionFailed,
-    ProlongError,
     SearchBoundExceeded,
     certify,
 )
@@ -43,9 +42,9 @@ from .obstruction import (
     lift_factor_set,
 )
 
-DEFAULT_SEARCH_BOUND = 4096
-DEFAULT_BRUTE_ORDER = 16
-DEFAULT_BRUTE_CANDIDATES = 1 << 20
+MAX_EQUIVALENCE_CANDIDATES = 4096   # product of the section-image candidates
+DEFAULT_BRUTE_ORDER = 16             # middle-group order the oracle accepts
+MAX_LIFT_CANDIDATES = 1 << 20        # normalized lifts the oracle enumerates
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +137,7 @@ def to_crossed_product(p: Prolongation) -> tuple[Prolongation, EquivalenceWitnes
 
 
 def _search_equivalence(fs: FactorSet, kernel_map: Homomorphism,
-                        candidates: list[tuple[int, ...]], max_candidates: int
-                        ) -> Homomorphism | None:
+                        candidates: list[tuple[int, ...]]) -> Homomorphism | None:
     """The first isomorphism of middle groups extending kernel_map, or None.
 
     fs is a factor set of the row 0 -> K -j-> B1 -> Q -> 1 over a section u;
@@ -148,10 +146,11 @@ def _search_equivalence(fs: FactorSet, kernel_map: Homomorphism,
     (candidates[0] = [0]).  A partial choice must preserve
     u_s u_t = j(f(s, t)) u_st; the choices are tried in lexicographic order.
     """
-    total = prod(len(c) for c in candidates)
-    if total > max_candidates:
+    total = prod(map(len, candidates))
+    if total > MAX_EQUIVALENCE_CANDIDATES:
         raise SearchBoundExceeded(
-            f"equivalence search space {total} exceeds {max_candidates}")
+            f"equivalence search space {total} exceeds "
+            f"MAX_EQUIVALENCE_CANDIDATES = {MAX_EQUIVALENCE_CANDIDATES}")
     q = fs.ext.g
     b1, b2 = fs.ext.b, kernel_map.target
     kmap = kernel_map.map
@@ -191,9 +190,7 @@ def _search_equivalence(fs: FactorSet, kernel_map: Homomorphism,
     return backtrack([0], 1)
 
 
-def are_equivalent(p1: Prolongation, p2: Prolongation,
-                   max_candidates: int = DEFAULT_SEARCH_BOUND
-                   ) -> EquivalenceWitness | None:
+def are_equivalent(p1: Prolongation, p2: Prolongation) -> EquivalenceWitness | None:
     """Search for an equivalence witness; None when the ladders are inequivalent.
 
     beta_star is forced on the image of eps by beta_star . beta = beta', so
@@ -202,18 +199,16 @@ def are_equivalent(p1: Prolongation, p2: Prolongation,
     """
     _require_same_frame(p1, p2)
     red1 = _reduce(p1)
-    return _equivalence(p1, red1, p2, ladder_crossed_module(p2).induced.eps,
-                        max_candidates)
+    return _equivalence(p1, red1, p2, ladder_crossed_module(p2).induced.eps)
 
 
 def _equivalence(p1: Prolongation, red1: _Reduction, p2: Prolongation,
-                 eps2: Homomorphism, max_candidates: int = DEFAULT_SEARCH_BOUND
-                 ) -> EquivalenceWitness | None:
+                 eps2: Homomorphism) -> EquivalenceWitness | None:
     """are_equivalent on ladders of one frame, given the reduction of p1 and
     the eps of p2's induced row."""
     over = fibers(p2.e.p)
     candidates = [(0,)] + [over[p1.e.p.map[v]] for v in red1.fs.section.u[1:]]
-    beta_star = _search_equivalence(red1.fs, eps2, candidates, max_candidates)
+    beta_star = _search_equivalence(red1.fs, eps2, candidates)
     if beta_star is None:
         return None
     witness = EquivalenceWitness(beta_star=beta_star, first=p1, second=p2)
@@ -221,8 +216,7 @@ def _equivalence(p1: Prolongation, red1: _Reduction, p2: Prolongation,
     return witness
 
 
-def equivalent_extensions(e1: ShortExtension, e2: ShortExtension,
-                          max_candidates: int = DEFAULT_SEARCH_BOUND
+def equivalent_extensions(e1: ShortExtension, e2: ShortExtension
                           ) -> Homomorphism | None:
     """Equivalence of bare extensions (identity on kernel and quotient).
 
@@ -233,7 +227,7 @@ def equivalent_extensions(e1: ShortExtension, e2: ShortExtension,
         raise MismatchedFrame("extensions do not share kernel and quotient")
     candidates = [(0,), *fibers(e2.p)[1:]]
     fs = factor_set(e1, choose_section(e1))
-    return _search_equivalence(fs, e2.j, candidates, max_candidates)
+    return _search_equivalence(fs, e2.j, candidates)
 
 
 def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
@@ -297,8 +291,7 @@ class ProlongationClass:
     coordinates: tuple[int, ...]
 
 
-def enumerate_classes(pre: PreProlongation,
-                      verify_distinct: bool = False) -> tuple[ProlongationClass, ...]:
+def enumerate_classes(pre: PreProlongation) -> tuple[ProlongationClass, ...]:
     """One class per element of H^2, obtained by acting on the base covering.
 
     The base is the covering of the canonical obstruction result, a crossed
@@ -310,20 +303,10 @@ def enumerate_classes(pre: PreProlongation,
     for coords in itertools.product(*(range(d) for d in h2.invariant_factors)):
         rep = _act(coords, pre, base.u, base.h).ladder
         classes.append(ProlongationClass(representative=rep, coordinates=coords))
-    if verify_distinct:
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                if are_equivalent(classes[i].representative,
-                                  classes[j].representative) is not None:
-                    raise ProlongError(
-                        f"classes {classes[i].coordinates} and "
-                        f"{classes[j].coordinates} are equivalent")
     return tuple(classes)
 
 
-def brute_force_coverings(pre: PreProlongation,
-                          max_order: int = DEFAULT_BRUTE_ORDER,
-                          max_candidates: int = DEFAULT_BRUTE_CANDIDATES
+def brute_force_coverings(pre: PreProlongation, max_order: int = DEFAULT_BRUTE_ORDER
                           ) -> tuple[Prolongation, ...]:
     """Exhaustive covering search, independent of the H^2/torsor machinery.
 
@@ -337,19 +320,19 @@ def brute_force_coverings(pre: PreProlongation,
     total_order = d.module.a.order * pre.g.order
     if total_order > max_order:
         raise SearchBoundExceeded(
-            f"middle group order {total_order} exceeds {max_order}")
+            f"middle group order {total_order} exceeds max_order = {max_order}")
     lfs = lift_factor_set(pre)
     npi = d.pi0.order
     over = fibers(d.gammapi)
     positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
-    count = 1
-    for (x, y) in positions:
-        count *= len(over[lfs.f[x][y]])
-        if count > max_candidates:
-            raise SearchBoundExceeded(
-                f"lift enumeration exceeds {max_candidates} candidates")
+    choices = [over[lfs.f[x][y]] for (x, y) in positions]
+    count = prod(map(len, choices))
+    if count > MAX_LIFT_CANDIDATES:
+        raise SearchBoundExceeded(
+            f"lift enumeration {count} exceeds "
+            f"MAX_LIFT_CANDIDATES = {MAX_LIFT_CANDIDATES}")
     found = []
-    for combo in itertools.product(*(over[lfs.f[x][y]] for (x, y) in positions)):
+    for combo in itertools.product(*choices):
         h = [[0] * npi for _ in range(npi)]
         for (x, y), e in zip(positions, combo):
             h[x][y] = e

@@ -17,6 +17,7 @@ import random
 import sys
 
 from .classify import (
+    DEFAULT_BRUTE_ORDER,
     are_equivalent,
     brute_force_coverings,
     enumerate_classes,
@@ -76,7 +77,7 @@ def _build_parser() -> _Parser:
     scenario_cmd("classify", "enumerate equivalence classes of coverings")
     scenario_cmd("equiv", "decide equivalence of the two ladders of a scenario")
     scenario_cmd("oracle", "diff brute-force coverings against the enumeration",
-                 **{"--max-order": {"type": int, "default": 16}})
+                 **{"--max-order": {"type": int, "default": DEFAULT_BRUTE_ORDER}})
     scenario_cmd("pullback", "pull the ladder row back along gamma")
     return parser
 

@@ -36,7 +36,7 @@ from .groups import FiniteGroup, Homomorphism
 from . import snf
 
 MAX_DEGREE = 4
-DEFAULT_SIZE_BOUND = 4096
+MAX_COMPLEX_CELLS = 4096   # |Pi0|^n * max(rank A, 1) of the degree-n cochains
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +480,7 @@ def _delta_rank(module: PiModule, degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cohomology_group(degree: int, module: PiModule,
-                     max_cells: int = DEFAULT_SIZE_BOUND) -> CohomologyGroup:
+def cohomology_group(degree: int, module: PiModule) -> CohomologyGroup:
     """H^degree = ker d / im d, with its invariant factors decided exactly.
 
     When the coefficients are (Z/p)^r for a prime p, every cochain group is
@@ -495,9 +494,10 @@ def cohomology_group(degree: int, module: PiModule,
     struct = abelian_structure(module.a)
     r = struct.rank
     npi = module.pi.order
-    if npi ** degree * max(r, 1) > max_cells:
+    cells = npi ** degree * max(r, 1)
+    if cells > MAX_COMPLEX_CELLS:
         raise SizeBoundExceeded(
-            f"complex size {npi ** degree * max(r, 1)} exceeds bound {max_cells}")
+            f"complex size {cells} exceeds MAX_COMPLEX_CELLS = {MAX_COMPLEX_CELLS}")
     if r == 0 or npi == 1:
         return CohomologyGroup(module=module, degree=degree, invariant_factors=())
     p = _elementary_prime(struct)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 from .errors import (
     IdentityNotAtZero,
@@ -26,7 +27,7 @@ from .errors import (
     SearchBoundExceeded,
 )
 
-DEFAULT_AUT_BOUND = 24
+MAX_AUT_ORDER = 24            # order of a group whose automorphisms are listed
 MAX_HOM_CANDIDATES = 500000   # product of the candidate image lists
 SUBGROUP_MAX_GENS = 3         # exhaustive for every group of order <= 15
 
@@ -417,12 +418,10 @@ def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
             cands = [t for t in target.elements() if ox % target.element_order(t) == 0]
         candidate_lists.append(cands)
 
-    total = 1
-    for c in candidate_lists:
-        total *= len(c)
-        if total > MAX_HOM_CANDIDATES:
-            raise SearchBoundExceeded(
-                f"homomorphism search space exceeds {MAX_HOM_CANDIDATES}")
+    total = prod(map(len, candidate_lists))
+    if total > MAX_HOM_CANDIDATES:
+        raise SearchBoundExceeded(f"homomorphism search space {total} exceeds "
+                                  f"MAX_HOM_CANDIDATES = {MAX_HOM_CANDIDATES}")
 
     n = source.order
     t = target.table
@@ -441,23 +440,22 @@ def all_homomorphisms(source: FiniteGroup, target: FiniteGroup, *,
     return tuple(found)
 
 
-def automorphism_group(g: FiniteGroup,
-                       max_order: int = DEFAULT_AUT_BOUND) -> tuple[Homomorphism, ...]:
+def automorphism_group(g: FiniteGroup) -> tuple[Homomorphism, ...]:
     """All automorphisms, in lexicographic order of their map arrays."""
-    if g.order > max_order:
+    if g.order > MAX_AUT_ORDER:
         raise OrderBoundExceeded(
-            f"group order {g.order} exceeds automorphism bound {max_order}")
+            f"group order {g.order} exceeds MAX_AUT_ORDER = {MAX_AUT_ORDER}")
     return all_homomorphisms(g, g, injective_only=True)
 
 
 @lru_cache(maxsize=None)
-def automorphism_group_table(g: FiniteGroup, max_order: int = DEFAULT_AUT_BOUND):
+def automorphism_group_table(g: FiniteGroup):
     """The automorphism group as a FiniteGroup, plus its index-aligned maps.
 
     Index 0 is the identity automorphism; the product of indices i, j is the
     automorphism a -> aut_i(aut_j(a)).
     """
-    auts = automorphism_group(g, max_order)
+    auts = automorphism_group(g)
     index = {a.map: i for i, a in enumerate(auts)}
     k = len(auts)
     table = [[index[tuple(auts[i].map[auts[j].map[x]] for x in g.elements())]

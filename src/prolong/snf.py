@@ -257,12 +257,6 @@ def rank_mod_p(a, cols: int, p: int) -> int:
     return len(pivots)
 
 
-def solve_integer(a, b: list[int], rows: int | None = None,
-                  cols: int | None = None) -> list[int] | None:
-    """One integer solution x of a @ x == b, or None when unsolvable."""
-    return smith_normal_form(a, rows, cols, track="uv").solve(b)
-
-
 def kernel_basis(a, rows: int | None = None, cols: int | None = None) -> list[list[int]]:
     """Column vectors spanning the integer kernel of a."""
     sf = smith_normal_form(a, rows, cols, track="v")

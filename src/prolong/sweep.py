@@ -58,11 +58,14 @@ def _central_rows(cfg: SweepConfig):
             yield make_extension(inclusion, q.projection), a0
 
 
-def _gammas(g0: FiniteGroup, cfg: SweepConfig):
-    """Injective normal-image maps out of g0, one per image subgroup."""
-    targets = [builtin(n) for n in builtin_names()
-               if builtin(n).order % g0.order == 0]
-    for g in targets:
+def _gammas(g0: FiniteGroup, cfg: SweepConfig) -> list[Homomorphism]:
+    """Injective normal-image maps out of g0 with cokernel order at most
+    cfg.max_cokernel, one per image subgroup."""
+    gammas = []
+    for name in builtin_names():
+        g = builtin(name)
+        if g.order % g0.order or g.order // g0.order > cfg.max_cokernel:
+            continue
         seen_images = set()
         try:
             homs = all_homomorphisms(g0, g, injective_only=True)
@@ -73,11 +76,9 @@ def _gammas(g0: FiniteGroup, cfg: SweepConfig):
             if img.members in seen_images:
                 continue
             seen_images.add(img.members)
-            if not is_normal(img):
-                continue
-            if g.order // g0.order > cfg.max_cokernel:
-                continue
-            yield gamma
+            if is_normal(img):
+                gammas.append(gamma)
+    return gammas
 
 
 def _thetas(pre_frame: tuple[ShortExtension, Homomorphism, Homomorphism]):
@@ -118,13 +119,14 @@ def generate_pre_prolongations(cfg: SweepConfig = SweepConfig()
     """Every valid pre-prolongation inside the configured bounds."""
     found: list[PreProlongation] = []
     for e0row, a0 in _central_rows(cfg):
+        gammas = _gammas(e0row.g, cfg)
         kernels = enumerate_subgroups(a0)
         for ker_sub in kernels:
             if a0.order // ker_sub.order > cfg.max_kernel:
                 continue
             alpha = quotient(a0, ker_sub).projection
             a = alpha.target
-            for gamma in _gammas(e0row.g, cfg):
+            for gamma in gammas:
                 if a.order * gamma.target.order > cfg.max_total:
                     continue
                 for theta in _thetas((e0row, alpha, gamma)):

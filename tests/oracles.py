@@ -17,6 +17,8 @@ crossed module of every ladder anew, through `induce_crossed_module`.
 when its pairing table (built entry by entry, `reference_pairing_table`)
 passes `validate_group` and filters the assembled ladders by the theta
 `induce_crossed_module` derives.
+`equivalent_class_pair` checks that enumerated classes are pairwise
+inequivalent, by running the equivalence search on every pair.
 
 `reference_crossed_product` is the crossed-product construction that proves
 the group axioms of each pairing table a second time: it compares
@@ -602,6 +604,15 @@ def reference_brute_force_coverings(pre) -> tuple:
         if not any(are_equivalent(p, q) is not None for q in reps):
             reps.append(p)
     return tuple(reps)
+
+
+def equivalent_class_pair(classes):
+    """The coordinates of the first two enumerated classes whose
+    representatives are equivalent, or None when the classes are distinct."""
+    for c1, c2 in itertools.combinations(classes, 2):
+        if are_equivalent(c1.representative, c2.representative) is not None:
+            return c1.coordinates, c2.coordinates
+    return None
 
 
 def reference_validate_group(table, labels=None, name: str = "") -> FiniteGroup:

@@ -65,6 +65,7 @@ from oracles import (
     brute_cosets,
     count_free_cochains,
     enumerate_cohomology,
+    equivalent_class_pair,
 )
 
 DESCRIPTIONS = {
@@ -213,10 +214,11 @@ def fixture_coverings():
     for name, factory in PRE_FIXTURES.items():
         pre = factory()
         try:
-            classes = enumerate_classes(pre, verify_distinct=True)
+            classes = enumerate_classes(pre)
             built = build_prolongation(pre).prolongation
         except ObstructionNonzero:
             classes, built = (), None
+        assert equivalent_class_pair(classes) is None, name
         coverings = brute_force_coverings(pre)
         data[name] = SimpleNamespace(pre=pre, built=built, classes=classes,
                                      coverings=coverings)

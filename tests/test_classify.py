@@ -40,6 +40,7 @@ from prolong.scenario import load_scenario
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 from oracles import (
+    equivalent_class_pair,
     inverse_hom,
     reference_brute_force_coverings,
     reference_crossed_product,
@@ -116,10 +117,21 @@ def test_mismatched_frame_raises():
         are_equivalent(p1, p2)
 
 
-def test_search_bound():
+def test_search_bound(monkeypatch):
     p = build_prolongation(pre_canonical()).prolongation
-    with pytest.raises(SearchBoundExceeded):
-        are_equivalent(p, p, max_candidates=1)
+    monkeypatch.setattr(classify, "MAX_EQUIVALENCE_CANDIDATES", 1)
+    with pytest.raises(SearchBoundExceeded) as err:
+        are_equivalent(p, p)
+    assert str(err.value) == (
+        "equivalence search space 2 exceeds MAX_EQUIVALENCE_CANDIDATES = 1")
+
+
+def test_lift_enumeration_bound(monkeypatch):
+    """Four positions with three lifts each: the whole product, 81, is named."""
+    monkeypatch.setattr(classify, "MAX_LIFT_CANDIDATES", 3)
+    with pytest.raises(SearchBoundExceeded) as err:
+        brute_force_coverings(pre_z3_over_z3())
+    assert str(err.value) == "lift enumeration 81 exceeds MAX_LIFT_CANDIDATES = 3"
 
 
 def test_bare_extension_equivalence():
@@ -281,14 +293,16 @@ def test_z3_kernel_single_class():
     pre = PreProlongation(e0=e0, alpha=identity_hom(z3),
                           gamma=Homomorphism(z1, z2, (0,)),
                           theta=(ident, ident))
-    classes = enumerate_classes(pre, verify_distinct=True)
+    classes = enumerate_classes(pre)
+    assert equivalent_class_pair(classes) is None
     assert len(classes) == 1
     assert len(brute_force_coverings(pre)) == 1
 
 
 def test_z3_over_z3_three_classes():
     pre = pre_z3_over_z3()
-    classes = enumerate_classes(pre, verify_distinct=True)
+    classes = enumerate_classes(pre)
+    assert equivalent_class_pair(classes) is None
     assert len(classes) == 3
     profiles = sorted(c.representative.e.b.order_profile() for c in classes)
     assert profiles[0] == (1, 3, 3, 3, 3, 3, 3, 3, 3)
@@ -329,7 +343,8 @@ def test_obstructed_has_no_coverings():
 @pytest.mark.parametrize("factory", VANISHING)
 def test_counts_agree_with_h2(factory):
     pre = factory()
-    classes = enumerate_classes(pre, verify_distinct=True)
+    classes = enumerate_classes(pre)
+    assert equivalent_class_pair(classes) is None
     coverings = brute_force_coverings(pre)
     h2 = cohomology_group(2, derive(pre).module)
     assert len(classes) == len(coverings) == h2.order

@@ -178,9 +178,12 @@ def test_h2_h3_of_z2_z2():
     assert cohomology_group(3, m).invariant_factors == (2,)
 
 
-def test_size_bound():
-    with pytest.raises(SizeBoundExceeded):
-        cohomology_group(3, trivial_module(Z4, Z2), max_cells=10)
+def test_size_bound(monkeypatch):
+    monkeypatch.setattr(cohomology, "MAX_COMPLEX_CELLS", 10)
+    cohomology_group.cache_clear()
+    with pytest.raises(SizeBoundExceeded) as err:
+        cohomology_group(3, trivial_module(Z4, Z2))
+    assert str(err.value) == "complex size 64 exceeds MAX_COMPLEX_CELLS = 10"
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 6), (4, 2), (4, 6)])

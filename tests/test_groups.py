@@ -11,13 +11,16 @@ from prolong.errors import (
     NotNormal,
     NotSubgroup,
     OrderBoundExceeded,
+    SearchBoundExceeded,
 )
+from prolong import groups
 from prolong.fixtures import builtin, builtin_names
 from prolong.groups import (
     Homomorphism,
     Subgroup,
     all_homomorphisms,
     automorphism_group,
+    automorphism_group_table,
     center,
     cokernel,
     compose,
@@ -342,9 +345,23 @@ def test_aut_deterministic_order():
     assert maps == sorted(maps)
 
 
-def test_aut_bound():
-    with pytest.raises(OrderBoundExceeded):
-        automorphism_group(builtin("Z9"), max_order=8)
+def test_aut_bound(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_AUT_ORDER", 8)
+    automorphism_group_table.cache_clear()
+    with pytest.raises(OrderBoundExceeded) as err:
+        automorphism_group_table(builtin("Z9"))
+    assert str(err.value) == "group order 9 exceeds MAX_AUT_ORDER = 8"
+    assert len(automorphism_group(builtin("Z8"))) == 4
+
+
+def test_hom_search_bound(monkeypatch):
+    """The whole product of the candidate lists is named, not the first
+    partial product past the bound."""
+    monkeypatch.setattr(groups, "MAX_HOM_CANDIDATES", 3)
+    with pytest.raises(SearchBoundExceeded) as err:
+        all_homomorphisms(builtin("V4"), builtin("V4"))
+    assert str(err.value) == (
+        "homomorphism search space 16 exceeds MAX_HOM_CANDIDATES = 3")
 
 
 @given(FIXTURES)

@@ -475,6 +475,8 @@ def test_oracle_max_order_guard():
     code, payload = invoke_json(
         "oracle", str(SCENARIOS / "canonical_order4.json"), "--max-order", "2")
     assert code == 2  # SearchBoundExceeded surfaces as an invalid-input error
+    assert payload == {"error": "middle group order 4 exceeds max_order = 2",
+                       "kind": "SearchBoundExceeded"}
 
 
 def test_pullback_subcommand():

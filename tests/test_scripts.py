@@ -80,7 +80,7 @@ def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
     def bounded(pre):
         calls.append(pre)
         if len(calls) % 3 == 1:
-            raise SearchBoundExceeded("middle group order 18 exceeds 16")
+            raise SearchBoundExceeded("middle group order 18 exceeds max_order = 16")
         return oracle(pre)
 
     monkeypatch.setattr(sweep, "brute_force_coverings", bounded)

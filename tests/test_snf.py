@@ -9,7 +9,6 @@ from prolong.snf import (
     matvec,
     rank_mod_p,
     smith_normal_form,
-    solve_integer,
 )
 
 from oracles import reference_smith_normal_form, reference_solve_integer
@@ -71,15 +70,16 @@ def test_solve_round_trip(m, data):
     cols = len(m[0])
     x = data.draw(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols))
     b = matvec(m, x)
-    sol = solve_integer(m, b)
+    sol = smith_normal_form(m, track="uv").solve(b)
     assert sol is not None
     assert matvec(m, sol) == b
 
 
 def test_solve_unsolvable():
-    assert solve_integer([[2]], [1]) is None
-    assert solve_integer([[2, 0], [0, 3]], [1, 1]) is None
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+    assert smith_normal_form([[2]], track="uv").solve([1]) is None
+    diag = smith_normal_form([[2, 0], [0, 3]], track="uv")
+    assert diag.solve([1, 1]) is None
+    assert diag.solve([4, 9]) == [2, 3]
 
 
 @given(small_matrix)
@@ -101,7 +101,7 @@ def test_lattice_basis_spans():
     # every generator solvable over the basis
     mat = [[b[i] for b in basis] for i in range(2)]
     for col in cols:
-        assert solve_integer(mat, col) is not None
+        assert smith_normal_form(mat, track="uv").solve(col) is not None
 
 
 def test_lattice_basis_degenerate():
@@ -132,7 +132,6 @@ def test_one_factor_solves_like_a_fresh_one(m, data):
     for _ in range(3):
         b = data.draw(st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m)))
         assert sf.solve(b) == reference_solve_integer(m, b, len(m), cols)
-        assert solve_integer(m, b, len(m), cols) == sf.solve(b)
 
 
 def test_solve_needs_u_and_v():
