@@ -42,7 +42,6 @@ from .extensions import (
     Prolongation,
     Section,
     ShortExtension,
-    check_factor_identity,
     choose_section,
     factor_set,
     induced_sequence,
@@ -63,7 +62,6 @@ from .cohomology import (
     cohomology_group,
     is_coboundary,
     is_cocycle,
-    iter_normalized_cochains,
     pi_module,
     same_class,
     trivial_module,

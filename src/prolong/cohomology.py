@@ -255,14 +255,6 @@ def is_cocycle(c: Cochain) -> bool:
     return coboundary(c).is_zero()
 
 
-def iter_normalized_cochains(module: PiModule, degree: int):
-    """Every normalized cochain of the given degree, in lexicographic order."""
-    npi = module.pi.order
-    positions = free_positions(npi, degree)
-    for combo in itertools.product(module.a.elements(), repeat=len(positions)):
-        yield cochain_from_values(module, degree, dict(zip(positions, combo)))
-
-
 # ---------------------------------------------------------------------------
 # The complex as integer matrices
 # ---------------------------------------------------------------------------

@@ -156,15 +156,6 @@ def cocycle_terms(k: FiniteGroup, q: FiniteGroup, act, h):
                kt[h[x][y]][h[qt[x][y]][z]])
 
 
-def check_factor_identity(ext: ShortExtension, section: Section, fs: FactorSet) -> bool:
-    """The associativity identity mu_{u_x} f(y,z) * f(x,yz) = f(x,y) * f(xy,z)."""
-    b = ext.b
-    jf = [[ext.j.map[v] for v in row] for row in fs.f]
-    conj = [[b.conjugate(ux, e) for e in b.elements()] for ux in section.u]
-    return all(left == right
-               for *_, left, right in cocycle_terms(b, ext.g, conj, jf))
-
-
 @dataclass(frozen=True)
 class PullbackExtension:
     """The pulled-back extension along a map into the quotient.

@@ -1,21 +1,33 @@
-"""Systematic generation of small pre-prolongations for exhaustive testing.
+"""Systematic generation of small pre-prolongations, and the cross-check
+each one gets.
 
 Enumerates central rows from the fixture groups, injections gamma with small
 cokernel, and every homomorphism theta passing the crossed-module axioms.
 The enumeration is deterministic, so sweep results are reproducible.
+`check` tests both theorems on one input against the brute-force oracle, and
+`landscape` tallies the reports of a sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
+from .classify import ProlongationClass, brute_force_coverings, enumerate_classes
+from .cohomology import cohomology_group
 from .errors import (
     FiberDependentAction,
     InvalidCrossedModule,
     KernelNotPreserved,
     SearchBoundExceeded,
 )
-from .extensions import ShortExtension, e0_quotient, make_extension
+from .extensions import (
+    Prolongation,
+    ShortExtension,
+    e0_quotient,
+    is_central,
+    make_extension,
+)
 from .fixtures import builtin, builtin_names
 from .groups import (
     FiniteGroup,
@@ -30,7 +42,7 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .obstruction import PreProlongation, derive
+from .obstruction import ObstructionResult, PreProlongation, derive, obstruction_class
 
 
 @dataclass(frozen=True)
@@ -139,3 +151,81 @@ def generate_pre_prolongations(cfg: SweepConfig = SweepConfig()
                         continue
                     found.append(pre)
     return tuple(found)
+
+
+@dataclass(frozen=True, eq=False)
+class InputReport:
+    """One input's answers and the first way they disagree.
+
+    `coverings` is None when the oracle hit a bound, and `unchecked` is then
+    that bound's message.  The classes, |H^2| and centrality are filled in
+    for a vanishing class only; a check stops at its first disagreement.
+    """
+
+    pre: PreProlongation
+    result: ObstructionResult
+    coverings: tuple[Prolongation, ...] | None
+    unchecked: str | None
+    classes: tuple[ProlongationClass, ...] = ()
+    h2_order: int | None = None
+    central: bool | None = None
+    disagreement: str | None = None
+
+
+def check(pre: PreProlongation) -> InputReport:
+    """Existence three ways (class, construction, oracle), the class count
+    against |H^2| and the oracle, and centrality against a trivial kernel
+    action.  The checks are explicit, so they also run under python -O."""
+    res = obstruction_class(pre)
+    try:
+        coverings, unchecked = brute_force_coverings(pre), None
+    except SearchBoundExceeded as exc:
+        coverings, unchecked = None, str(exc)
+    report = InputReport(pre, res, coverings, unchecked)
+    found = "unchecked" if coverings is None else len(coverings)
+    constructed = res.covering is not None
+    if (constructed != res.vanishes
+            or coverings is not None and bool(coverings) != res.vanishes):
+        return replace(report, disagreement=(
+            f"existence: constructed {constructed}, class vanishes "
+            f"{res.vanishes}, {found} brute-force coverings"))
+    if not res.vanishes:
+        return report
+    module = derive(pre).module
+    report = replace(report, classes=enumerate_classes(pre),
+                     h2_order=cohomology_group(2, module).order)
+    if (len(report.classes) != report.h2_order
+            or coverings is not None and len(coverings) != report.h2_order):
+        return replace(report, disagreement=(
+            f"class count: {len(report.classes)} classes, {found} "
+            f"brute-force coverings, |H^2| = {report.h2_order}"))
+    trivial_action = all(p == tuple(range(pre.a.order)) for p in module.action)
+    report = replace(report, central=is_central(res.prolongation.e))
+    if report.central != trivial_action:
+        return replace(report, disagreement=(
+            f"centrality: covering central {report.central}, "
+            f"kernel action trivial {trivial_action}"))
+    return report
+
+
+def landscape(reports) -> list[str]:
+    """The tallies of a sweep's reports, then the non-central coverings by
+    sweep index with the order profiles of their middle groups.  The reports
+    may come one at a time: none is kept."""
+    stats: Counter = Counter()
+    noncentral = []
+    for idx, report in enumerate(reports):
+        if report.coverings is None:
+            stats["oracle-unchecked"] += 1
+        if not report.result.vanishes:
+            stats["obstructed"] += 1
+            continue
+        stats["vanishing"] += 1
+        stats[f"{len(report.classes)} class(es)"] += 1
+        if not report.central:
+            noncentral.append((idx, report.result.prolongation.e.b.order_profile()))
+    lines = [f"  {key}: {stats[key]}" for key in sorted(stats)]
+    lines.append(f"noncentral coverings (nontrivial kernel action): {len(noncentral)}")
+    lines += [f"  sweep index {idx}: middle-group order profile {profile}"
+              for idx, profile in noncentral]
+    return lines

@@ -4,6 +4,9 @@ The brute-force oracles deliberately avoid the library's own algorithms:
 centers by raw commutation scans, quotients by explicit coset partitions,
 automorphisms by filtering all identity-fixing permutations, and abelian
 invariant factors by order statistics (no Smith normal form anywhere).
+`iter_normalized_cochains` lists every normalized cochain of a degree, and
+`check_factor_identity` checks the cocycle identity of a factor set on its
+extension's middle group.
 
 The reference engine at the end is the exact slow path the library's
 cohomology engine replaced: the untightened Smith normal form, one
@@ -44,7 +47,6 @@ from prolong.cohomology import (
     abelian_structure,
     cochain_from_values,
     free_positions,
-    iter_normalized_cochains,
 )
 from prolong.classify import are_equivalent
 from prolong.crossed import InducedCrossedModule, induce_crossed_module
@@ -63,8 +65,11 @@ from prolong.errors import (
     certify,
 )
 from prolong.extensions import (
+    FactorSet,
     InducedSequence,
     Prolongation,
+    Section,
+    ShortExtension,
     cocycle_terms,
     frame_checks,
     ladder_checks,
@@ -183,6 +188,22 @@ def invariant_factors_from_orders(order_of, size: int) -> tuple[int, ...]:
         if all(prod(gcd(d, m) for d in chain) == counts[m] for m in counts):
             return chain
     raise AssertionError("no invariant factor chain matches the order counts")
+
+
+def iter_normalized_cochains(module, degree: int):
+    """Every normalized cochain of the given degree, in lexicographic order."""
+    positions = free_positions(module.pi.order, degree)
+    for combo in itertools.product(module.a.elements(), repeat=len(positions)):
+        yield cochain_from_values(module, degree, dict(zip(positions, combo)))
+
+
+def check_factor_identity(ext: ShortExtension, section: Section, fs: FactorSet) -> bool:
+    """The associativity identity mu_{u_x} f(y,z) * f(x,yz) = f(x,y) * f(xy,z)."""
+    b = ext.b
+    jf = [[ext.j.map[v] for v in row] for row in fs.f]
+    conj = [[b.conjugate(ux, e) for e in b.elements()] for ux in section.u]
+    return all(left == right
+               for *_, left, right in cocycle_terms(b, ext.g, conj, jf))
 
 
 def enumerate_cohomology(module, degree: int):

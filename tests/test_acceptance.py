@@ -13,14 +13,13 @@ induced action on the kernel is trivial.
 import itertools
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from prolong.classify import (
     are_equivalent,
-    brute_force_coverings,
-    enumerate_classes,
     to_crossed_product,
     torsor_act,
     witness_is_valid,
@@ -35,7 +34,6 @@ from prolong.cohomology import (
     trivial_module,
 )
 from prolong.crossed import check_crossed_module, induce_crossed_module
-from prolong.errors import ObstructionNonzero
 from prolong.extensions import is_central, make_extension
 from prolong.fixtures import builtin, builtin_names
 from prolong.groups import (
@@ -50,14 +48,13 @@ from prolong.groups import (
 )
 from prolong.obstruction import (
     PreProlongation,
-    build_prolongation,
     derive,
     lift_factor_set,
     obstruction_class,
     obstruction_cocycle,
     verify_covering,
 )
-from prolong.sweep import SweepConfig, generate_pre_prolongations
+from prolong.sweep import check, landscape
 
 from oracles import (
     brute_automorphisms,
@@ -186,42 +183,25 @@ COHOMOLOGY_MODULES = [
 
 ENUMERATION_BOUND = 1 << 20
 
+SWEEP_DEFAULT_PIN = Path(__file__).parent / "data" / "sweep_default.txt"
+
 
 @pytest.fixture(scope="module")
-def sweep_data():
-    """Obstruction class, construction attempt and exhaustive coverings for
-    every generated pre-prolongation (shared by criteria 6, 7, 8, 9)."""
+def sweep_data(default_sweep):
+    """The sweep's check of every default-sweep input, and the time the
+    checks took (shared by criteria 6, 7, 8, 9)."""
     t0 = time.monotonic()
-    pres = generate_pre_prolongations(SweepConfig())
-    rows = []
-    for pre in pres:
-        res = obstruction_class(pre)
-        try:
-            built = build_prolongation(pre).prolongation
-        except ObstructionNonzero:
-            built = None
-        coverings = brute_force_coverings(pre)
-        rows.append(SimpleNamespace(pre=pre, result=res, built=built,
-                                    coverings=coverings))
-    return SimpleNamespace(rows=rows, elapsed=time.monotonic() - t0)
+    reports = [check(pre) for pre in default_sweep]
+    return SimpleNamespace(reports=reports, elapsed=time.monotonic() - t0)
 
 
 @pytest.fixture(scope="module")
 def fixture_coverings():
-    """All coverings of the named fixtures: base build, enumerated classes,
-    exhaustive search (shared by criteria 7, 8, 9, 10)."""
-    data = {}
-    for name, factory in PRE_FIXTURES.items():
-        pre = factory()
-        try:
-            classes = enumerate_classes(pre)
-            built = build_prolongation(pre).prolongation
-        except ObstructionNonzero:
-            classes, built = (), None
-        assert equivalent_class_pair(classes) is None, name
-        coverings = brute_force_coverings(pre)
-        data[name] = SimpleNamespace(pre=pre, built=built, classes=classes,
-                                     coverings=coverings)
+    """The sweep's check of each named fixture, by name: its covering,
+    enumerated classes and exhaustive search (shared by criteria 6-10)."""
+    data = {name: check(factory()) for name, factory in PRE_FIXTURES.items()}
+    for name, r in data.items():
+        assert equivalent_class_pair(r.classes) is None, name
     return data
 
 
@@ -324,46 +304,39 @@ def test_criterion_05_obstruction_cochain_validity():
     report(5, True, f"{len(PRE_FIXTURES)} fixtures x 11 choices")
 
 
-def test_criterion_06_existence_three_ways(sweep_data):
-    t0 = time.monotonic()
+def test_criterion_06_existence_three_ways(sweep_data, fixture_coverings):
     vanishing = obstructed = 0
-    for row in sweep_data.rows:
-        constructed = row.built is not None
-        assert constructed == row.result.vanishes == bool(row.coverings), row.pre
-        if row.result.vanishes:
+    for r in [*sweep_data.reports, *fixture_coverings.values()]:
+        constructed = r.result.covering is not None
+        assert constructed == r.result.vanishes == bool(r.coverings), r.pre
+        if r.result.vanishes:
             vanishing += 1
         else:
             obstructed += 1
-    for name, factory in PRE_FIXTURES.items():
-        pre = factory()
-        res = obstruction_class(pre)
-        try:
-            build_prolongation(pre)
-            constructed = True
-        except ObstructionNonzero:
-            constructed = False
-        assert constructed == res.vanishes == bool(brute_force_coverings(pre))
-    elapsed = sweep_data.elapsed + (time.monotonic() - t0)
+    elapsed = sweep_data.elapsed
     ok = elapsed < 300.0
-    report(6, ok, f"{len(sweep_data.rows)} sweep members "
+    report(6, ok, f"{len(sweep_data.reports)} sweep members + "
+                  f"{len(fixture_coverings)} fixtures "
                   f"({vanishing} vanishing, {obstructed} obstructed), "
                   f"{elapsed:.1f}s")
     assert ok, f"runtime {elapsed:.1f}s exceeds 5 min"
 
 
+def test_default_sweep_landscape_is_pinned(sweep_data):
+    """The default sweep agrees with itself on every input, and its tallies
+    and non-central coverings are the pinned ones."""
+    assert [r.disagreement for r in sweep_data.reports] == [None] * 1101
+    assert landscape(sweep_data.reports) == SWEEP_DEFAULT_PIN.read_text().splitlines()
+
+
 def _all_produced_prolongations(sweep_data, fixture_coverings):
-    for row in sweep_data.rows:
-        if row.built is not None:
-            yield row.pre, row.built
-        for p in row.coverings:
-            yield row.pre, p
-    for data in fixture_coverings.values():
-        if data.built is not None:
-            yield data.pre, data.built
-        for c in data.classes:
-            yield data.pre, c.representative
-        for p in data.coverings:
-            yield data.pre, p
+    for r in [*sweep_data.reports, *fixture_coverings.values()]:
+        if r.result.prolongation is not None:
+            yield r.pre, r.result.prolongation
+        for c in r.classes:
+            yield r.pre, c.representative
+        for p in r.coverings:
+            yield r.pre, p
 
 
 @pytest.mark.xfail(
@@ -411,48 +384,46 @@ def test_criterion_08_induced_crossed_modules(sweep_data, fixture_coverings):
 
 def test_criterion_09_classification(sweep_data, fixture_coverings):
     # named fixtures: counts, pairwise-distinct classes, free + transitive
-    for name, data in fixture_coverings.items():
-        pre = data.pre
-        if data.built is None:
-            assert data.coverings == ()
+    for name, r in fixture_coverings.items():
+        if not r.result.vanishes:
+            assert r.coverings == ()
             continue
-        h2 = cohomology_group(2, derive(pre).module)
-        assert len(data.classes) == h2.order == len(data.coverings), name
+        h2 = cohomology_group(2, derive(r.pre).module)
+        assert len(r.classes) == h2.order == len(r.coverings), name
         coords_space = list(itertools.product(
             *(range(d) for d in h2.invariant_factors)))
-        base = data.built
+        base = r.result.prolongation
         for coords in coords_space:
             acted = torsor_act(coords, base)
             hit_base = are_equivalent(acted, base) is not None
             assert hit_base == all(c == 0 for c in coords), (name, coords)
-        for c in data.classes:
-            hits = [p for p in data.coverings
+        for c in r.classes:
+            hits = [p for p in r.coverings
                     if are_equivalent(c.representative, p) is not None]
             assert len(hits) == 1, (name, c.coordinates)
     # sweep-wide count agreement
-    for row in sweep_data.rows:
-        if row.result.vanishes:
-            h2 = cohomology_group(2, derive(row.pre).module)
-            assert len(row.coverings) == h2.order
+    for r in sweep_data.reports:
+        if r.result.vanishes:
+            assert len(r.classes) == r.h2_order == len(r.coverings)
     # the canonical scenario yields exactly the cyclic and Klein forms
     canonical = fixture_coverings["canonical"]
     profiles = sorted(c.representative.e.b.order_profile()
                       for c in canonical.classes)
     assert profiles == [(1, 2, 2, 2), (1, 2, 4, 4)]
     report(9, True, f"{len(fixture_coverings)} fixtures + "
-                    f"{len(sweep_data.rows)} sweep members")
+                    f"{len(sweep_data.reports)} sweep members")
 
 
 def test_criterion_10_reduction_witnesses(fixture_coverings):
     total = 0
-    for name, data in fixture_coverings.items():
-        all_coverings = list(data.coverings)
-        if data.built is not None:
-            all_coverings.append(data.built)
-            all_coverings.extend(c.representative for c in data.classes)
+    for name, r in fixture_coverings.items():
+        all_coverings = list(r.coverings)
+        if r.result.prolongation is not None:
+            all_coverings.append(r.result.prolongation)
+            all_coverings.extend(c.representative for c in r.classes)
         for p in all_coverings:
             reduced, witness = to_crossed_product(p)
             assert witness_is_valid(witness), name
-            assert verify_covering(reduced, data.pre), name
+            assert verify_covering(reduced, r.pre), name
             total += 1
     report(10, True, f"{total} reductions")

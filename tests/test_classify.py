@@ -37,7 +37,7 @@ from prolong.obstruction import (
     verify_covering,
 )
 from prolong.scenario import load_scenario
-from prolong.sweep import SweepConfig, generate_pre_prolongations
+from prolong.sweep import check
 
 from oracles import (
     equivalent_class_pair,
@@ -375,10 +375,10 @@ def _outcome(check, p, pre):
         return type(exc)
 
 
-def _sweep_frames() -> dict:
+def _sweep_frames(pres) -> dict:
     """The default-sweep inputs grouped by frame, in sweep order."""
     frames: dict = {}
-    for pre in generate_pre_prolongations(SweepConfig()):
+    for pre in pres:
         frames.setdefault((pre.e0, pre.alpha, pre.gamma), []).append(pre)
     return frames
 
@@ -399,12 +399,12 @@ def _record_crossed_products(monkeypatch) -> list:
     return built
 
 
-def test_verify_covering_matches_full_path(monkeypatch):
+def test_verify_covering_matches_full_path(monkeypatch, default_sweep):
     """Every ladder brute_force_coverings assembles and crossed_product
     certifies, over every tenth frame of the default sweep, gets the same
     answer against each theta of its frame whether or not its crossed module
     is certified anew."""
-    frames = _sweep_frames()
+    frames = _sweep_frames(default_sweep)
     built = _record_crossed_products(monkeypatch)
     for thetas in list(frames.values())[::10]:
         for pre in thetas:
@@ -421,18 +421,16 @@ def test_verify_covering_matches_full_path(monkeypatch):
     assert {answer for _, answer in answers} == {True, False}
 
 
-def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch):
-    """Over every tenth frame of the default sweep, every ladder that
-    build_prolongation, brute_force_coverings and enumerate_classes build
-    carries the crossed module induce_crossed_module derives from it: the same
+def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch,
+                                                               default_sweep):
+    """Over every tenth frame of the default sweep, every ladder that the
+    sweep's check builds (the canonical covering, the oracle's and the
+    enumerated classes) carries the crossed module induce_crossed_module derives from it: the same
     theta, phi, eps and projection of the induced row."""
     built = _record_crossed_products(monkeypatch)
-    for thetas in list(_sweep_frames().values())[::10]:
+    for thetas in list(_sweep_frames(default_sweep).values())[::10]:
         for pre in thetas:
-            brute_force_coverings(pre)
-            if obstruction_class(pre).vanishes:
-                build_prolongation(pre)
-                enumerate_classes(pre)
+            check(pre)
     monkeypatch.undo()
     assert len(built) > 100
     noncentral = 0
@@ -446,12 +444,12 @@ def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch):
     assert noncentral
 
 
-def test_base_covering_is_its_own_reduction():
+def test_base_covering_is_its_own_reduction(default_sweep):
     """Over every tenth frame of the default sweep, the covering of each
     vanishing class is a crossed product over coker.reps whose reduction is
     its own u and h, the data enumerate_classes acts on."""
     checked = 0
-    for thetas in list(_sweep_frames().values())[::10]:
+    for thetas in list(_sweep_frames(default_sweep).values())[::10]:
         for pre in thetas:
             base = obstruction_class(pre).covering
             if base is None:
@@ -496,7 +494,7 @@ def _construction(build, pre, u, h):
             cp.icm.phi, cp.u, cp.h)
 
 
-def test_crossed_product_matches_reference_construction():
+def test_crossed_product_matches_reference_construction(default_sweep):
     """Over every tenth frame of the default sweep and every theta on it,
     crossed_product and the construction that composes phi_x phi_y on all of
     E0 and proves B_h a group with validate_group agree on every lift drawn
@@ -504,7 +502,7 @@ def test_crossed_product_matches_reference_construction():
     exception and message."""
     rng = random.Random(9)
     outcomes = Counter()
-    for thetas in list(_sweep_frames().values())[::10]:
+    for thetas in list(_sweep_frames(default_sweep).values())[::10]:
         d = derive(thetas[0])
         lifts = _lifts(d.e0.order, d.pi0.order, rng)
         for pre in thetas:
@@ -516,12 +514,12 @@ def test_crossed_product_matches_reference_construction():
     assert outcomes.keys() == {"accepted", "PreconditionFailed", "NotHomomorphism"}
 
 
-def test_brute_force_coverings_matches_reference():
+def test_brute_force_coverings_matches_reference(default_sweep):
     """On every tenth input of the default sweep, keeping the lifts
     crossed_product accepts gives the ladders, in order, that filtering by an
     associative pairing table and the induced theta gives."""
     sizes = set()
-    for pre in generate_pre_prolongations(SweepConfig())[::10]:
+    for pre in default_sweep[::10]:
         fast = brute_force_coverings(pre)
         slow = reference_brute_force_coverings(pre)
         assert fast == slow

@@ -15,7 +15,6 @@ from prolong.cohomology import (
     free_positions,
     is_coboundary,
     is_cocycle,
-    iter_normalized_cochains,
     pi_module,
     same_class,
     trivial_module,
@@ -33,12 +32,12 @@ from prolong import cohomology, snf
 from prolong.fixtures import builtin, cyclic
 from prolong.groups import all_homomorphisms
 from prolong.obstruction import derive
-from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 from oracles import (
     ReferenceCohomology,
     enumerate_cohomology,
     invariant_factors_from_orders,
+    iter_normalized_cochains,
     reference_coboundary,
     reference_delta_matrix,
 )
@@ -381,8 +380,8 @@ def test_rank_factors_match_lattice_and_reference(module, degree):
     _factors_agree(module, degree)
 
 
-def test_rank_factors_match_on_sweep_modules():
-    modules = {derive(pre).module for pre in generate_pre_prolongations(SweepConfig())}
+def test_rank_factors_match_on_sweep_modules(default_sweep):
+    modules = {derive(pre).module for pre in default_sweep}
     nontrivial = [m for m in modules if m.pi.order > 1 and m.a.order > 1]
     assert len(nontrivial) >= 4
     for module in nontrivial:

@@ -7,7 +7,6 @@ from prolong.errors import MismatchedBase, NotExact, NotInjective, NotSurjective
 from prolong.extensions import (
     FactorSet,
     Prolongation,
-    check_factor_identity,
     choose_section,
     factor_set,
     induced_sequence,
@@ -28,6 +27,8 @@ from prolong.groups import (
     subgroup_closure,
     trivial_hom,
 )
+
+from oracles import check_factor_identity
 
 
 def ext_z2_z4():

@@ -32,7 +32,6 @@ from prolong.groups import (
     trivial_hom,
     validate_group,
 )
-from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 from oracles import (
     brute_center,
@@ -305,14 +304,13 @@ def test_generating_set_matches_oracle_on_any_start(name, data):
 SWEEP_INPUTS_SHA256 = "13c42071046c6bebaac9cad09223b845569db39d3fb815893001bd6e819a49af"
 
 
-def test_default_sweep_inputs_are_pinned():
-    pres = generate_pre_prolongations(SweepConfig())
+def test_default_sweep_inputs_are_pinned(default_sweep):
     digest = hashlib.sha256()
-    for pre in pres:
+    for pre in default_sweep:
         e0 = pre.e0
         digest.update(repr((e0.a.table, e0.b.table, e0.g.table, e0.j.map, e0.p.map,
                             pre.alpha.target.table, pre.alpha.map,
                             pre.gamma.target.table, pre.gamma.map,
                             pre.theta)).encode())
-    assert len(pres) == 1101
+    assert len(default_sweep) == 1101
     assert digest.hexdigest() == SWEEP_INPUTS_SHA256

@@ -3,12 +3,18 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+import prolong.sweep
 from prolong.errors import SearchBoundExceeded
+from prolong.obstruction import obstruction_class
+from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 SMALL_SWEEP = ["sweep.py", "--max-kernel", "2", "--max-cokernel", "2",
                "--max-e0", "4", "--max-total", "8"]
+SMALL_CONFIG = SweepConfig(max_kernel=2, max_cokernel=2, max_e0=4, max_total=8)
 
 
 def test_scripts_check_without_assert():
@@ -62,30 +68,74 @@ def _landscape(out: str) -> list[str]:
             if not line.startswith(("generated", "processed", "  oracle-unchecked"))]
 
 
-def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
-    """An input past the covering search's bounds is counted and skips only
-    the oracle's checks: the sweep runs to the end, where a disagreement
-    would exit 1, with the landscape of a sweep the oracle checks fully."""
+def _sweep_script(monkeypatch):
+    """scripts/sweep.py as a module, set to run the small sweep."""
     spec = importlib.util.spec_from_file_location("sweep_script", SCRIPTS / "sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     monkeypatch.setattr(sys, "argv", SMALL_SWEEP)
+    return sweep
+
+
+def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
+    """An input past the covering search's bounds is counted and skips only
+    the oracle's checks: the sweep runs to the end, where a disagreement
+    would exit 1, with the landscape of a sweep the oracle checks fully."""
+    sweep = _sweep_script(monkeypatch)
     sweep.main()
     checked = capsys.readouterr().out
     assert "oracle-unchecked" not in checked
 
-    calls = []
-    oracle = sweep.brute_force_coverings
+    calls, reports = [], []
+    oracle, check = prolong.sweep.brute_force_coverings, sweep.check
+    bound = "middle group order 18 exceeds max_order = 16"
 
     def bounded(pre):
         calls.append(pre)
         if len(calls) % 3 == 1:
-            raise SearchBoundExceeded("middle group order 18 exceeds max_order = 16")
+            raise SearchBoundExceeded(bound)
         return oracle(pre)
 
-    monkeypatch.setattr(sweep, "brute_force_coverings", bounded)
+    def recorded(pre):
+        reports.append(check(pre))
+        return reports[-1]
+
+    monkeypatch.setattr(prolong.sweep, "brute_force_coverings", bounded)
+    monkeypatch.setattr(sweep, "check", recorded)
     sweep.main()
     out = capsys.readouterr().out
     assert len(calls) == 103
     assert "  oracle-unchecked: 35\n" in out
     assert _landscape(out) == _landscape(checked)
+    assert [r.unchecked for r in reports if r.coverings is None] == [bound] * 35
+
+
+def _no_coverings(oracle):
+    return lambda pre: ()
+
+
+def _drop_a_class(enumerate_classes):
+    return lambda pre: enumerate_classes(pre)[1:]
+
+
+def _flip(is_central):
+    return lambda ext: not is_central(ext)
+
+
+@pytest.mark.parametrize("kind, name, broken", [
+    ("existence", "brute_force_coverings", _no_coverings),
+    ("class count", "enumerate_classes", _drop_a_class),
+    ("centrality", "is_central", _flip),
+])
+def test_sweep_names_each_disagreement(monkeypatch, capsys, kind, name, broken):
+    """With one collaborator of the check broken, the first vanishing input
+    of the small sweep disagrees in that kind, and the script names its index
+    and the kind on stderr and exits 1."""
+    pres = generate_pre_prolongations(SMALL_CONFIG)
+    idx = next(i for i, pre in enumerate(pres) if obstruction_class(pre).vanishes)
+    monkeypatch.setattr(prolong.sweep, name, broken(getattr(prolong.sweep, name)))
+    assert prolong.sweep.check(pres[idx]).disagreement.startswith(f"{kind}: ")
+    with pytest.raises(SystemExit) as exit_info:
+        _sweep_script(monkeypatch).main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith(f"sweep index {idx}: {kind}: ")
