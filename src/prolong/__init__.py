@@ -93,7 +93,6 @@ from .classify import (
     brute_force_coverings,
     difference_cocycle,
     enumerate_classes,
-    equivalent_extensions,
     to_crossed_product,
     torsor_act,
 )

@@ -27,7 +27,6 @@ from .extensions import (
     FactorSet,
     Prolongation,
     Section,
-    ShortExtension,
     choose_section,
     factor_set,
 )
@@ -216,20 +215,6 @@ def _equivalence(p1: Prolongation, red1: _Reduction, p2: Prolongation,
     return witness
 
 
-def equivalent_extensions(e1: ShortExtension, e2: ShortExtension
-                          ) -> Homomorphism | None:
-    """Equivalence of bare extensions (identity on kernel and quotient).
-
-    The search runs on e1 over its least-index section; a map it returns
-    agrees with the kernel maps and the projections by construction.
-    """
-    if e1.a != e2.a or e1.g != e2.g:
-        raise MismatchedFrame("extensions do not share kernel and quotient")
-    candidates = [(0,), *fibers(e2.p)[1:]]
-    fs = factor_set(e1, choose_section(e1))
-    return _search_equivalence(fs, e2.j, candidates)
-
-
 def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
     """The class difference r = h2 - h1 of two coverings of one pre-prolongation.
 
@@ -337,7 +322,7 @@ def brute_force_coverings(pre: PreProlongation, max_order: int = DEFAULT_BRUTE_O
         for (x, y), e in zip(positions, combo):
             h[x][y] = e
         try:
-            found.append(crossed_product(pre, lfs.u, h, what="assembled"))
+            found.append(crossed_product(pre, lfs.u, h))
         except PreconditionFailed:
             continue
     found.sort(key=lambda cp: cp.ext.b.table)

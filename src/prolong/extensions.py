@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -30,7 +30,6 @@ from .groups import (
     QuotientData,
     Subgroup,
     cokernel,
-    compose,
     fibers,
     image,
     is_injective,
@@ -44,40 +43,44 @@ from .groups import (
 
 @dataclass(frozen=True)
 class ShortExtension:
-    """0 -> a -j-> b -p-> g -> 1 (exactness is checked by make_extension)."""
+    """0 -> a -j-> b -p-> g -> 1, exact by construction; a, b and g are read
+    off j and p.
 
-    a: FiniteGroup
-    b: FiniteGroup
-    g: FiniteGroup
+    The pair (j, p) is refused, in this order, when j and p are not
+    composable (NotExact), j is not injective (NotInjective), p is not onto
+    (NotSurjective) or image(j) != kernel(p) (NotExact).
+    """
+
+    a: FiniteGroup = field(init=False)
+    b: FiniteGroup = field(init=False)
+    g: FiniteGroup = field(init=False)
     j: Homomorphism
     p: Homomorphism
 
+    def __post_init__(self):
+        j, p = self.j, self.p
+        if j.target != p.source:
+            raise NotExact("j and p are not composable")
+        if not is_injective(j):
+            raise NotInjective("kernel map is not injective")
+        if not is_surjective(p):
+            raise NotSurjective("projection is not surjective")
+        if set(j.map) != set(kernel(p).members):
+            raise NotExact("image(j) != kernel(p)")
+        object.__setattr__(self, "a", j.source)
+        object.__setattr__(self, "b", j.target)
+        object.__setattr__(self, "g", p.target)
 
-def extension_checks(ext: ShortExtension, prefix: str = "") -> list[CheckItem]:
-    items = []
-    wired = (ext.j.source == ext.a and ext.j.target == ext.b
-             and ext.p.source == ext.b and ext.p.target == ext.g)
-    items.append(CheckItem(prefix + "wiring", wired))
-    if not wired:
-        return items
-    items.append(CheckItem(prefix + "j_injective", is_injective(ext.j)))
-    items.append(CheckItem(prefix + "p_surjective", is_surjective(ext.p)))
-    exact = set(ext.j.map) == set(kernel(ext.p).members)
-    items.append(CheckItem(prefix + "exact_at_b", exact,
-                           "" if exact else "image(j) != kernel(p)"))
-    return items
+
+def extension_checks(prefix: str) -> tuple[CheckItem, ...]:
+    """A row's report items, all passed: a ShortExtension is exact."""
+    return tuple(CheckItem(prefix + name, True)
+                 for name in ("wiring", "j_injective", "p_surjective", "exact_at_b"))
 
 
 def make_extension(j: Homomorphism, p: Homomorphism) -> ShortExtension:
-    if j.target != p.source:
-        raise NotExact("j and p are not composable")
-    if not is_injective(j):
-        raise NotInjective("kernel map is not injective")
-    if not is_surjective(p):
-        raise NotSurjective("projection is not surjective")
-    if set(j.map) != set(kernel(p).members):
-        raise NotExact("image(j) != kernel(p)")
-    return ShortExtension(a=j.source, b=j.target, g=p.target, j=j, p=p)
+    """The exact row of j and p (ShortExtension(j, p))."""
+    return ShortExtension(j, p)
 
 
 def is_central(ext: ShortExtension) -> bool:
@@ -188,7 +191,7 @@ def pullback(ext: ShortExtension, along: Homomorphism) -> PullbackExtension:
                           tuple(index[(ext.j.map[a], 0)] for a in ext.a.elements()))
     pprime = Homomorphism(bprime, cprime, tuple(c for _, c in pairs))
     to_base = Homomorphism(bprime, ext.b, tuple(b for b, _ in pairs))
-    return PullbackExtension(ext=make_extension(jprime, pprime),
+    return PullbackExtension(ext=ShortExtension(jprime, pprime),
                              to_base=to_base, pairs=tuple(pairs))
 
 
@@ -209,48 +212,37 @@ _FRAME_RESULTS: dict = {}
 
 @lru_cache(maxsize=None)
 def frame_checks(e0: ShortExtension, alpha: Homomorphism, gamma: Homomorphism
-                 ) -> tuple[tuple[CheckItem, ...], tuple[CheckItem, ...]]:
-    """The report items that read only the frame, decided once per frame.
+                 ) -> tuple[CheckItem, ...]:
+    """The report items that read only the frame, decided once per frame:
+    e0_central, alpha_epi, gamma_mono and gamma_image_normal.
 
-    First the e0 row's exactness items; then, when those pass, e0_central,
-    alpha_epi, gamma_mono and gamma_image_normal (empty otherwise, as the
-    report stops first).  The items name no group, so the frame alone is the
-    cache key, and frames with equal items share one result.
+    The items name no group, so the frame alone is the cache key, and frames
+    with equal items share one result.
     """
-    row = tuple(extension_checks(e0, "e0_"))
-    rest = ()
-    if all(item.ok for item in row):
-        gamma_mono = is_injective(gamma)
-        rest = (
-            CheckItem("e0_central", is_central(e0)),
-            CheckItem("alpha_epi", is_surjective(alpha)),
-            CheckItem("gamma_mono", gamma_mono),
-            CheckItem("gamma_image_normal", is_normal(image(gamma))) if gamma_mono
-            else CheckItem("gamma_image_normal", False, "gamma not injective"))
-    return _FRAME_RESULTS.setdefault((row, rest), (row, rest))
+    gamma_mono = is_injective(gamma)
+    items = (
+        CheckItem("e0_central", is_central(e0)),
+        CheckItem("alpha_epi", is_surjective(alpha)),
+        CheckItem("gamma_mono", gamma_mono),
+        CheckItem("gamma_image_normal", is_normal(image(gamma))) if gamma_mono
+        else CheckItem("gamma_image_normal", False, "gamma not injective"))
+    return _FRAME_RESULTS.setdefault(items, items)
 
 
 def validate_prolongation(p: Prolongation) -> ValidationReport:
     """Full report of the ladder invariants; never raises.
 
-    The frame's items come from frame_checks; the e row, the squares and
-    kernel(beta) are checked per ladder.
+    Both rows are exact by type, so their items pass; the frame's items come
+    from frame_checks, and the squares and kernel(beta) are checked per ladder.
     """
-    items: list[CheckItem] = []
     wired = (p.alpha.source == p.e0.a and p.alpha.target == p.e.a
              and p.beta.source == p.e0.b and p.beta.target == p.e.b
              and p.gamma.source == p.e0.g and p.gamma.target == p.e.g)
-    items.append(CheckItem("wiring", wired))
     if not wired:
-        return ValidationReport(tuple(items))
-    row, frame = frame_checks(p.e0, p.alpha, p.gamma)
-    items.extend(row)
-    items.extend(extension_checks(p.e, "e_"))
-    if not all(item.ok for item in items):
-        return ValidationReport(tuple(items))
-    items.extend(frame)
-    items.extend(ladder_checks(p))
-    return ValidationReport(tuple(items))
+        return ValidationReport((CheckItem("wiring", False),))
+    return ValidationReport((CheckItem("wiring", True), *extension_checks("e0_"),
+                             *extension_checks("e_"),
+                             *frame_checks(p.e0, p.alpha, p.gamma), *ladder_checks(p)))
 
 
 def ladder_checks(p: Prolongation) -> tuple[CheckItem, ...]:
@@ -321,7 +313,7 @@ def _e0_quotient(e0: ShortExtension, alpha: Homomorphism, tags
     proj = e0_data.projection.map
     i = Homomorphism(alpha.target, e0_data.quotient,
                      tuple(proj[e0.j.map[over[0]]] for over in fibers(alpha)))
-    return e0_data, make_extension(i, pi)
+    return e0_data, ShortExtension(i, pi)
 
 
 def gamma_cokernel(gamma: Homomorphism) -> QuotientData:
@@ -341,12 +333,26 @@ def induced_sequence(p: Prolongation) -> InducedSequence:
     e0_data, top = e0_quotient(p.e0, p.alpha)
     eps = Homomorphism(e0_data.quotient, p.e.b,
                        tuple(p.beta.map[r] for r in e0_data.reps))
-    certify(all(eps.map[e0_data.projection.map[x]] == p.beta.map[x]
-                for x in p.e0.b.elements()), "beta must factor through E0")
-    coker = gamma_cokernel(p.gamma)
-    seq = make_extension(eps, compose(coker.projection, p.e.p))
-    certify(compose(eps, top.j).map == p.e.j.map, "eps . i must equal j")
-    certify(compose(p.e.p, eps).map == compose(p.gamma, top.p).map,
+    return certify_induced(p, eps, e0_data, top, gamma_cokernel(p.gamma))
+
+
+def certify_induced(p: Prolongation, eps: Homomorphism, e0_data: QuotientData,
+                    top: ShortExtension, coker: QuotientData) -> InducedSequence:
+    """The induced sequence of the ladder p, given eps: E0 -> B.
+
+    The one check of eps against the ladder: eps . proj = beta, eps . i = j
+    and p . eps = gamma . pi, compared on the raw maps.  The row
+    0 -> E0 -eps-> B -> Pi0 -> 1 projects by sigma . p.  A failure is the
+    program's fault and raises CertificateFailed.
+    """
+    e, em = p.e, eps.map
+    certify(tuple(em[x] for x in e0_data.projection.map) == p.beta.map,
+            "beta must factor through E0")
+    certify(tuple(em[a] for a in top.j.map) == e.j.map, "eps . i must equal j")
+    certify(tuple(e.p.map[x] for x in em) == tuple(p.gamma.map[g0] for g0 in top.p.map),
             "p . eps must equal gamma . pi")
+    sigma = coker.projection.map
+    seq = ShortExtension(eps, Homomorphism(e.b, coker.quotient,
+                                           tuple(sigma[y] for y in e.p.map)))
     return InducedSequence(seq=seq, eps=eps, i=top.j, pi=top.p,
                            e0_data=e0_data, coker=coker, top=top)

@@ -8,7 +8,6 @@ scenario.group_from_json reads them back.
 from __future__ import annotations
 
 from functools import lru_cache
-from pathlib import Path
 
 from .errors import ScenarioError
 from .groups import FiniteGroup, direct_product, validate_group
@@ -124,8 +123,4 @@ def group_to_json(g: FiniteGroup) -> dict:
     if g.labels is not None:
         obj["labels"] = list(g.labels)
     return obj
-
-
-def fixtures_dir() -> Path:
-    return Path(__file__).parent / "fixtures"
 

@@ -27,16 +27,15 @@ from .crossed import (
     check_crossed_module,
     induced_action,
     induced_module_action,
-    make_crossed_module,
 )
 from .errors import (
     CheckItem,
     ImageNotNormal,
+    InvalidCrossedModule,
     MismatchedBase,
     NotCentral,
     NotCentralValue,
     NotCocycle,
-    NotExact,
     NotInjective,
     NotInKernel,
     NotSurjective,
@@ -47,19 +46,19 @@ from .errors import (
     certify,
 )
 from .extensions import (
-    InducedSequence,
     Prolongation,
     ShortExtension,
+    certify_induced,
     choose_section,
     cocycle_terms,
     e0_quotient,
+    extension_checks,
     factor_set,
     frame_checks,
     gamma_cokernel,
     group_tags,
     is_central,
     ladder_checks,
-    make_extension,
 )
 from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
 
@@ -116,7 +115,7 @@ class PreDerived:
     module: PiModule
 
 
-# the error derive raises for each frame item; the e0 row's items raise NotExact
+# the error derive raises for each frame item
 _FRAME_ERRORS = {
     "e0_central": (NotCentral, "the kernel of e0 is not central"),
     "alpha_epi": (NotSurjective, "alpha is not surjective"),
@@ -128,8 +127,8 @@ _FRAME_ERRORS = {
 def derive(pre: PreProlongation) -> PreDerived:
     """The derived data of pre, cached per pre-prolongation.
 
-    A frame that frame_checks rejects is refused with the error of its first
-    failing item, so every frame derive accepts is one validate_pre passes.
+    A pre-prolongation that validate_pre rejects is refused with the error of
+    its first failing item (check_pre), and only successes are cached.
 
     Group equality ignores names and labels, so the cache key carries their
     group tags: a pre-prolongation equal to an earlier one up to them gets its
@@ -143,26 +142,10 @@ def derive(pre: PreProlongation) -> PreDerived:
 
 @lru_cache(maxsize=None)
 def _derive(pre: PreProlongation, tags) -> PreDerived:
-    if pre.alpha.source != pre.e0.a:
-        raise MismatchedBase("alpha must start at the kernel group of the base row")
-    if pre.gamma.source != pre.e0.g:
-        raise MismatchedBase("gamma must start at the quotient group of the base row")
-    row, rest = frame_checks(pre.e0, pre.alpha, pre.gamma)
-    for item in row + rest:
-        if not item.ok:
-            error, message = _FRAME_ERRORS.get(
-                item.name, (NotExact, f"{item.name}: {item.detail or 'failed'}"))
-            raise error(message)
-    e0_data, top = e0_quotient(pre.e0, pre.alpha)
-    e0, pi, i = e0_data.quotient, top.p, top.j
-    coker = gamma_cokernel(pre.gamma)
-    g_row = make_extension(pre.gamma, coker.projection)
-    gammapi = compose(pre.gamma, pi)
-    cm = make_crossed_module(e0, pre.g, gammapi, pre.theta)
-    module = induced_module_action(cm, i, coker)
-    return PreDerived(pre=pre, e0_data=e0_data, e0=e0, pi=pi, i=i, top=top,
-                      coker=coker, g_row=g_row, pi0=coker.quotient,
-                      gammapi=gammapi, cm=cm, module=module)
+    _, derived, error = check_pre(pre)
+    if error is not None:
+        raise error
+    return derived
 
 
 derive.cache_clear = _derive.cache_clear
@@ -170,37 +153,60 @@ derive.cache_clear = _derive.cache_clear
 
 def validate_pre(pre: PreProlongation) -> ValidationReport:
     """Itemized report of all the pre-prolongation invariants; never raises."""
-    items: list[CheckItem] = []
-    wired = (pre.alpha.source == pre.e0.a and pre.gamma.source == pre.e0.g)
-    items.append(CheckItem("wiring", wired))
-    if not wired:
-        return ValidationReport(tuple(items))
-    for part in frame_checks(pre.e0, pre.alpha, pre.gamma):
-        items.extend(part)
-        if not all(item.ok for item in part):
-            return ValidationReport(tuple(items))
+    return ValidationReport(check_pre(pre)[0])
+
+
+def check_pre(pre: PreProlongation) -> tuple[tuple[CheckItem, ...], PreDerived | None,
+                                               ProlongError | None]:
+    """validate_pre's items, derive's data, and the error of the first
+    failing item, in one uncached pass.
+
+    The items stop after the first group with a failure: the wiring, the
+    frame (the e0 row is exact by type), theta's shape, the crossed-module
+    axioms of (E0, G, gamma . pi, theta), the centrality of i(A) in E0, and
+    the module action theta induces on A.
+    """
+    alpha_wired, gamma_wired = pre.alpha.source == pre.e0.a, pre.gamma.source == pre.e0.g
+    items = [CheckItem("wiring", alpha_wired and gamma_wired)]
+    if not alpha_wired:
+        return tuple(items), None, MismatchedBase(
+            "alpha must start at the kernel group of the base row")
+    if not gamma_wired:
+        return tuple(items), None, MismatchedBase(
+            "gamma must start at the quotient group of the base row")
+    frame = frame_checks(pre.e0, pre.alpha, pre.gamma)
+    items += extension_checks("e0_") + frame
+    failed = next((item for item in frame if not item.ok), None)
+    if failed is not None:
+        error, message = _FRAME_ERRORS[failed.name]
+        return tuple(items), None, error(message)
     e0_data, top = e0_quotient(pre.e0, pre.alpha)
     e0, pi, i = e0_data.quotient, top.p, top.j
     shape_ok = (len(pre.theta) == pre.g.order
                 and all(len(p) == e0.order for p in pre.theta))
     items.append(CheckItem("theta_shape", shape_ok))
-    if not shape_ok:
-        return ValidationReport(tuple(items))
-    cm = CrossedModule(b=e0, d_group=pre.g, d=compose(pre.gamma, pi),
-                       theta=pre.theta)
+    cm = CrossedModule(b=e0, d_group=pre.g, d=compose(pre.gamma, pi), theta=pre.theta)
     cm_report = check_crossed_module(cm)
-    for item in cm_report.items:
-        items.append(CheckItem("crossed_" + item.name, item.ok, item.detail))
+    if not shape_ok:
+        return tuple(items), None, InvalidCrossedModule(cm_report)
+    items += [CheckItem("crossed_" + item.name, item.ok, item.detail)
+              for item in cm_report.items]
     if not cm_report.ok:
-        return ValidationReport(tuple(items))
+        return tuple(items), None, InvalidCrossedModule(cm_report)
     items.append(CheckItem("kernel_central_in_e0", is_central(top)))
-    # the rest of derive, on the crossed module just checked
+    if not items[-1].ok:
+        return tuple(items), None, NotCentral(
+            "the kernel of the identified row is not central")
+    coker = gamma_cokernel(pre.gamma)
     try:
-        induced_module_action(cm, i, gamma_cokernel(pre.gamma))
-        items.append(CheckItem("module_action", True))
+        module = induced_module_action(cm, i, coker)
     except ProlongError as exc:
-        items.append(CheckItem("module_action", False, str(exc)))
-    return ValidationReport(tuple(items))
+        return (*items, CheckItem("module_action", False, str(exc))), None, exc
+    items.append(CheckItem("module_action", True))
+    return tuple(items), PreDerived(
+        pre=pre, e0_data=e0_data, e0=e0, pi=pi, i=i, top=top, coker=coker,
+        g_row=ShortExtension(pre.gamma, coker.projection), pi0=coker.quotient,
+        gammapi=cm.d, cm=cm, module=module), None
 
 
 @dataclass(frozen=True)
@@ -338,7 +344,7 @@ def _solve(pre: PreProlongation, rng: random.Random | None) -> ObstructionResult
     h = tuple(tuple(e0.mul(hxy, e0.inv[i[witness.value((x, y))]])
                     for y, hxy in enumerate(row)) for x, row in enumerate(lfs.h))
     return ObstructionResult(h3, (0,) * len(h3.invariant_factors), k, lfs, witness,
-                             crossed_product(pre, lfs.u, h, what="constructed"))
+                             crossed_product(pre, lfs.u, h))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +386,7 @@ class CrossedProductExtension:
         return self.ladder.beta
 
 
-def crossed_product(pre: PreProlongation, u, h,
-                    what: str = "crossed-product") -> CrossedProductExtension:
+def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
     """Build B_h = pairs (e0, x) under the twisted operation, plus j', p', beta.
 
     With phi_x = theta[u_x], three preconditions are checked in this order,
@@ -410,8 +415,8 @@ def crossed_product(pre: PreProlongation, u, h,
 
     The ladder's induced crossed module is read off the pairs, not derived
     from the ladder.  Its induced row is 0 -> E0 -eps-> B_h -> Pi0 -> 1 with
-    eps(e) = (e, 0) and projection (e, x) -> x, and its crossed module is
-    derive(pre).cm.  With p(e, x) = gammapi(e) u_x:
+    eps(e) = (e, 0), and its crossed module is derive(pre).cm.  With
+    p(e, x) = gammapi(e) u_x:
 
         conjugation by b acts on eps(E0) as theta[p(b)], for every b.
 
@@ -422,11 +427,11 @@ def crossed_product(pre: PreProlongation, u, h,
     theta . p, the induced theta is theta, and conjugation by j(A) is trivial
     on E0.  The frame's items are not checked again: derive refused any frame
     that fails one.  The ladder's own items are checked at O(|B0|): the
-    squares and kernel(beta) (ladder_checks), and beta = eps . proj,
-    eps . i = j, p . eps = gamma . pi and the projection of the induced row.
-    A failure is the program's fault and raises
-    CertificateFailed: "<what> ladder must validate", or "<what> ladder must
-    induce theta" for the conjugation identity.
+    squares and kernel(beta) (ladder_checks), then eps against beta, j and p
+    as for any ladder (extensions.certify_induced).  A failure is the
+    program's fault and raises CertificateFailed: "crossed-product ladder
+    must validate", or "crossed-product ladder must induce theta" for the
+    conjugation identity.
     """
     d = derive(pre)
     e0, pi0, g = d.e0, d.pi0, pre.g
@@ -455,30 +460,21 @@ def crossed_product(pre: PreProlongation, u, h,
     bh = FiniteGroup(order=len(table), table=table,
                      inv=tuple(row.index(0) for row in table), labels=labels,
                      name=f"[{e0.name or 'E0'};{pi0.name or 'Pi0'}]")
-    jmap = tuple(d.i.map[a] * npi for a in d.module.a.elements())
     pmap = tuple(g.mul(d.gammapi.map[e], u[x])
                  for e in e0.elements() for x in pi0.elements())
-    ext = make_extension(Homomorphism(d.module.a, bh, jmap),
-                         Homomorphism(bh, g, pmap))
+    jmap = tuple(d.i.map[a] * npi for a in d.module.a.elements())
+    ext = ShortExtension(Homomorphism(d.module.a, bh, jmap), Homomorphism(bh, g, pmap))
     proj = d.e0_data.projection.map
     beta = Homomorphism(pre.e0.b, bh, tuple(proj[b0] * npi
                                             for b0 in pre.e0.b.elements()))
     ladder = Prolongation(e0=pre.e0, e=ext, alpha=pre.alpha, beta=beta,
                           gamma=pre.gamma)
+    certify(all(item.ok for item in ladder_checks(ladder)),
+            "crossed-product ladder must validate")
     eps = Homomorphism(e0, bh, tuple(e * npi for e in e0.elements()))
-    seq = make_extension(eps, Homomorphism(bh, pi0, tuple(
-        x for e in e0.elements() for x in pi0.elements())))
-    sigma, gamma = d.coker.projection.map, pre.gamma.map
-    certify(all(item.ok for item in ladder_checks(ladder))
-            and beta.map == tuple(eps.map[e] for e in proj)         # eps . proj
-            and jmap == tuple(eps.map[e] for e in d.i.map)          # eps . i
-            and tuple(pmap[b] for b in eps.map) == tuple(gamma[g0] for g0 in d.pi.map)
-            and tuple(sigma[y] for y in pmap) == seq.p.map,         # sigma . p
-            f"{what} ladder must validate")
+    induced = certify_induced(ladder, eps, d.e0_data, d.top, d.coker)
     certify(_conjugates_by_theta(bh, e0, eps.map, pmap, theta),
-            f"{what} ladder must induce theta")
-    induced = InducedSequence(seq=seq, eps=eps, i=d.i, pi=d.pi,
-                              e0_data=d.e0_data, coker=d.coker, top=d.top)
+            "crossed-product ladder must induce theta")
     icm = InducedCrossedModule(cm=d.cm, phi=tuple(theta[y] for y in pmap),
                                induced=induced)
     return CrossedProductExtension(ladder=ladder, icm=icm, u=u, h=h)

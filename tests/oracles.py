@@ -21,7 +21,9 @@ when its pairing table (built entry by entry, `reference_pairing_table`)
 passes `validate_group` and filters the assembled ladders by the theta
 `induce_crossed_module` derives.
 `equivalent_class_pair` checks that enumerated classes are pairwise
-inequivalent, by running the equivalence search on every pair.
+inequivalent, by running the equivalence search on every pair, and
+`equivalent_extensions` runs that search on bare extensions.  `FIXTURES`
+and `SCENARIOS` are the shipped fixture files of the checkout.
 
 `reference_crossed_product` is the crossed-product construction that proves
 the group axioms of each pairing table a second time: it compares
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, prod
+from pathlib import Path
 
 from prolong.cohomology import (
     Cochain,
@@ -48,13 +51,14 @@ from prolong.cohomology import (
     cochain_from_values,
     free_positions,
 )
-from prolong.classify import are_equivalent
+from prolong.classify import _search_equivalence, are_equivalent
 from prolong.crossed import InducedCrossedModule, induce_crossed_module
 from prolong.errors import (
     CheckItem,
     IdentityNotAtZero,
     MalformedTable,
     MismatchedBase,
+    MismatchedFrame,
     MissingInverse,
     NotAssociative,
     NotHomomorphism,
@@ -70,7 +74,9 @@ from prolong.extensions import (
     Prolongation,
     Section,
     ShortExtension,
+    choose_section,
     cocycle_terms,
+    factor_set,
     frame_checks,
     ladder_checks,
     make_extension,
@@ -78,6 +84,7 @@ from prolong.extensions import (
 from prolong.groups import (
     FiniteGroup,
     Homomorphism,
+    fibers,
     is_bijective,
     subgroup_closure,
     validate_group,
@@ -89,6 +96,9 @@ from prolong.obstruction import (
     lift_factor_set,
 )
 from prolong.snf import SmithForm, identity_matrix, matmul
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "prolong" / "fixtures"
+SCENARIOS = FIXTURES / "scenarios"
 
 
 def brute_center(g) -> tuple[int, ...]:
@@ -575,8 +585,7 @@ def reference_crossed_product(pre, u, h):
     seq = make_extension(eps, Homomorphism(bh, pi0, tuple(
         x for e in e0.elements() for x in pi0.elements())))
     sigma, gamma = d.coker.projection.map, pre.gamma.map
-    certify(all(item.ok for part in frame_checks(pre.e0, pre.alpha, pre.gamma)
-                for item in part)
+    certify(all(item.ok for item in frame_checks(pre.e0, pre.alpha, pre.gamma))
             and all(item.ok for item in ladder_checks(ladder))
             and beta.map == tuple(eps.map[e] for e in proj)
             and jmap == tuple(eps.map[e] for e in d.i.map)
@@ -634,6 +643,20 @@ def equivalent_class_pair(classes):
         if are_equivalent(c1.representative, c2.representative) is not None:
             return c1.coordinates, c2.coordinates
     return None
+
+
+def equivalent_extensions(e1: ShortExtension, e2: ShortExtension
+                          ) -> Homomorphism | None:
+    """Equivalence of bare extensions (identity on kernel and quotient).
+
+    The search runs on e1 over its least-index section; a map it returns
+    agrees with the kernel maps and the projections by construction.
+    """
+    if e1.a != e2.a or e1.g != e2.g:
+        raise MismatchedFrame("extensions do not share kernel and quotient")
+    candidates = [(0,), *fibers(e2.p)[1:]]
+    fs = factor_set(e1, choose_section(e1))
+    return _search_equivalence(fs, e2.j, candidates)
 
 
 def reference_validate_group(table, labels=None, name: str = "") -> FiniteGroup:

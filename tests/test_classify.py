@@ -10,7 +10,6 @@ from prolong.classify import (
     brute_force_coverings,
     difference_cocycle,
     enumerate_classes,
-    equivalent_extensions,
     to_crossed_product,
     torsor_act,
     witness_is_valid,
@@ -25,7 +24,7 @@ from prolong.errors import (
     SearchBoundExceeded,
 )
 from prolong.extensions import make_extension, validate_prolongation
-from prolong.fixtures import builtin, fixtures_dir
+from prolong.fixtures import builtin
 from prolong.groups import Homomorphism, identity_hom, compose, trivial_hom
 from prolong.obstruction import (
     PreProlongation,
@@ -40,7 +39,9 @@ from prolong.scenario import load_scenario
 from prolong.sweep import check
 
 from oracles import (
+    SCENARIOS,
     equivalent_class_pair,
+    equivalent_extensions,
     inverse_hom,
     reference_brute_force_coverings,
     reference_crossed_product,
@@ -544,7 +545,7 @@ def _record_calls(monkeypatch, func) -> list:
 
 
 def _inversion_scenario():
-    scenario = fixtures_dir() / "scenarios" / "inversion_action.json"
+    scenario = SCENARIOS / "inversion_action.json"
     return load_scenario(scenario).pre_prolongation()
 
 
@@ -574,7 +575,7 @@ def test_built_ladders_are_not_validated_again(monkeypatch, factory, classes):
 def test_frames_and_crossed_modules_are_certified_once(monkeypatch):
     """From cold caches, the sweep's four checks on one scenario build its E0
     quotient and its cokernel once each and check its crossed module once."""
-    scenario = fixtures_dir() / "scenarios" / "inversion_action.json"
+    scenario = SCENARIOS / "inversion_action.json"
     pre = load_scenario(scenario).pre_prolongation()
     _clear_caches()
     quotients = _record_calls(monkeypatch, groups.quotient)

@@ -1,12 +1,13 @@
 import random
+import re
 
 import pytest
 
-from prolong.classify import equivalent_extensions
 from prolong.errors import MismatchedBase, NotExact, NotInjective, NotSurjective
 from prolong.extensions import (
     FactorSet,
     Prolongation,
+    ShortExtension,
     choose_section,
     factor_set,
     induced_sequence,
@@ -28,7 +29,7 @@ from prolong.groups import (
     trivial_hom,
 )
 
-from oracles import check_factor_identity
+from oracles import check_factor_identity, equivalent_extensions
 
 
 def ext_z2_z4():
@@ -77,6 +78,26 @@ def test_make_extension_errors():
     with pytest.raises(NotExact):
         make_extension(Homomorphism(z2, v4, (0, 1)),
                        Homomorphism(v4, z2, (0, 1, 0, 1)))
+
+
+def test_short_extension_refuses_a_row_that_is_not_exact():
+    """A ShortExtension built directly is exact: each non-exact pair is
+    refused with make_extension's error, and a, b, g are read off j and p."""
+    z2, z4, v4 = builtin("Z2"), builtin("Z4"), builtin("V4")
+    onto = Homomorphism(z4, z2, (0, 1, 0, 1))
+    for error, message, j, p in [
+        (NotExact, "j and p are not composable", Homomorphism(z2, v4, (0, 2)), onto),
+        (NotInjective, "kernel map is not injective", trivial_hom(z2, z4), onto),
+        (NotSurjective, "projection is not surjective",
+         Homomorphism(z2, z4, (0, 2)), trivial_hom(z4, z2)),
+        (NotExact, "image(j) != kernel(p)", Homomorphism(z2, v4, (0, 1)),
+         Homomorphism(v4, z2, (0, 1, 0, 1))),
+    ]:
+        with pytest.raises(error, match=re.escape(message)):
+            ShortExtension(j, p)
+    ext = ShortExtension(Homomorphism(z2, z4, (0, 2)), onto)
+    assert (ext.a, ext.b, ext.g) == (z2, z4, z2)
+    assert ext == make_extension(ext.j, ext.p)
 
 
 def test_is_central():

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from prolong.fixtures import builtin, builtin_names, fixtures_dir, group_to_json
+from prolong.fixtures import builtin, builtin_names, group_to_json
 from prolong.errors import ScenarioError
 from prolong.scenario import group_from_json
+
+from oracles import FIXTURES
 
 EXPECTED_ORDERS = {
     "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "V4": 4, "Z5": 5, "Z6": 6, "S3": 6,
@@ -33,7 +35,7 @@ def test_every_group_of_order_at_most_8_is_present():
 
 def test_shipped_json_matches_builders():
     for name in builtin_names():
-        path = fixtures_dir() / f"{name}.json"
+        path = FIXTURES / f"{name}.json"
         assert path.exists(), f"missing fixture file {name}"
         loaded = group_from_json(json.loads(path.read_text()))
         built = builtin(name)

@@ -1,18 +1,28 @@
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import prolong.sweep
 from prolong import obstruction
 from prolong.cli import run
 from prolong.cohomology import coboundary, is_coboundary
 from prolong.errors import (
+    FiberDependentAction,
+    ImageNotNormal,
+    InvalidCrossedModule,
+    KernelNotPreserved,
     MismatchedBase,
     NotAssociative,
+    NotCentral,
+    NotInjective,
+    NotSurjective,
     ObstructionNonzero,
     PreconditionFailed,
+    ProlongError,
 )
 from prolong.crossed import induce_crossed_module
 from prolong.extensions import (
@@ -21,7 +31,7 @@ from prolong.extensions import (
     make_extension,
     validate_prolongation,
 )
-from prolong.fixtures import builtin, fixtures_dir
+from prolong.fixtures import builtin
 from prolong.groups import Homomorphism, identity_hom, trivial_hom, validate_group
 from prolong.obstruction import (
     PreProlongation,
@@ -37,8 +47,9 @@ from prolong.obstruction import (
     verify_covering,
 )
 from prolong.scenario import load_scenario
+from prolong.sweep import SweepConfig, generate_pre_prolongations
 
-from oracles import reference_pairing_table
+from oracles import SCENARIOS, reference_pairing_table
 from test_cohomology import _forbid_lattice, _record_lattices
 from test_seeded_pins import _clear_caches
 
@@ -175,6 +186,85 @@ def test_validate_pre_checks_crossed_module_once(monkeypatch):
     assert len(calls) == 1
 
 
+# the error derive raises when an item fails first in validate_pre's report;
+# every crossed_ item maps to InvalidCrossedModule
+FIRST_FAILURE_ERRORS = {
+    "wiring": MismatchedBase,
+    "e0_central": NotCentral,
+    "alpha_epi": NotSurjective,
+    "gamma_mono": NotInjective,
+    "gamma_image_normal": ImageNotNormal,
+    "theta_shape": InvalidCrossedModule,
+    "kernel_central_in_e0": NotCentral,
+    "module_action": (KernelNotPreserved, FiberDependentAction),
+}
+
+
+def _broken_pres() -> list:
+    """pre_inversion with each frame item and theta's shape broken in turn,
+    and a base row that is not central."""
+    z1, z2, z3, z4, z6, s3 = (builtin(n) for n in ("Z1", "Z2", "Z3", "Z4", "Z6", "S3"))
+    pre = pre_inversion()
+    frame = {"e0": pre.e0, "alpha": pre.alpha, "gamma": pre.gamma, "theta": pre.theta}
+    non_central = make_extension(Homomorphism(z3, s3, (0, 3, 4)),
+                                 Homomorphism(s3, z2, (0, 1, 1, 0, 0, 1)))
+    changes = [
+        {"alpha": Homomorphism(z6, z3, (0, 1, 2, 0, 1, 2))},
+        {"gamma": identity_hom(z4)},
+        {"alpha": trivial_hom(z3, z3)},
+        {"gamma": trivial_hom(z2, z4)},
+        {"gamma": Homomorphism(z2, s3, (0, 1))},
+        {"theta": pre.theta[:3]},
+        {"e0": non_central, "alpha": trivial_hom(z3, z1), "gamma": identity_hom(z2),
+         "theta": ((0, 1), (0, 1))},
+    ]
+    return [PreProlongation(**{**frame, **change}) for change in changes]
+
+
+def test_derive_raises_exactly_when_validate_pre_fails(monkeypatch):
+    """Over every candidate the default generation tries, the shipped
+    scenarios and broken variants of one input, derive raises exactly when
+    validate_pre's report fails, with the error its first failing item maps
+    to; a crossed-module failure carries the report's details."""
+    tried = []
+    real = prolong.sweep.derive
+    monkeypatch.setattr(prolong.sweep, "derive",
+                        lambda pre: tried.append(pre) or real(pre))
+    accepted = generate_pre_prolongations(SweepConfig())
+    monkeypatch.undo()
+    assert (len(tried), len(accepted)) == (3117, 1101)
+    shipped = [load_scenario(path).pre_prolongation()
+               for path in sorted(SCENARIOS.glob("*.json"))
+               if "theta" in json.loads(path.read_text())]
+    broken = _broken_pres()
+    derive.cache_clear()
+    failing = Counter()
+    for pre in tried + shipped + broken:
+        report = validate_pre(pre)
+        try:
+            derive(pre)
+            raised = None
+        except ProlongError as exc:
+            raised = exc
+        failing[tuple(item.name for item in report.failures())] += 1
+        if report.ok:
+            assert raised is None
+            continue
+        first = report.failures()[0].name
+        if first.startswith("crossed_"):
+            assert type(raised) is InvalidCrossedModule
+            assert str(raised) == "invalid crossed module: " + "; ".join(
+                f"{item.name.removeprefix('crossed_')}: {item.detail or 'failed'}"
+                for item in report.failures())
+        else:
+            assert isinstance(raised, FIRST_FAILURE_ERRORS[first]), (first, raised)
+    assert failing[()] == 1101 + len(shipped)
+    assert failing[("crossed_axiom_c2",)] == 2016
+    assert [next(item.name for item in validate_pre(pre).failures())
+            for pre in broken] == ["wiring", "wiring", "alpha_epi", "gamma_mono",
+                                   "gamma_image_normal", "theta_shape", "e0_central"]
+
+
 def test_certificates_survive_python_O():
     """A failed self-check raises CertificateFailed even when asserts are off."""
     import subprocess
@@ -195,7 +285,7 @@ def test_certificates_survive_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True,
         env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
     assert res.returncode == 0, res.stderr
-    assert "certificate: constructed ladder must induce theta" in res.stdout
+    assert "certificate: crossed-product ladder must induce theta" in res.stdout
 
 
 # The certificates of crossed_product, fed mutated data: a theta changed at
@@ -209,7 +299,7 @@ MUTANTS = {
         "    theta[g] = next(t for t in theta if t != theta[g])\n"
         "    return real(bh, e0, eps, p, theta)\n"
         "ob._conjugates_by_theta = mutant\n",
-        "constructed ladder must induce theta"),
+        "crossed-product ladder must induce theta"),
     "beta": (
         "from dataclasses import replace\n"
         "from prolong.groups import trivial_hom\n"
@@ -220,7 +310,7 @@ MUTANTS = {
         "        raise SystemExit('the mutant keeps a square')\n"
         "    return real(bad)\n"
         "ob.ladder_checks = mutant\n",
-        "constructed ladder must validate"),
+        "crossed-product ladder must validate"),
 }
 
 
@@ -499,7 +589,6 @@ def test_trivial_quotient_every_ladder_covers():
 
 # --- decisions without the integer lattice ------------------------------------------
 
-SCENARIOS = fixtures_dir() / "scenarios"
 
 
 def _cold_scenario(name):
@@ -535,26 +624,24 @@ def test_vanishing_class_needs_no_lattice(monkeypatch):
 def test_class_covering_and_classes_share_one_solve(monkeypatch):
     """On a cold cache, the class, the covering and the classes of one input
     cost one obstruction cocycle, one coboundary solve and one constructed
-    crossed product."""
+    crossed product.  Only _solve resolves obstruction.crossed_product at
+    call time, so the calls counted there are the constructed coverings."""
     from prolong.classify import enumerate_classes
     pre = _cold_scenario("klein_quotient")
-    calls = {"obstruction_cocycle": 0, "is_coboundary": 0, "constructed": 0}
+    calls = {"obstruction_cocycle": 0, "is_coboundary": 0, "crossed_product": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
-            if name != "crossed_product":
-                calls[name] += 1
-            elif kwargs.get("what") == "constructed":
-                calls["constructed"] += 1
+            calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(obstruction, name, wrapper)
 
-    for name in ("obstruction_cocycle", "is_coboundary", "crossed_product"):
+    for name in calls:
         counted(name, getattr(obstruction, name))
     res = obstruction_class(pre)
     assert build_prolongation(pre) is res
     assert len(enumerate_classes(pre)) == 8
-    assert calls == {"obstruction_cocycle": 1, "is_coboundary": 1, "constructed": 1}
+    assert calls == {"obstruction_cocycle": 1, "is_coboundary": 1, "crossed_product": 1}
 
 
 def test_nonzero_class_builds_only_the_degree_three_lattice(monkeypatch):

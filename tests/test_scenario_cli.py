@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +11,14 @@ import prolong.scenario as scenario_mod
 from prolong.cli import run
 from prolong.errors import ScenarioError, ShapeError
 from prolong.extensions import make_extension, validate_prolongation
-from prolong.fixtures import builtin, fixtures_dir, group_to_json
+from prolong.fixtures import builtin, group_to_json
 from prolong.groups import FiniteGroup
 from prolong.obstruction import validate_pre, verify_covering
 from prolong.scenario import load_scenario, prolongation_to_scenario
 
-SCENARIOS = fixtures_dir() / "scenarios"
+from oracles import SCENARIOS
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def invoke(*argv):
@@ -553,3 +557,27 @@ def test_one_field_mutation_exits_cleanly(mutation, value, command):
             assert _dotted(path) in payload["error"]
         except ScenarioError:
             pass
+
+
+def test_report_answers_match_the_benchmark_pins(tmp_path):
+    """Every validate, pullback and equiv query pinned for the cli benchmark
+    prints, in process, the stdout it pins (by SHA-256) with its exit code.
+    Pool scenarios are written to tmp_path; perfbench/ is only read."""
+    answers = json.loads((BENCH_DATA / "answers.json").read_text())
+    pool = {entry["id"]: entry["scenario"]
+            for entry in json.loads((BENCH_DATA / "pool.json").read_text())["scenarios"]}
+    queries = [(sid, cmd, pin) for sid, pins in answers.items()
+               for cmd, pin in pins.items() if cmd in ("validate", "pullback", "equiv")]
+    assert len(queries) == 70
+    wrong = []
+    for sid, cmd, pin in queries:
+        kind, name = sid.split("/", 1)
+        path = SCENARIOS / f"{name}.json" if kind == "shipped" else tmp_path / f"{name}.json"
+        if kind != "shipped":
+            path.write_text(json.dumps(pool[sid]))
+        out = io.StringIO()
+        code = run(["--format", "json", cmd, str(path)], out=out)
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (code, digest) != (pin["exit"], pin["sha256"]):
+            wrong.append((sid, cmd))
+    assert not wrong

@@ -43,9 +43,10 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    paths = [p for p in sorted((ROOT / "src" / "prolong").glob("*.py"))
-             if p.name != "__init__.py"] + sorted(SCRIPTS.glob("*.py"))
-    assert len(paths) > 10
+    paths = ([p for p in sorted((ROOT / "src" / "prolong").glob("*.py"))
+              if p.name != "__init__.py"] + sorted(SCRIPTS.glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py")))
+    assert len(paths) > 25
     unused = {p.name: names for p in paths if (names := unused_imports(p))}
     assert not unused
 

@@ -19,10 +19,10 @@ from pathlib import Path
 import pytest
 
 from prolong.cli import run
-from prolong.fixtures import fixtures_dir
+
+from oracles import SCENARIOS
 
 GOLDEN = Path(__file__).parent / "data" / "seeded_outputs.json"
-SCENARIOS = fixtures_dir() / "scenarios"
 SEEDS = range(5)
 COMMANDS = ("obstruction", "build")
 
