@@ -19,7 +19,6 @@ from .errors import (
     NotCocycle,
     NotHomomorphism,
     NotInKernel,
-    PreconditionFailed,
     SearchBoundExceeded,
     certify,
 )
@@ -28,11 +27,13 @@ from .extensions import (
     Prolongation,
     Section,
     choose_section,
+    cocycle_terms,
     factor_set,
 )
 from .groups import Homomorphism, fibers, is_bijective
 from .obstruction import (
     CrossedProductExtension,
+    LiftedFactorSet,
     PreProlongation,
     build_prolongation,
     crossed_product,
@@ -43,7 +44,7 @@ from .obstruction import (
 
 MAX_EQUIVALENCE_CANDIDATES = 4096   # product of the section-image candidates
 DEFAULT_BRUTE_ORDER = 16             # middle-group order the oracle accepts
-MAX_LIFT_CANDIDATES = 1 << 20        # normalized lifts the oracle enumerates
+MAX_LIFT_CANDIDATES = 1 << 20        # nodes the oracle's lift search visits
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +296,16 @@ def brute_force_coverings(pre: PreProlongation, max_order: int = DEFAULT_BRUTE_O
                           ) -> tuple[Prolongation, ...]:
     """Exhaustive covering search, independent of the H^2/torsor machinery.
 
-    Enumerates every normalized lift h of the canonical factor set and keeps
-    the ones crossed_product accepts (its preconditions hold exactly when the
-    twisted pairing is associative; it certifies that each assembled ladder
-    validates and induces theta).  The equivalence search deduplicates them,
-    each ladder reduced once, from the crossed module read off its pairs.
+    Finds every normalized lift h of the canonical factor set that satisfies
+    the cocycle identity (_cocycle_lifts) and builds each with
+    crossed_product, which checks its preconditions again (they hold exactly
+    when the twisted pairing is associative) and certifies that the
+    assembled ladder validates and induces theta.  The twisted identity
+    needs no search: h(x, y) lies over f(x, y), so phi_x phi_y =
+    theta[gammapi(h(x, y)) u_xy] = inn(h(x, y)) phi_xy by C1, for every
+    lift the search tries.  The equivalence search deduplicates the
+    coverings, each ladder reduced once, from the crossed module read off
+    its pairs.
     """
     d = derive(pre)
     total_order = d.module.a.order * pre.g.order
@@ -307,24 +313,7 @@ def brute_force_coverings(pre: PreProlongation, max_order: int = DEFAULT_BRUTE_O
         raise SearchBoundExceeded(
             f"middle group order {total_order} exceeds max_order = {max_order}")
     lfs = lift_factor_set(pre)
-    npi = d.pi0.order
-    over = fibers(d.gammapi)
-    positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
-    choices = [over[lfs.f[x][y]] for (x, y) in positions]
-    count = prod(map(len, choices))
-    if count > MAX_LIFT_CANDIDATES:
-        raise SearchBoundExceeded(
-            f"lift enumeration {count} exceeds "
-            f"MAX_LIFT_CANDIDATES = {MAX_LIFT_CANDIDATES}")
-    found = []
-    for combo in itertools.product(*choices):
-        h = [[0] * npi for _ in range(npi)]
-        for (x, y), e in zip(positions, combo):
-            h[x][y] = e
-        try:
-            found.append(crossed_product(pre, lfs.u, h))
-        except PreconditionFailed:
-            continue
+    found = [crossed_product(pre, lfs.u, h) for h in _cocycle_lifts(pre, lfs)]
     found.sort(key=lambda cp: cp.ext.b.table)
     reps: list[CrossedProductExtension] = []
     for cp in found:
@@ -335,3 +324,55 @@ def brute_force_coverings(pre: PreProlongation, max_order: int = DEFAULT_BRUTE_O
                 continue
         reps.append(cp)
     return tuple(cp.ladder for cp in reps)
+
+
+def _cocycle_lifts(pre: PreProlongation, lfs: LiftedFactorSet):
+    """Every normalized lift of lfs.f that satisfies the cocycle identity,
+    in the lexicographic order of itertools.product over the fibers.
+
+    h(x, y) is assigned one position at a time, x and y from 1 in row-major
+    order, each value drawn from the fiber over f(x, y).  Each identity of
+    cocycle_terms is checked at the first position where all four of the
+    values it reads are set, and a failing one prunes every extension of the
+    partial lift (Knuth, TAOCP 4B, backtrack programming).  Every value tried
+    is a node; the search stops at the first node past MAX_LIFT_CANDIDATES.
+    Each yielded lift is the same list, filled in place.
+    """
+    d = derive(pre)
+    e0, pi0 = d.e0, d.pi0
+    npi, qt = pi0.order, pi0.table
+    over = fibers(d.gammapi)
+    positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
+    choices = [over[lfs.f[x][y]] for x, y in positions]
+    slot = {pos: k for k, pos in enumerate(positions)}
+    # due[k]: the identities whose last value is set once k positions are
+    due: list[list[tuple[int, int, int]]] = [[] for _ in range(len(positions) + 1)]
+    for x, y, z in itertools.product(pi0.elements(), repeat=3):
+        reads = ((y, z), (x, qt[y][z]), (x, y), (qt[x][y], z))
+        due[1 + max(slot.get(pos, -1) for pos in reads)].append((x, y, z))
+    phi = tuple(pre.theta[lfs.u[x]] for x in pi0.elements())
+    h = [[0] * npi for _ in range(npi)]
+    nodes = 0
+
+    def holds(k: int) -> bool:
+        return all(left == right for *_, left, right
+                   in cocycle_terms(e0, pi0, phi, h, due[k]))
+
+    def extend(k: int):
+        nonlocal nodes
+        if k == len(positions):
+            yield h
+            return
+        x, y = positions[k]
+        for e in choices[k]:
+            nodes += 1
+            if nodes > MAX_LIFT_CANDIDATES:
+                raise SearchBoundExceeded(
+                    f"lift search node {nodes} exceeds "
+                    f"MAX_LIFT_CANDIDATES = {MAX_LIFT_CANDIDATES}")
+            h[x][y] = e
+            if holds(k + 1):
+                yield from extend(k + 1)
+
+    if holds(0):
+        yield from extend(0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -216,11 +217,14 @@ class ShapeError(ScenarioError):
 # Validation reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckItem(namedtuple("CheckItem", ("name", "ok", "detail"), defaults=("",))):
+    """One checked invariant: its name, whether it holds, and a detail.
+
+    A tuple, not a frozen dataclass: `derive` builds a report's items on
+    every call and keeps none, so an item costs one tuple.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

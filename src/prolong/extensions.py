@@ -146,15 +146,18 @@ def factor_set(ext: ShortExtension, section: Section) -> FactorSet:
     return FactorSet(ext=ext, section=section, f=tuple(f))
 
 
-def cocycle_terms(k: FiniteGroup, q: FiniteGroup, act, h):
+def cocycle_terms(k: FiniteGroup, q: FiniteGroup, act, h, triples=None):
     """Both sides of the cocycle identity act_x(h(y,z)) * h(x,yz) = h(x,y) * h(xy,z).
 
     h is a 2-cochain q x q -> k as a table and act[x] the map of k by which x
-    acts, as an array.  Yields (x, y, z, left, right) in lexicographic order
-    of (x, y, z); the identity holds where left == right.
+    acts, as an array.  Yields (x, y, z, left, right) for each of the given
+    triples, by default every (x, y, z) in lexicographic order; the identity
+    holds where left == right.
     """
     kt, qt = k.table, q.table
-    for x, y, z in itertools.product(q.elements(), repeat=3):
+    if triples is None:
+        triples = itertools.product(q.elements(), repeat=3)
+    for x, y, z in triples:
         yield (x, y, z, kt[act[x][h[y][z]]][h[x][qt[y][z]]],
                kt[h[x][y]][h[qt[x][y]][z]])
 

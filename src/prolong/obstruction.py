@@ -389,6 +389,14 @@ class CrossedProductExtension:
 def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
     """Build B_h = pairs (e0, x) under the twisted operation, plus j', p', beta.
 
+    Each lift is built once per pre-prolongation in hand: the products are
+    kept by (u, h) for the last pre-prolongation asked about, keyed like
+    derive, so the covering of obstruction_class, the classes of
+    enumerate_classes and the lifts the oracle accepts over the canonical
+    section are one object each.  A stored product passed every certificate
+    below when it was built; a lift that fails a precondition is never
+    stored and raises on every call.
+
     With phi_x = theta[u_x], three preconditions are checked in this order,
     and a violation raises PreconditionFailed with the offending tuple:
 
@@ -433,11 +441,25 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
     must validate", or "crossed-product ladder must induce theta" for the
     conjugation identity.
     """
+    key = (tuple(u), tuple(tuple(row) for row in h))
+    built = _products(pre, pre._tags)
+    cp = built.get(key)
+    if cp is None:
+        cp = built[key] = _build_crossed_product(pre, *key)
+    return cp
+
+
+@lru_cache(maxsize=1)
+def _products(pre: PreProlongation, tags) -> dict:
+    """The crossed products built over pre, by (u, h)."""
+    return {}
+
+
+def _build_crossed_product(pre: PreProlongation, u: tuple[int, ...],
+                           h: tuple[tuple[int, ...], ...]) -> CrossedProductExtension:
     d = derive(pre)
     e0, pi0, g = d.e0, d.pi0, pre.g
     npi = pi0.order
-    u = tuple(u)
-    h = tuple(tuple(row) for row in h)
     theta = d.cm.theta
     phi = tuple(theta[u[x]] for x in pi0.elements())
     for x in pi0.elements():

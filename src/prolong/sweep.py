@@ -175,10 +175,15 @@ class InputReport:
 def check(pre: PreProlongation) -> InputReport:
     """Existence three ways (class, construction, oracle), the class count
     against |H^2| and the oracle, and centrality against a trivial kernel
-    action.  The checks are explicit, so they also run under python -O."""
+    action.  The checks are explicit, so they also run under python -O.
+
+    The oracle searches up to the input's own covering order, which
+    SweepConfig.max_total bounds at generation, so only its node bound
+    (MAX_LIFT_CANDIDATES) can leave an input unchecked."""
     res = obstruction_class(pre)
     try:
-        coverings, unchecked = brute_force_coverings(pre), None
+        coverings = brute_force_coverings(pre, max_order=pre.a.order * pre.g.order)
+        unchecked = None
     except SearchBoundExceeded as exc:
         coverings, unchecked = None, str(exc)
     report = InputReport(pre, res, coverings, unchecked)

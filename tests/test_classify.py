@@ -20,6 +20,7 @@ from prolong.crossed import induce_crossed_module
 from prolong.errors import (
     MismatchedFrame,
     ObstructionNonzero,
+    PreconditionFailed,
     ProlongError,
     SearchBoundExceeded,
 )
@@ -128,11 +129,15 @@ def test_search_bound(monkeypatch):
 
 
 def test_lift_enumeration_bound(monkeypatch):
-    """Four positions with three lifts each: the whole product, 81, is named."""
-    monkeypatch.setattr(classify, "MAX_LIFT_CANDIDATES", 3)
+    """Four positions with three lifts each: of the 3 + 9 + 27 + 81 nodes of
+    the full product, the search visits 66, and the first node past the
+    bound is named."""
+    monkeypatch.setattr(classify, "MAX_LIFT_CANDIDATES", 65)
     with pytest.raises(SearchBoundExceeded) as err:
         brute_force_coverings(pre_z3_over_z3())
-    assert str(err.value) == "lift enumeration 81 exceeds MAX_LIFT_CANDIDATES = 3"
+    assert str(err.value) == "lift search node 66 exceeds MAX_LIFT_CANDIDATES = 65"
+    monkeypatch.setattr(classify, "MAX_LIFT_CANDIDATES", 66)
+    assert len(brute_force_coverings(pre_z3_over_z3())) == 3
 
 
 def test_bare_extension_equivalence():
@@ -527,6 +532,139 @@ def test_brute_force_coverings_matches_reference(default_sweep):
         assert [p.e.b.labels for p in fast] == [p.e.b.labels for p in slow]
         sizes.add(len(fast))
     assert {0, 1, 2} <= sizes
+
+
+# --- one build per lift, and the backtracking oracle ---------------------------------
+
+def test_products_equal_fresh_builds(monkeypatch, default_sweep):
+    """On every default-sweep input, every crossed product the check gets
+    back (the obstruction's covering, the oracle's lifts and the classes)
+    is the one object built for its lift, and equals what the reference
+    construction builds fresh from the same u and h."""
+    built = _record_crossed_products(monkeypatch)
+    for pre in default_sweep:
+        check(pre)
+    monkeypatch.undo()
+    first: dict = {}
+    for pre, cp in built:
+        key = (pre, pre._tags, cp.u, cp.h)
+        assert first.setdefault(key, cp) is cp
+    assert len(first) == 1822 < len(built)
+    for (pre, _, u, h), cp in first.items():
+        assert (_construction(lambda *_: cp, pre, u, h)
+                == _construction(reference_crossed_product, pre, u, h))
+
+
+def test_failing_lift_raises_on_every_call(monkeypatch):
+    """A lift that fails a precondition is built on each call, raises each
+    time, and is never stored."""
+    pre = pre_z3_over_z3()
+    u = lift_factor_set(pre).u
+    h = ((0, 0, 0), (0, 1, 0), (0, 0, 0))
+    builds = _record_calls(monkeypatch, obstruction._build_crossed_product)
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed) as err:
+            crossed_product(pre, u, h)
+        assert err.value.which == "cocycle"
+    assert len(builds) == 2
+    assert (u, h) not in obstruction._products(pre, pre._tags)
+
+
+def test_renamed_pre_prolongations_get_their_own_products():
+    """Two pre-prolongations equal up to group names and labels each get
+    products with their own names and labels, also when asked in turn."""
+    from dataclasses import replace
+
+    def pre_named(suffix):
+        z2, z3, z6 = (replace(builtin(n), name=n + suffix) for n in ("Z2", "Z3", "Z6"))
+        z4 = replace(builtin("Z4"), name="Z4" + suffix,
+                     labels=tuple(f"g{k}{suffix}" for k in range(4)))
+        e0 = make_extension(Homomorphism(z3, z6, (0, 2, 4)),
+                            Homomorphism(z6, z2, (0, 1, 0, 1, 0, 1)))
+        ident, inv = tuple(range(6)), (0, 5, 4, 3, 2, 1)
+        return PreProlongation(e0=e0, alpha=identity_hom(z3),
+                               gamma=Homomorphism(z2, z4, (0, 2)),
+                               theta=(ident, inv, ident, inv))
+
+    plain, primed = pre_named(""), pre_named("'")
+    assert plain == primed
+    u, h = (0, 1), ((0, 0), (0, 3))
+    for pre, suffix in ((plain, ""), (primed, "'"), (plain, "")):
+        cp = crossed_product(pre, u, h)
+        assert cp is crossed_product(pre, u, h)
+        assert cp.ext.b.name == f"[Z6{suffix}/{{0}};Z4{suffix}/{{0,2}}]"
+        assert cp.ext.b.labels[1] == f"([0],[g1{suffix}])"
+        assert cp.ext.g.name == "Z4" + suffix
+
+
+def test_memo_holds_one_pre_prolongation():
+    """The memo keeps the products of the last pre-prolongation asked
+    about, and clearing the functools caches empties it."""
+    canonical, z8 = pre_canonical(), pre_z8()
+    first = build_prolongation(canonical).covering
+    assert crossed_product(canonical, first.u, first.h) is first
+    base = build_prolongation(z8).covering
+    assert obstruction._products.cache_info().currsize == 1
+    assert obstruction._products(z8, z8._tags) == {(base.u, base.h): base}
+    again = crossed_product(canonical, first.u, first.h)
+    assert again is not first and again.ext.b.table == first.ext.b.table
+    _clear_caches()
+    assert obstruction._products.cache_info().currsize == 0
+
+
+def test_lift_search_leaves_are_the_accepted_lifts(default_sweep):
+    """On every tenth default-sweep input, the leaves of the backtracking
+    search are the lifts of the full itertools.product walk over the fibers
+    that crossed_product accepts, in the same order."""
+    leaves_seen = 0
+    for pre in default_sweep[::10]:
+        d, lfs = derive(pre), lift_factor_set(pre)
+        npi = d.pi0.order
+        over = groups.fibers(d.gammapi)
+        positions = [(x, y) for x in range(1, npi) for y in range(1, npi)]
+        accepted = []
+        for combo in itertools.product(*(over[lfs.f[x][y]] for x, y in positions)):
+            h = [[0] * npi for _ in range(npi)]
+            for (x, y), e in zip(positions, combo):
+                h[x][y] = e
+            try:
+                accepted.append(crossed_product(pre, lfs.u, h).h)
+            except PreconditionFailed:
+                continue
+        leaves = [tuple(map(tuple, h)) for h in classify._cocycle_lifts(pre, lfs)]
+        assert leaves == accepted
+        leaves_seen += len(leaves)
+    assert leaves_seen > 100
+
+
+@pytest.mark.parametrize("g_name,center_element,coverings", [("Z6", 3, 3),
+                                                            ("D4", 2, 1)])
+def test_oracle_checks_middle_groups_past_sixteen(g_name, center_element,
+                                                  coverings):
+    """Kernel Z3 in B0 = Z6, gamma: Z2 -> G onto a central subgroup, theta
+    trivial: middle groups of order 18 and 24, past the default max_order,
+    which the larger sweep used to leave oracle-unchecked.  Given their own
+    order, the oracle finds |H^2| coverings, the classes enumerate_classes
+    finds."""
+    z2, z3, z6, g = (builtin(n) for n in ("Z2", "Z3", "Z6", g_name))
+    e0 = make_extension(Homomorphism(z3, z6, (0, 2, 4)),
+                        Homomorphism(z6, z2, (0, 1, 0, 1, 0, 1)))
+    pre = PreProlongation(e0=e0, alpha=identity_hom(z3),
+                          gamma=Homomorphism(z2, g, (0, center_element)),
+                          theta=(tuple(range(6)),) * g.order)
+    order = 3 * g.order
+    with pytest.raises(SearchBoundExceeded) as err:
+        brute_force_coverings(pre)
+    assert str(err.value) == f"middle group order {order} exceeds max_order = 16"
+    found = brute_force_coverings(pre, max_order=order)
+    classes = enumerate_classes(pre)
+    assert len(found) == len(classes) == coverings
+    assert cohomology_group(2, derive(pre).module).order == coverings
+    for p in found:
+        assert p.e.b.order == order
+        assert validate_prolongation(p).ok and verify_covering(p, pre)
+        assert sum(are_equivalent(p, c.representative) is not None
+                   for c in classes) == 1
 
 
 def _record_calls(monkeypatch, func) -> list:

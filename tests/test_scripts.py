@@ -91,11 +91,11 @@ def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
     oracle, check = prolong.sweep.brute_force_coverings, sweep.check
     bound = "middle group order 18 exceeds max_order = 16"
 
-    def bounded(pre):
+    def bounded(pre, **bounds):
         calls.append(pre)
         if len(calls) % 3 == 1:
             raise SearchBoundExceeded(bound)
-        return oracle(pre)
+        return oracle(pre, **bounds)
 
     def recorded(pre):
         reports.append(check(pre))
@@ -112,7 +112,7 @@ def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
 
 
 def _no_coverings(oracle):
-    return lambda pre: ()
+    return lambda pre, **bounds: ()
 
 
 def _drop_a_class(enumerate_classes):
