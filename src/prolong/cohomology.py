@@ -259,44 +259,72 @@ def is_cocycle(c: Cochain) -> bool:
 # The complex as integer matrices
 # ---------------------------------------------------------------------------
 
+def _dimension(module: PiModule, degree: int) -> int:
+    """dim C^degree: one coordinate per free position and cyclic factor."""
+    return (module.pi.order - 1) ** degree * abelian_structure(module.a).rank
+
+
 @lru_cache(maxsize=None)
 def _delta_matrix(module: PiModule, degree: int):
-    """Matrix of d: C^degree -> C^{degree+1} on free-position coordinates.
+    """Sparse rows of d: C^degree -> C^{degree+1} on free-position
+    coordinates, and the column count.
 
-    Read off the sign convention row by row: the entry at output position
-    (x1, ..., x_{n+1}) collects x1 . c(x2, ...) through the action on the unit
+    Read off the sign convention row by row: the rows at output position
+    (x1, ..., x_{n+1}) collect x1 . c(x2, ...) through the action on the unit
     coordinates, (-1)^i c(..., x_i x_{i+1}, ...) where the merged tuple has
     no identity entry (a normalized cochain vanishes there), and
-    (-1)^{n+1} c(x1, ..., x_n), each reduced modulo its invariant factor.
+    (-1)^{n+1} c(x1, ..., x_n).  Each row is a list of (column, coefficient)
+    pairs, one per term, so a column may repeat; the row's entries are the
+    sums of its coefficients, read modulo the invariant factor of the row's
+    coordinate.  Free positions are indexed by flat arithmetic in base
+    m = |Pi0| - 1, as coboundary indexes values: the suffix of output
+    position idx sits at idx % m**n, its prefix at idx // m.
     """
     struct = abelian_structure(module.a)
     r = struct.rank
     npi = module.pi.order
     table = module.pi.table
-    column = {pos: i * r for i, pos in enumerate(free_positions(npi, degree))}
-    cols = len(column) * r
-    units = [tuple(1 if t == k else 0 for t in range(r)) for k in range(r)]
-    # acted[x][k]: coordinates of x . e_k; signed[s][k]: those of s e_k
-    acted = [[struct.vec(module.action[x][struct.element(e)]) for e in units]
-             for x in range(npi)]
-    signed = {1: units, -1: [tuple(-x for x in e) for e in units]}
-    last = 1 if (degree + 1) % 2 == 0 else -1
-    matrix = []
-    for out in free_positions(npi, degree + 1):
-        terms = [(out[1:], acted[out[0]]), (out[:degree], signed[last])]
-        for j in range(degree):
-            merged = table[out[j]][out[j + 1]]
+    n, m = degree, npi - 1
+    size = m ** n
+    units = [struct.element(tuple(1 if t == k else 0 for t in range(r))) for k in range(r)]
+    # acting[x][kk]: the nonzero (k, coordinate kk of x . e_k)
+    acting = []
+    for x in range(npi):
+        acted = [struct.vec(module.action[x][e]) for e in units]
+        acting.append([[(k, image[kk]) for k, image in enumerate(acted) if image[kk]]
+                       for kk in range(r)])
+    # (j, m**(n + 1 - j), m**(n - 1 - j), sign of the merged term)
+    merges = [(j, m ** (n + 1 - j), m ** (n - 1 - j), (-1) ** (j + 1)) for j in range(n)]
+    last = (-1) ** (n + 1)
+    rows = []
+    for idx, t in enumerate(itertools.product(range(1, npi), repeat=n + 1)):
+        terms = [(idx // m * r, last)]
+        for j, high, low, sign in merges:
+            merged = table[t[j]][t[j + 1]]
             if merged:
-                terms.append((out[:j] + (merged,) + out[j + 2:], signed[(-1) ** (j + 1)]))
-        block = [[0] * cols for _ in range(r)]
-        for args, contributions in terms:
-            base = column[args]
-            for k, image in enumerate(contributions):
-                for kk, x in enumerate(image):
-                    block[kk][base + k] += x
-        for f, row in zip(struct.factors, block):
-            matrix.append([x % f for x in row])
-    return matrix, len(matrix), cols
+                terms.append((((idx // high * m + merged - 1) * low + idx % low) * r, sign))
+        suffix = idx % size * r
+        for kk, acts in enumerate(acting[t[0]]):
+            rows.append([(suffix + k, c) for k, c in acts]
+                        + [(col + kk, sign) for col, sign in terms])
+    return rows, size * r
+
+
+def _scatter(module: PiModule, degree: int, width: int) -> list[list[int]]:
+    """The rows of d_degree as dense integer rows of the given width (at
+    least its column count), each reduced modulo its coordinate's factor.
+    Only the integer Smith forms need this; ranks mod p read the pairs."""
+    factors = abelian_structure(module.a).factors
+    r = len(factors)
+    sparse, _ = _delta_matrix(module, degree)
+    dense = []
+    for i, pairs in enumerate(sparse):
+        row = [0] * width
+        for col, c in pairs:
+            row[col] += c
+        f = factors[i % r]
+        dense.append([x % f for x in row])
+    return dense
 
 
 def _vectorize(c: Cochain) -> list[int]:
@@ -320,11 +348,11 @@ def _devectorize(module: PiModule, degree: int, vec: list[int]) -> Cochain:
 def _with_moduli(module: PiModule, degree: int):
     """[d_degree | diag(moduli)]: d v == 0 modulo the coefficient moduli
     exactly when (v, w) lies in its integer kernel for some w."""
-    struct = abelian_structure(module.a)
-    r = struct.rank
-    matrix, rows, cols = _delta_matrix(module, degree)
-    aug = [matrix[i] + [struct.factors[i % r] if k == i else 0 for k in range(rows)]
-           for i in range(rows)]
+    factors = abelian_structure(module.a).factors
+    rows, cols = _dimension(module, degree + 1), _dimension(module, degree)
+    aug = _scatter(module, degree, cols + rows)
+    for i, row in enumerate(aug):
+        row[cols + i] = factors[i % len(factors)]
     return aug, rows, cols + rows
 
 
@@ -350,13 +378,10 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     if r == 0 or npi == 1:
         witness = zero_cochain(module, c.degree - 1)
         return witness if c.is_zero() else None
-    _, rows, cols = _delta_matrix(module, c.degree - 1)
-    if rows == 0:
-        return zero_cochain(module, c.degree - 1) if c.is_zero() else None
     sol = _coboundary_factor(module, c.degree - 1).solve(_vectorize(c))
     if sol is None:
         return None
-    witness = _devectorize(module, c.degree - 1, sol[:cols])
+    witness = _devectorize(module, c.degree - 1, sol[:_dimension(module, c.degree - 1)])
     certify(coboundary(witness).values == c.values, "witness must bound the cocycle")
     return witness
 
@@ -467,8 +492,8 @@ def _elementary_prime(struct: AbelianStructure) -> int | None:
 def _delta_rank(module: PiModule, degree: int) -> int:
     """Rank of d_degree over GF(p) for coefficients (Z/p)^r, cached so that
     H^degree and H^(degree + 1) of one module share it."""
-    matrix, _, cols = _delta_matrix(module, degree)
-    return snf.rank_mod_p(matrix, cols, abelian_structure(module.a).factors[0])
+    return snf.rank_mod_p(*_delta_matrix(module, degree),
+                          abelian_structure(module.a).factors[0])
 
 
 @lru_cache(maxsize=None)
@@ -498,8 +523,8 @@ def cohomology_group(degree: int, module: PiModule) -> CohomologyGroup:
         return CohomologyGroup(module=module, degree=degree,
                                invariant_factors=lattice.invariant_factors,
                                _lattice=lattice)
-    _, _, cols = _delta_matrix(module, degree)
-    dim = cols - _delta_rank(module, degree) - _delta_rank(module, degree - 1)
+    dim = (_dimension(module, degree) - _delta_rank(module, degree)
+           - _delta_rank(module, degree - 1))
     return CohomologyGroup(module=module, degree=degree, invariant_factors=(p,) * dim)
 
 
@@ -512,8 +537,8 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     """
     struct = abelian_structure(module.a)
     r = struct.rank
-    _, _, n_unknowns = _delta_matrix(module, degree)
-    dm, _, prev_cols = _delta_matrix(module, degree - 1)
+    n_unknowns, prev_cols = _dimension(module, degree), _dimension(module, degree - 1)
+    dm = _scatter(module, degree - 1, prev_cols)
     moduli_n = [struct.factors[i % r] for i in range(n_unknowns)]
     # cocycle lattice K = {v : dn v == 0 modulo the coefficient moduli}
     full_kernel = snf.kernel_basis(*_with_moduli(module, degree))

@@ -235,8 +235,21 @@ def lift_factor_set(pre: PreProlongation,
     u is a section of sigma and f its factor set, taken on the row
     0 -> G0 -> G -> Pi0 -> 1 and reported inside G.  A seeded rng replaces
     both the section and the lift by random fiber picks (still normalized),
-    for choice-independence tests.
+    for choice-independence tests.  Without an rng the lift depends on pre
+    alone, and the last one is kept, keyed like derive, so the obstruction
+    and the oracle of one input share it.
     """
+    if rng is None:
+        return _canonical_lift(pre, pre._tags)
+    return _lift(pre, rng)
+
+
+@lru_cache(maxsize=1)
+def _canonical_lift(pre: PreProlongation, tags) -> LiftedFactorSet:
+    return _lift(pre, None)
+
+
+def _lift(pre: PreProlongation, rng: random.Random | None) -> LiftedFactorSet:
     d = derive(pre)
     pi0 = d.pi0
     fs = factor_set(d.g_row, choose_section(d.g_row, rng))

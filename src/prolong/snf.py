@@ -1,7 +1,8 @@
 """Exact integer linear algebra: Smith normal form, solving, kernels, lattices.
 
 Matrices are plain lists of row lists of Python ints, so everything is exact
-and overflow-free.  Shapes are passed explicitly wherever an empty matrix
+and overflow-free; rank_mod_p alone reads sparse rows of (column,
+coefficient) pairs.  Shapes are passed explicitly wherever an empty matrix
 would make them ambiguous.
 """
 
@@ -220,19 +221,32 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
                      u_inv=transpose(ui_t), v_inv=vi)
 
 
-def rank_mod_p(a, cols: int, p: int) -> int:
-    """Rank over GF(p), p prime, of the integer matrix a with cols columns.
+def rank_mod_p(rows, cols: int, p: int) -> int:
+    """Rank over GF(p), p prime, of the integer matrix with cols columns whose
+    rows are given sparsely as lists of (column, coefficient) pairs.
 
-    Rank is invariant under transposition, so the shorter side is eliminated.
-    For p = 2 each vector is packed one byte per entry into a Python int, and
-    a pivot is kept per leading bit, so reduction is XOR; for odd p vectors are
+    A column may repeat within a row (its coefficients add) and coefficients
+    need not be reduced.  Rank is invariant under transposition, so the
+    shorter side is eliminated, each vector read straight from the pairs.
+    For p = 2 a vector is packed one bit per entry into a Python int, and a
+    pivot is kept per leading bit, so reduction is XOR; for odd p vectors are
     lists reduced modulo p against pivots scaled to a leading 1.
     """
-    vectors = list(zip(*a)) if len(a) > cols else a
+    if len(rows) > cols:
+        vectors: list = [[] for _ in range(cols)]
+        for i, row in enumerate(rows):
+            for j, c in row:
+                vectors[j].append((i, c))
+        length = len(rows)
+    else:
+        vectors, length = rows, cols
+    pivots: dict = {}
     if p == 2:
-        pivots: dict = {}
-        for vec in vectors:
-            x = int.from_bytes(bytes(map((1).__and__, vec)), "big")
+        for pairs in vectors:
+            x = 0
+            for j, c in pairs:
+                if c & 1:
+                    x ^= 1 << j
             while x:
                 top = x.bit_length()
                 pivot = pivots.get(top)
@@ -241,8 +255,10 @@ def rank_mod_p(a, cols: int, p: int) -> int:
                     break
                 x ^= pivot
         return len(pivots)
-    pivots = {}
-    for vec in vectors:
+    for pairs in vectors:
+        vec = [0] * length
+        for j, c in pairs:
+            vec[j] += c
         vec = [x % p for x in vec]
         lead = next((j for j, x in enumerate(vec) if x), None)
         while lead is not None:

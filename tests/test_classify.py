@@ -555,6 +555,17 @@ def test_products_equal_fresh_builds(monkeypatch, default_sweep):
                 == _construction(reference_crossed_product, pre, u, h))
 
 
+def test_canonical_lift_is_computed_once_per_input(monkeypatch, default_sweep):
+    """A cold default pass computes one canonical lift per input: the
+    obstruction and the oracle of an input share it."""
+    _clear_caches()
+    lifts = _record_calls(monkeypatch, obstruction._lift)
+    for pre in default_sweep:
+        check(pre)
+    assert len(lifts) == len(default_sweep) == 1101
+    assert all(rng is None for _, rng in lifts)
+
+
 def test_failing_lift_raises_on_every_call(monkeypatch):
     """A lift that fails a precondition is built on each call, raises each
     time, and is never stored."""

@@ -30,7 +30,7 @@ from prolong.errors import (
 )
 from prolong import cohomology, snf
 from prolong.fixtures import builtin, cyclic
-from prolong.groups import all_homomorphisms
+from prolong.groups import all_homomorphisms, automorphism_group_table
 from prolong.obstruction import derive
 
 from oracles import (
@@ -302,11 +302,17 @@ LADDER = [
 ]
 
 
+def _densified(module, degree):
+    """The sparse rows of d_degree scattered into dense rows, with the shape."""
+    sparse, cols = cohomology._delta_matrix(module, degree)
+    return cohomology._scatter(module, degree, cols), len(sparse), cols
+
+
 @pytest.mark.parametrize("degree,pi,a,action", LADDER)
 def test_delta_matrix_matches_elementary_cochains(degree, pi, a, action):
     module = _ladder_module(pi, a, action)
     for n in range(degree + 1):
-        assert cohomology._delta_matrix(module, n) == reference_delta_matrix(module, n)
+        assert _densified(module, n) == reference_delta_matrix(module, n)
 
 
 @given(case=st.sampled_from(LADDER), degree=st.integers(0, 3), seed=st.integers(0, 2**32))
@@ -322,7 +328,7 @@ def test_coboundary_matches_reference(case, degree, seed):
 @pytest.mark.parametrize("name", ["D4", "Q8"])
 def test_delta_matrix_order_eight(name):
     module = trivial_module(builtin(name), Z2)
-    assert cohomology._delta_matrix(module, 2) == reference_delta_matrix(module, 2)
+    assert _densified(module, 2) == reference_delta_matrix(module, 2)
 
 
 @pytest.mark.parametrize("degree,pi,a,action", LADDER)
@@ -419,12 +425,35 @@ CLASSICAL = [
 ]
 
 
+def _decided_by_ranks(monkeypatch, degree, module) -> tuple[int, ...]:
+    """The invariant factors of H^degree from cold caches, with the integer
+    lattice and the dense scatter of the coboundary rows both refused."""
+    def refuse(module, degree, width):
+        raise AssertionError(f"d_{degree} scattered into dense rows")
+    for cache in (cohomology_group, cohomology._delta_rank, cohomology._delta_matrix):
+        cache.cache_clear()
+    _forbid_lattice(monkeypatch)
+    monkeypatch.setattr(cohomology, "_scatter", refuse)
+    return cohomology_group(degree, module).invariant_factors
+
+
 @pytest.mark.parametrize("degree,pi,a,factors", CLASSICAL)
 def test_classical_values_decided_by_ranks(monkeypatch, degree, pi, a, factors):
-    cohomology_group.cache_clear()
-    _forbid_lattice(monkeypatch)
-    h = cohomology_group(degree, trivial_module(builtin(pi), builtin(a)))
-    assert h.invariant_factors == factors
+    module = trivial_module(builtin(pi), builtin(a))
+    assert _decided_by_ranks(monkeypatch, degree, module) == factors
+
+
+def test_aut_v4_action_decided_by_ranks(monkeypatch):
+    """S3 acting on V4 through Aut(V4) = S3: V4 is then the projective
+    Steinberg module of GL_2(F_2), so H^2 vanishes; the ranks decide it
+    without dense rows, and the integer lattice agrees."""
+    s3, v4 = builtin("S3"), builtin("V4")
+    aut, maps = automorphism_group_table(v4)
+    iso = all_homomorphisms(s3, aut, injective_only=True)[0]
+    module = pi_module(s3, v4, [maps[iso.map[x]].map for x in s3.elements()])
+    assert _decided_by_ranks(monkeypatch, 2, module) == ()
+    monkeypatch.undo()
+    assert cohomology._integer_lattice(module, 2).invariant_factors == ()
 
 
 def test_lattice_is_built_once_on_demand_and_certified(monkeypatch):

@@ -141,6 +141,11 @@ def test_solve_needs_u_and_v():
         smith_normal_form([[2]], track="uv").solve([2, 0])
 
 
+def _pairs(m):
+    """Dense rows as sparse rows of their nonzero (column, entry) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
 @given(sparse_matrix, st.sampled_from([2, 3, 5]))
 def test_rank_mod_p_counts_invariant_factors_prime_to_p(m, p):
     """Over GF(p) the rank of an integer matrix is the number of its Smith
@@ -148,5 +153,31 @@ def test_rank_mod_p_counts_invariant_factors_prime_to_p(m, p):
     cols = len(m[0]) if m else 3
     diag = reference_smith_normal_form(m, len(m), cols, track="").diagonal()
     expected = sum(1 for d in diag if d % p)
-    assert rank_mod_p(m, cols, p) == expected
-    assert rank_mod_p([list(col) for col in zip(*m)], len(m), p) == expected
+    assert rank_mod_p(_pairs(m), cols, p) == expected
+    assert rank_mod_p(_pairs(zip(*m)), len(m), p) == expected
+
+
+@st.composite
+def sparse_rows(draw, tall: bool):
+    """Sparse rows with more rows than columns when tall, else at most as
+    many: columns repeat within a row, coefficients are negative or
+    unreduced, and rows may be empty."""
+    cols = draw(st.integers(0, 6))
+    count = draw(st.integers(cols + 1, cols + 6) if tall else st.integers(0, cols))
+    entry = st.tuples(st.integers(0, max(cols - 1, 0)), st.integers(-30, 30))
+    rows = draw(st.lists(st.lists(entry, max_size=8 if cols else 0),
+                         min_size=count, max_size=count))
+    return rows, cols
+
+
+@given(st.booleans().flatmap(sparse_rows), st.sampled_from([2, 3, 5]))
+def test_sparse_rank_mod_p_counts_invariant_factors_prime_to_p(case, p):
+    """The rank of sparse rows is that of the integer matrix their pairs
+    sum to: the number of its Smith invariant factors prime to p."""
+    rows, cols = case
+    dense = [[0] * cols for _ in rows]
+    for row, pairs in zip(dense, rows):
+        for j, c in pairs:
+            row[j] += c
+    diag = reference_smith_normal_form(dense, len(dense), cols, track="").diagonal()
+    assert rank_mod_p(rows, cols, p) == sum(1 for d in diag if d % p)
