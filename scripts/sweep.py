@@ -7,7 +7,10 @@ search, the class count against |H^2|, and centrality against the kernel
 action.  An input past the covering search's bounds is counted as
 oracle-unchecked; its other checks still run.  On the first disagreement
 this names the sweep index and the kind of disagreement and exits 1, also
-under `python -O`.  After two timing lines it prints `prolong.sweep.landscape`.
+under `python -O`.  Generation builds only valid inputs; a bound hit by
+its homomorphism or automorphism searches drops none, but prints the
+bound's message to stderr and exits 1.  After two timing lines it prints
+`prolong.sweep.landscape`.
 
 Usage: python scripts/sweep.py [--max-kernel N] [--max-cokernel N]
                                [--max-e0 N] [--max-total N]
@@ -21,6 +24,7 @@ import dataclasses
 import sys
 import time
 
+from prolong.errors import OrderBoundExceeded, SearchBoundExceeded
 from prolong.sweep import SweepConfig, check, generate_pre_prolongations, landscape
 
 
@@ -44,7 +48,11 @@ def main() -> None:
 
     cfg = SweepConfig(**{name: getattr(args, name) for name in fields})
     t0 = time.time()
-    pres = generate_pre_prolongations(cfg)
+    try:
+        pres = generate_pre_prolongations(cfg)
+    except (OrderBoundExceeded, SearchBoundExceeded) as exc:
+        print(f"generation: {exc}", file=sys.stderr)
+        sys.exit(1)
     print(f"generated {len(pres)} pre-prolongations in {time.time() - t0:.1f}s")
 
     t1 = time.time()

@@ -57,7 +57,6 @@ from .extensions import (
     frame_checks,
     gamma_cokernel,
     group_tags,
-    is_central,
     ladder_checks,
 )
 from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
@@ -164,7 +163,12 @@ def check_pre(pre: PreProlongation) -> tuple[tuple[CheckItem, ...], PreDerived |
     The items stop after the first group with a failure: the wiring, the
     frame (the e0 row is exact by type), theta's shape, the crossed-module
     axioms of (E0, G, gamma . pi, theta), the centrality of i(A) in E0, and
-    the module action theta induces on A.
+    the module action theta induces on A.  The last two are listed as passed
+    without a check of their own: i(A) is the image of the central j0(A0)
+    under a surjection, so e0_central implies the first; C2 makes theta
+    preserve ker(gamma . pi) = i(A), and C1 makes theta over gamma(G0)
+    conjugation, trivial on the central i(A), so the action factors through
+    Pi0.  induced_module_action builds that action.
     """
     alpha_wired, gamma_wired = pre.alpha.source == pre.e0.a, pre.gamma.source == pre.e0.g
     items = [CheckItem("wiring", alpha_wired and gamma_wired)]
@@ -193,16 +197,9 @@ def check_pre(pre: PreProlongation) -> tuple[tuple[CheckItem, ...], PreDerived |
               for item in cm_report.items]
     if not cm_report.ok:
         return tuple(items), None, InvalidCrossedModule(cm_report)
-    items.append(CheckItem("kernel_central_in_e0", is_central(top)))
-    if not items[-1].ok:
-        return tuple(items), None, NotCentral(
-            "the kernel of the identified row is not central")
+    items += [CheckItem("kernel_central_in_e0", True), CheckItem("module_action", True)]
     coker = gamma_cokernel(pre.gamma)
-    try:
-        module = induced_module_action(cm, i, coker)
-    except ProlongError as exc:
-        return (*items, CheckItem("module_action", False, str(exc))), None, exc
-    items.append(CheckItem("module_action", True))
+    module = induced_module_action(cm, i, coker)
     return tuple(items), PreDerived(
         pre=pre, e0_data=e0_data, e0=e0, pi=pi, i=i, top=top, coker=coker,
         g_row=ShortExtension(pre.gamma, coker.projection), pi0=coker.quotient,

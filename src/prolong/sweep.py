@@ -15,12 +15,8 @@ from dataclasses import dataclass, replace
 
 from .classify import ProlongationClass, brute_force_coverings, enumerate_classes
 from .cohomology import cohomology_group
-from .errors import (
-    FiberDependentAction,
-    InvalidCrossedModule,
-    KernelNotPreserved,
-    SearchBoundExceeded,
-)
+from .crossed import CrossedModule, c2_on_generators
+from .errors import SearchBoundExceeded
 from .extensions import (
     Prolongation,
     ShortExtension,
@@ -79,11 +75,7 @@ def _gammas(g0: FiniteGroup, cfg: SweepConfig) -> list[Homomorphism]:
         if g.order % g0.order or g.order // g0.order > cfg.max_cokernel:
             continue
         seen_images = set()
-        try:
-            homs = all_homomorphisms(g0, g, injective_only=True)
-        except SearchBoundExceeded:
-            continue
-        for gamma in homs:
+        for gamma in all_homomorphisms(g0, g, injective_only=True):
             img = image(gamma)
             if img.members in seen_images:
                 continue
@@ -94,41 +86,36 @@ def _gammas(g0: FiniteGroup, cfg: SweepConfig) -> list[Homomorphism]:
 
 
 def _thetas(pre_frame: tuple[ShortExtension, Homomorphism, Homomorphism]):
-    """All homomorphisms theta with the C1-forced values on the image of gamma."""
+    """Every theta making (E0, G, gamma . pi, theta) a crossed module, in the
+    order of all_homomorphisms.
+
+    C1 fixes theta on gamma(G0): theta[gammapi(e)] is conjugation by e, an
+    inner automorphism, and well defined, since the kernel i(A) of gammapi is
+    central.  The homomorphisms G -> Aut(E0) with these values then act by
+    automorphisms and satisfy C1, and c2_on_generators decides C2 on them.
+    """
     e0row, alpha, gamma = pre_frame
     e0_data, top = e0_quotient(e0row, alpha)
-    e0 = e0_data.quotient
+    e0, g = e0_data.quotient, gamma.target
     gammapi = compose(gamma, top.p)
     aut_group, auts = automorphism_group_table(e0)
     aut_index = {a.map: i for i, a in enumerate(auts)}
-    # C1 forces theta on gamma(G0): theta[gammapi(e)] = conjugation by e
-    fixed: dict[int, int] = {}
-    consistent = True
-    for e in e0.elements():
-        mu = tuple(e0.conjugate(e, x) for x in e0.elements())
-        key = gammapi.map[e]
-        idx = aut_index.get(mu)
-        if idx is None:
-            consistent = False
-            break
-        if key in fixed and fixed[key] != idx:
-            consistent = False
-            break
-        fixed[key] = idx
-    if not consistent:
-        return
-    g = gamma.target
-    try:
-        homs = all_homomorphisms(g, aut_group, fixed=fixed)
-    except SearchBoundExceeded:
-        return
-    for hom in homs:
-        yield tuple(auts[hom.map[x]].map for x in g.elements())
+    fixed = {gammapi.map[e]: aut_index[tuple(e0.conjugate(e, x) for x in e0.elements())]
+             for e in e0.elements()}
+    for hom in all_homomorphisms(g, aut_group, fixed=fixed):
+        theta = tuple(auts[hom.map[x]].map for x in g.elements())
+        if c2_on_generators(CrossedModule(e0, g, gammapi, theta)):
+            yield theta
 
 
 def generate_pre_prolongations(cfg: SweepConfig = SweepConfig()
                                ) -> tuple[PreProlongation, ...]:
-    """Every valid pre-prolongation inside the configured bounds."""
+    """Every valid pre-prolongation inside the configured bounds.
+
+    Each is valid by construction, so none is derived here: the rows are
+    central, alpha is a quotient map, gamma injective with normal image, and
+    _thetas yields only crossed modules.  A search bound that is hit raises
+    its error; no input is dropped."""
     found: list[PreProlongation] = []
     for e0row, a0 in _central_rows(cfg):
         gammas = _gammas(e0row.g, cfg)
@@ -142,14 +129,8 @@ def generate_pre_prolongations(cfg: SweepConfig = SweepConfig()
                 if a.order * gamma.target.order > cfg.max_total:
                     continue
                 for theta in _thetas((e0row, alpha, gamma)):
-                    pre = PreProlongation(e0=e0row, alpha=alpha,
-                                          gamma=gamma, theta=theta)
-                    try:
-                        derive(pre)
-                    except (InvalidCrossedModule, KernelNotPreserved,
-                            FiberDependentAction):
-                        continue
-                    found.append(pre)
+                    found.append(PreProlongation(e0=e0row, alpha=alpha,
+                                                 gamma=gamma, theta=theta))
     return tuple(found)
 
 

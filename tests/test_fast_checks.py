@@ -4,8 +4,9 @@ validate_group (Light's test), Homomorphism (the check on generators),
 is_normal and is_central (conjugation and commutation by generators) and
 check_crossed_module (theta, C1 and C2 on generators) must agree with the
 full loops in tests/oracles.py on acceptance, exception type, message,
-witness and every report item.  The sweep's inputs are pinned by hash, so
-the faster checks provably generate the same pre-prolongations.
+witness and every report item.  The inputs of the default and the larger
+sweep are pinned by hash, so the faster checks and the generation that no
+longer derives its candidates provably give the same pre-prolongations.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ from prolong.groups import (
     trivial_hom,
     validate_group,
 )
+from prolong.sweep import SweepConfig, generate_pre_prolongations
 
 from oracles import (
     brute_center,
@@ -302,15 +304,29 @@ def test_generating_set_matches_oracle_on_any_start(name, data):
 # SHA-256 of the default sweep's inputs, recorded before the checks moved to
 # generating sets: the same tables, maps and thetas in the same order
 SWEEP_INPUTS_SHA256 = "13c42071046c6bebaac9cad09223b845569db39d3fb815893001bd6e819a49af"
+# the same digest of the larger sweep's inputs (--max-cokernel 4 --max-total 32),
+# recorded while generation still derived every candidate
+LARGER_SWEEP_INPUTS_SHA256 = (
+    "3ad11671aa0aeeb698ccc0d05326558d2a82a8dd92b1570141d14e33f22dca80")
 
 
-def test_default_sweep_inputs_are_pinned(default_sweep):
+def _inputs_digest(pres) -> str:
     digest = hashlib.sha256()
-    for pre in default_sweep:
+    for pre in pres:
         e0 = pre.e0
         digest.update(repr((e0.a.table, e0.b.table, e0.g.table, e0.j.map, e0.p.map,
                             pre.alpha.target.table, pre.alpha.map,
                             pre.gamma.target.table, pre.gamma.map,
                             pre.theta)).encode())
+    return digest.hexdigest()
+
+
+def test_default_sweep_inputs_are_pinned(default_sweep):
     assert len(default_sweep) == 1101
-    assert digest.hexdigest() == SWEEP_INPUTS_SHA256
+    assert _inputs_digest(default_sweep) == SWEEP_INPUTS_SHA256
+
+
+def test_larger_sweep_inputs_are_pinned():
+    pres = generate_pre_prolongations(SweepConfig(max_cokernel=4, max_total=32))
+    assert len(pres) == 2868
+    assert _inputs_digest(pres) == LARGER_SWEEP_INPUTS_SHA256

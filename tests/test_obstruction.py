@@ -11,10 +11,8 @@ from prolong import obstruction
 from prolong.cli import run
 from prolong.cohomology import coboundary, is_coboundary
 from prolong.errors import (
-    FiberDependentAction,
     ImageNotNormal,
     InvalidCrossedModule,
-    KernelNotPreserved,
     MismatchedBase,
     NotAssociative,
     NotCentral,
@@ -195,8 +193,6 @@ FIRST_FAILURE_ERRORS = {
     "gamma_mono": NotInjective,
     "gamma_image_normal": ImageNotNormal,
     "theta_shape": InvalidCrossedModule,
-    "kernel_central_in_e0": NotCentral,
-    "module_action": (KernelNotPreserved, FiberDependentAction),
 }
 
 
@@ -222,15 +218,17 @@ def _broken_pres() -> list:
 
 
 def test_derive_raises_exactly_when_validate_pre_fails(monkeypatch):
-    """Over every candidate the default generation tries, the shipped
-    scenarios and broken variants of one input, derive raises exactly when
-    validate_pre's report fails, with the error its first failing item maps
-    to; a crossed-module failure carries the report's details."""
-    tried = []
-    real = prolong.sweep.derive
-    monkeypatch.setattr(prolong.sweep, "derive",
-                        lambda pre: tried.append(pre) or real(pre))
+    """Over every candidate the default generation would try without its C2
+    filter, the shipped scenarios and broken variants of one input, derive
+    raises exactly when validate_pre's report fails, with the error its first
+    failing item maps to; a crossed-module failure carries the report's
+    details.  Generation derives nothing, and keeps exactly the candidates
+    derive accepts, in order."""
+    derive.cache_clear()
     accepted = generate_pre_prolongations(SweepConfig())
+    assert obstruction._derive.cache_info()[:2] == (0, 0)
+    monkeypatch.setattr(prolong.sweep, "c2_on_generators", lambda cm: True)
+    tried = generate_pre_prolongations(SweepConfig())
     monkeypatch.undo()
     assert (len(tried), len(accepted)) == (3117, 1101)
     shipped = [load_scenario(path).pre_prolongation()
@@ -239,11 +237,13 @@ def test_derive_raises_exactly_when_validate_pre_fails(monkeypatch):
     broken = _broken_pres()
     derive.cache_clear()
     failing = Counter()
-    for pre in tried + shipped + broken:
+    derived = []
+    for pre in [*tried, *shipped, *broken]:
         report = validate_pre(pre)
         try:
             derive(pre)
             raised = None
+            derived.append(pre)
         except ProlongError as exc:
             raised = exc
         failing[tuple(item.name for item in report.failures())] += 1
@@ -260,6 +260,7 @@ def test_derive_raises_exactly_when_validate_pre_fails(monkeypatch):
             assert isinstance(raised, FIRST_FAILURE_ERRORS[first]), (first, raised)
     assert failing[()] == 1101 + len(shipped)
     assert failing[("crossed_axiom_c2",)] == 2016
+    assert derived == [*accepted, *shipped]
     assert [next(item.name for item in validate_pre(pre).failures())
             for pre in broken] == ["wiring", "wiring", "alpha_epi", "gamma_mono",
                                    "gamma_image_normal", "theta_shape", "e0_central"]

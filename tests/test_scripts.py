@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import prolong.sweep
-from prolong.errors import SearchBoundExceeded
+from prolong.errors import OrderBoundExceeded, SearchBoundExceeded
 from prolong.obstruction import obstruction_class
 from prolong.sweep import SweepConfig, generate_pre_prolongations
 
@@ -109,6 +109,33 @@ def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
     assert "  oracle-unchecked: 35\n" in out
     assert _landscape(out) == _landscape(checked)
     assert [r.unchecked for r in reports if r.coverings is None] == [bound] * 35
+
+
+@pytest.mark.parametrize("name, error, bound", [
+    ("all_homomorphisms", SearchBoundExceeded,
+     "homomorphism search space 9 exceeds MAX_HOM_CANDIDATES = 8"),
+    ("automorphism_group_table", OrderBoundExceeded,
+     "group order 4 exceeds MAX_AUT_ORDER = 3"),
+])
+def test_sweep_fails_on_a_generation_bound(monkeypatch, capsys, name, error, bound):
+    """A bound hit by the theta search (all_homomorphisms with fixed values)
+    or the automorphism search stops generation with the bound's error, and
+    the script prints its message to stderr and exits 1; no input is dropped
+    in silence."""
+    search = getattr(prolong.sweep, name)
+
+    def bounded(*groups, **options):
+        if name == "automorphism_group_table" or "fixed" in options:
+            raise error(bound)
+        return search(*groups, **options)
+
+    monkeypatch.setattr(prolong.sweep, name, bounded)
+    with pytest.raises(error, match=bound):
+        generate_pre_prolongations(SMALL_CONFIG)
+    with pytest.raises(SystemExit) as exit_info:
+        _sweep_script(monkeypatch).main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr() == ("", f"generation: {bound}\n")
 
 
 def _no_coverings(oracle):
