@@ -219,8 +219,19 @@ def cochain_add(c1: Cochain, c2: Cochain) -> Cochain:
                    tuple(a.mul(x, y) for x, y in zip(c1.values, c2.values)))
 
 
-def coboundary(c: Cochain) -> Cochain:
-    """d c under the sign convention, reading c.values by flat index.
+@lru_cache(maxsize=None)
+def _free_flat(npi: int, degree: int) -> tuple[int, ...]:
+    """Flat indices of the free positions, in the order of free_positions."""
+    flat = [0]
+    for _ in range(degree):
+        flat = [idx * npi + x for idx in flat for x in range(1, npi)]
+    return tuple(flat)
+
+
+def _coboundary_values(c: Cochain):
+    """The values of d c at the free positions of degree n + 1, in order,
+    reading c.values by flat index; d c of a normalized c is normalized, so
+    these are all its possibly nonzero values.
 
     For the output tuple t = (t0, ..., tn) at flat index idx, the suffix
     t[1:] sits at idx % npi**n and the prefix t[:n] at idx // npi; merging
@@ -240,19 +251,29 @@ def coboundary(c: Cochain) -> Cochain:
     merges = [(j, npi ** (n + 1 - j), npi ** (n - 1 - j), (-1) ** (j + 1))
               for j in range(n)]
     last_positive = (n + 1) % 2 == 0
-    out = []
-    for idx, t in enumerate(_tuples(npi, n + 1)):
+    for idx, t in zip(_free_flat(npi, n + 1),
+                      itertools.product(range(1, npi), repeat=n + 1)):
         acc = action[t[0]][vals[idx % size]]
         for j, high, low, sign in merges:
             v = vals[(idx // high * npi + pi_table[t[j]][t[j + 1]]) * low + idx % low]
             acc = mul[acc][v if sign > 0 else inv[v]]
         v = vals[idx // npi]
-        out.append(mul[acc][v if last_positive else inv[v]])
-    return Cochain(module, n + 1, tuple(out))
+        yield mul[acc][v if last_positive else inv[v]]
+
+
+def coboundary(c: Cochain) -> Cochain:
+    """d c under the sign convention."""
+    values = list(_coboundary_values(c))    # raises past MAX_DEGREE before out is sized
+    npi = c.module.pi.order
+    out = [0] * npi ** (c.degree + 1)
+    for idx, v in zip(_free_flat(npi, c.degree + 1), values):
+        out[idx] = v
+    return Cochain(c.module, c.degree + 1, tuple(out))
 
 
 def is_cocycle(c: Cochain) -> bool:
-    return coboundary(c).is_zero()
+    """d c == 0, stopping at the first nonzero value."""
+    return not any(_coboundary_values(c))
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +349,20 @@ def _scatter(module: PiModule, degree: int, width: int) -> list[list[int]]:
 
 
 def _vectorize(c: Cochain) -> list[int]:
-    struct = abelian_structure(c.module.a)
-    npi = c.module.pi.order
-    out = []
-    for pos in free_positions(npi, c.degree):
-        out.extend(struct.vec(c.value(pos)))
-    return out
+    """The free-position coordinates of c, as the rows of d are indexed."""
+    vec = abelian_structure(c.module.a).vec
+    return list(itertools.chain.from_iterable(
+        map(vec, map(c.values.__getitem__, _free_flat(c.module.pi.order, c.degree)))))
 
 
 def _devectorize(module: PiModule, degree: int, vec: list[int]) -> Cochain:
     struct = abelian_structure(module.a)
     r = struct.rank
-    assignment = {}
-    for idx, pos in enumerate(free_positions(module.pi.order, degree)):
-        assignment[pos] = struct.element(tuple(vec[idx * r + k] for k in range(r)))
-    return cochain_from_values(module, degree, assignment)
+    npi = module.pi.order
+    values = [0] * npi ** degree
+    for k, idx in enumerate(_free_flat(npi, degree)):
+        values[idx] = struct.element(vec[k * r:k * r + r])
+    return Cochain(module, degree, tuple(values))
 
 
 def _with_moduli(module: PiModule, degree: int):
@@ -357,9 +377,11 @@ def _with_moduli(module: PiModule, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _coboundary_factor(module: PiModule, degree: int) -> snf.SmithForm:
-    """The Smith form every is_coboundary query in degree + 1 solves against."""
-    return snf.smith_normal_form(*_with_moduli(module, degree), track="uv")
+def _coboundary_factor(module: PiModule, degree: int):
+    """The Smith form every is_coboundary query in degree + 1 solves against,
+    and the rows of its v that give a solution's C^degree coordinates."""
+    sf = snf.smith_normal_form(*_with_moduli(module, degree), track="uv")
+    return sf, sf.v[:_dimension(module, degree)]
 
 
 def is_coboundary(c: Cochain) -> Cochain | None:
@@ -378,10 +400,11 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     if r == 0 or npi == 1:
         witness = zero_cochain(module, c.degree - 1)
         return witness if c.is_zero() else None
-    sol = _coboundary_factor(module, c.degree - 1).solve(_vectorize(c))
+    sf, rows = _coboundary_factor(module, c.degree - 1)
+    sol = sf.solve(_vectorize(c), out=rows)
     if sol is None:
         return None
-    witness = _devectorize(module, c.degree - 1, sol[:_dimension(module, c.degree - 1)])
+    witness = _devectorize(module, c.degree - 1, sol)
     certify(coboundary(witness).values == c.values, "witness must bound the cocycle")
     return witness
 
@@ -402,18 +425,17 @@ def same_class(c1: Cochain, c2: Cochain) -> bool:
 @dataclass(frozen=True, eq=False)
 class _Lattice:
     """The exact integer presentation of one H^n: basis cocycles and the
-    factorizations a coordinates query reuses.
+    factorization a coordinates query reuses.
 
-    k_factor is the Smith form of the cocycle-lattice basis, so a query is a
-    solve against it and a product with u, not a new factorization.
+    k_factor is the Smith form of the cocycle-lattice basis K and to_coords
+    the rows kept of the quotient's u, precomposed with k_factor.v: a query
+    is one solve against k_factor through to_coords, not a factorization.
     """
 
     invariant_factors: tuple[int, ...]
     basis: tuple[Cochain, ...]
     k_factor: snf.SmithForm
-    u: list
-    kept: tuple[int, ...]
-    diag: tuple[int, ...]
+    to_coords: list
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,10 +478,9 @@ class CohomologyGroup:
         if not self.invariant_factors:
             return ()
         lattice = self._exact()
-        x = lattice.k_factor.solve(_vectorize(c))
-        certify(x is not None, "cocycle vector must lie in the cocycle lattice")
-        w = snf.matvec(lattice.u, x)
-        return tuple(w[i] % lattice.diag[i] for i in lattice.kept)
+        w = lattice.k_factor.solve(_vectorize(c), out=lattice.to_coords)
+        certify(w is not None, "cocycle vector must lie in the cocycle lattice")
+        return tuple(x % d for x, d in zip(w, self.invariant_factors))
 
     def from_coordinates(self, coords) -> Cochain:
         """The basis combination sum_k coords[k] * basis[k]."""
@@ -574,5 +595,5 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
         rep = _devectorize(module, degree, vec)
         certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
-    return _Lattice(invariant_factors=factors, basis=tuple(basis),
-                    k_factor=k_factor, u=sf.u, kept=kept, diag=tuple(diag))
+    return _Lattice(invariant_factors=factors, basis=tuple(basis), k_factor=k_factor,
+                    to_coords=snf.matmul([sf.u[i] for i in kept], k_factor.v))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter, mul
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -33,8 +34,11 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     """a @ v, touching only the nonzero entries of v."""
-    nz = [(k, x) for k, x in enumerate(v) if x]
-    return [sum(row[k] * x for k, x in nz) for row in a]
+    nz = [k for k, x in enumerate(v) if x]
+    if len(nz) < 2:     # itemgetter of one index returns a bare entry
+        return [sum(row[k] * v[k] for k in nz) for row in a]
+    get, xs = itemgetter(*nz), [v[k] for k in nz]
+    return [sum(map(mul, get(row), xs)) for row in a]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,13 +60,19 @@ class SmithForm:
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(self.rows, self.cols))]
 
-    def solve(self, b: list[int]) -> list[int] | None:
-        """One integer solution x of a @ x == b, or None when unsolvable.
+    def solve(self, b: list[int], out: list[list[int]] | None = None) -> list[int] | None:
+        """out @ y for the diagonal solution y of d @ y == u @ b, or None
+        when a @ x == b has no integer solution.
 
-        Needs u and v (track="uv").  The factorization is reused as is, so
-        each call costs two matrix-vector products.
+        out defaults to v, which gives one integer solution x = v @ y.  A
+        caller that needs only some linear image M @ x passes M @ v, computed
+        once, or only some rows of v; the rows of out are then the only ones
+        multiplied.  Needs u, and v unless out is given (track="uv").  The
+        factorization is reused as is, so each call costs the product u @ b,
+        which decides solvability, and the product out @ y.
         """
-        if self.u is None or self.v is None:
+        out = self.v if out is None else out
+        if self.u is None or out is None:
             raise ValueError("solving needs the u and v transforms (track='uv')")
         r, c = self.rows, self.cols
         if len(b) != r:
@@ -79,7 +89,7 @@ class SmithForm:
                 return None
         if any(rhs[min(r, c):]):
             return None
-        return matvec(self.v, y)
+        return matvec(out, y)
 
 
 def smith_normal_form(a, rows: int | None = None, cols: int | None = None,

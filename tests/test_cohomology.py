@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import random
 
@@ -302,6 +304,10 @@ LADDER = [
 ]
 
 
+# The same, with trivial Z2 coefficients over two groups of order 8.
+WITH_ORDER_EIGHT = LADDER + [(2, "D4", "Z2", None), (2, "Q8", "Z2", None)]
+
+
 def _densified(module, degree):
     """The sparse rows of d_degree scattered into dense rows, with the shape."""
     sparse, cols = cohomology._delta_matrix(module, degree)
@@ -315,14 +321,33 @@ def test_delta_matrix_matches_elementary_cochains(degree, pi, a, action):
         assert _densified(module, n) == reference_delta_matrix(module, n)
 
 
-@given(case=st.sampled_from(LADDER), degree=st.integers(0, 3), seed=st.integers(0, 2**32))
+@given(case=st.sampled_from(WITH_ORDER_EIGHT), degree=st.integers(0, 3),
+       seed=st.integers(0, 2**32))
 def test_coboundary_matches_reference(case, degree, seed):
-    """The flat-index coboundary equals the tuple-lookup one on random
-    normalized cochains of every ladder module."""
+    """The flat-index coboundary over free positions equals the tuple-lookup
+    one over all positions on random normalized cochains of every ladder
+    module and of trivial Z2 over D4 and Q8."""
     _, pi, a, action = case
     module = _ladder_module(pi, a, action)
     c = random_cochain(module, degree, random.Random(seed))
     assert coboundary(c) == reference_coboundary(c)
+
+
+@given(case=st.sampled_from(WITH_ORDER_EIGHT), degree=st.integers(0, 3),
+       bounding=st.booleans(), seed=st.integers(0, 2**32))
+def test_is_cocycle_matches_reference(case, degree, bounding, seed):
+    """is_cocycle, which stops at the first nonzero value, agrees with the
+    full tuple-lookup coboundary on random normalized cochains (mostly not
+    cocycles) and on coboundaries of random cochains."""
+    _, pi, a, action = case
+    module = _ladder_module(pi, a, action)
+    rng = random.Random(seed)
+    if bounding and degree:
+        c = reference_coboundary(random_cochain(module, degree - 1, rng))
+        assert is_cocycle(c)
+    else:
+        c = random_cochain(module, degree, rng)
+    assert is_cocycle(c) == reference_coboundary(c).is_zero()
 
 
 @pytest.mark.parametrize("name", ["D4", "Q8"])
@@ -345,6 +370,49 @@ def test_cohomology_matches_reference_engine(degree, pi, a, action):
         noise = coboundary(random_cochain(module, degree - 1, rng))
         c = cochain_add(h.from_coordinates(coords), noise)
         assert h.coordinates(c) == ref.coordinates(c) == coords
+
+
+# The groups the cohomology benchmark queries, (degree, Pi0, A), trivial action.
+QUERY_GROUPS = [(2, "S3", "Z2"), (3, "V4", "Z2"), (3, "Z4", "V4"), (2, "D4", "Z2")]
+
+
+@functools.lru_cache(maxsize=None)
+def _query_case(degree, pi, a):
+    """H^degree, its reference engine (about 3 s for D4), and seeded
+    cocycles: basis combinations plus coboundaries of random cochains."""
+    module = trivial_module(builtin(pi), builtin(a))
+    h = cohomology_group(degree, module)
+    rng = random.Random(f"query {degree} {pi} {a}")
+    cocycles = []
+    for _ in range(12):
+        coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+        noise = reference_coboundary(random_cochain(module, degree - 1, rng))
+        cocycles.append(cochain_add(h.from_coordinates(coords), noise))
+    return h, ReferenceCohomology(degree, module), cocycles
+
+
+@pytest.mark.parametrize("degree,pi,a", QUERY_GROUPS)
+def test_coordinates_match_reference_on_query_groups(degree, pi, a):
+    h, ref, cocycles = _query_case(degree, pi, a)
+    assert [h.coordinates(c) for c in cocycles] == [ref.coordinates(c) for c in cocycles]
+
+
+@pytest.mark.parametrize("degree,pi,a", QUERY_GROUPS)
+def test_changed_coordinate_map_entry_disagrees_with_reference(degree, pi, a):
+    """Mutation check of the test above: one entry of the precomposed
+    coordinate map off by one, in each row at seeded columns, makes some
+    seeded cocycle's coordinates differ from the reference engine's."""
+    h, ref, cocycles = _query_case(degree, pi, a)
+    expected = [ref.coordinates(c) for c in cocycles]
+    lattice = h._exact()
+    rng = random.Random(f"mutate {degree} {pi} {a}")
+    for i, row in enumerate(lattice.to_coords):
+        for j in rng.sample(range(len(row)), 4):
+            changed = [list(r) for r in lattice.to_coords]
+            changed[i][j] += 1
+            mutant = dataclasses.replace(
+                h, _lattice=dataclasses.replace(lattice, to_coords=changed))
+            assert [mutant.coordinates(c) for c in cocycles] != expected, (i, j)
 
 
 def test_queries_reuse_their_factorizations(monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from prolong.snf import (
     identity_matrix,
@@ -11,7 +11,7 @@ from prolong.snf import (
     smith_normal_form,
 )
 
-from oracles import reference_smith_normal_form, reference_solve_integer
+from oracles import matvec as dense_matvec, reference_smith_normal_form, reference_solve_integer
 
 small_matrix = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -132,6 +132,54 @@ def test_one_factor_solves_like_a_fresh_one(m, data):
     for _ in range(3):
         b = data.draw(st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m)))
         assert sf.solve(b) == reference_solve_integer(m, b, len(m), cols)
+
+
+big_entry = st.integers(-9, 9) | st.integers(-2**70, 2**70)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """A matrix with negative and large entries and a vector that is
+    all zero, has exactly one nonzero entry, or is drawn freely."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(big_entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    kind = draw(st.sampled_from(["zero", "one", "any"]))
+    if kind == "any":
+        v = draw(st.lists(big_entry, min_size=cols, max_size=cols))
+    else:
+        v = [0] * cols
+        if kind == "one":
+            v[draw(st.integers(0, cols - 1))] = draw(big_entry.filter(bool))
+    return a, v
+
+
+@given(matrix_and_vector())
+def test_matvec_matches_the_dense_product(case):
+    a, v = case
+    assert matvec(a, v) == dense_matvec(a, v)
+
+
+@given(sparse_matrix, st.data())
+def test_solve_through_an_output_map(m, data):
+    """solve(b, out=M @ v) is M applied to solve(b), for rows of v picked
+    out and for any integer M, and is None exactly when solve(b) is."""
+    rows, cols = len(m), len(m[0]) if m else 2
+    assume(cols)
+    sf = smith_normal_form(m, rows, cols, track="uv")
+    picked = data.draw(st.lists(st.integers(0, cols - 1), max_size=cols))
+    mat = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+                             min_size=1, max_size=3))
+    for _ in range(3):
+        b = data.draw(st.lists(st.integers(-4, 4), min_size=rows, max_size=rows))
+        x = sf.solve(b)
+        through_rows = sf.solve(b, out=[sf.v[i] for i in picked])
+        through_map = sf.solve(b, out=matmul(mat, sf.v))
+        if x is None:
+            assert through_rows is None and through_map is None
+        else:
+            assert through_rows == [x[i] for i in picked]
+            assert through_map == dense_matvec(mat, x)
 
 
 def test_solve_needs_u_and_v():
