@@ -20,7 +20,6 @@ Each flag sets the SweepConfig field of its name and defaults to it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -40,13 +39,14 @@ def checked(pres):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    fields = [f.name for f in dataclasses.fields(SweepConfig)]
-    for name in fields:
+    defaults = SweepConfig()
+    for name in SweepConfig.__slots__:
         parser.add_argument("--" + name.replace("_", "-"), type=int,
-                            default=getattr(SweepConfig, name))
+                            default=getattr(defaults, name), metavar="N",
+                            help="default: %(default)s")
     args = parser.parse_args()
 
-    cfg = SweepConfig(**{name: getattr(args, name) for name in fields})
+    cfg = SweepConfig(**{name: getattr(args, name) for name in SweepConfig.__slots__})
     t0 = time.time()
     try:
         pres = generate_pre_prolongations(cfg)

@@ -9,7 +9,6 @@ class is assigned to a single lift.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 
 from .cohomology import Cochain, cohomology_group, is_cocycle
@@ -41,19 +40,22 @@ from .obstruction import (
     ladder_crossed_module,
     lift_factor_set,
 )
+from .record import Record, assign
 
 MAX_EQUIVALENCE_CANDIDATES = 4096   # product of the section-image candidates
 DEFAULT_BRUTE_ORDER = 16             # middle-group order the oracle accepts
 MAX_LIFT_CANDIDATES = 1 << 20        # nodes the oracle's lift search visits
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceWitness:
+class EquivalenceWitness(Record, eq=False):
     """An isomorphism of middle groups realizing an equivalence of ladders."""
 
-    beta_star: Homomorphism
-    first: Prolongation
-    second: Prolongation
+    __slots__ = ("beta_star", "first", "second")
+
+    def __init__(self, beta_star: Homomorphism, first: Prolongation, second: Prolongation):
+        assign(self, "beta_star", beta_star)
+        assign(self, "first", first)
+        assign(self, "second", second)
 
 
 def witness_is_valid(w: EquivalenceWitness) -> bool:
@@ -76,15 +78,17 @@ def _require_same_frame(p1: Prolongation, p2: Prolongation) -> None:
         raise MismatchedFrame("prolongations do not share kernel, base and quotient")
 
 
-@dataclass(frozen=True, eq=False)
-class _Reduction:
+class _Reduction(Record, eq=False):
     """Canonical section data of a ladder: on the induced row
     0 -> E0 -> B -> Pi0 -> 1, the section v over u = coker.reps and its
     factor set h, which is the lift in E0."""
 
-    icm: InducedCrossedModule
-    u: tuple[int, ...]
-    fs: FactorSet
+    __slots__ = ("icm", "u", "fs")
+
+    def __init__(self, icm: InducedCrossedModule, u: tuple[int, ...], fs: FactorSet):
+        assign(self, "icm", icm)
+        assign(self, "u", u)
+        assign(self, "fs", fs)
 
 
 def _reduce(p: Prolongation) -> _Reduction:
@@ -268,13 +272,15 @@ def _act(tau, pre: PreProlongation, u, h) -> CrossedProductExtension:
     return crossed_product(pre, u, h_new)
 
 
-@dataclass(frozen=True, eq=False)
-class ProlongationClass:
+class ProlongationClass(Record, eq=False):
     """A canonical crossed-product representative with its H^2 coordinates
     relative to the enumeration's base covering."""
 
-    representative: Prolongation
-    coordinates: tuple[int, ...]
+    __slots__ = ("representative", "coordinates")
+
+    def __init__(self, representative: Prolongation, coordinates: tuple[int, ...]):
+        assign(self, "representative", representative)
+        assign(self, "coordinates", coordinates)
 
 
 def enumerate_classes(pre: PreProlongation) -> tuple[ProlongationClass, ...]:

@@ -19,7 +19,6 @@ so in degree 1, (d t)(x, y) = x.t_y - t_{xy} + t_x, and in degree 2,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt, prod
 
@@ -33,6 +32,7 @@ from .errors import (
     certify,
 )
 from .groups import FiniteGroup, Homomorphism
+from .record import Record, assign
 from . import snf
 
 MAX_DEGREE = 4
@@ -43,18 +43,21 @@ MAX_COMPLEX_CELLS = 4096   # |Pi0|^n * max(rank A, 1) of the degree-n cochains
 # Coefficient decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AbelianStructure:
+class AbelianStructure(Record, eq=False):
     """A fixed isomorphism of an abelian group with a product of cyclic groups.
 
     factors are the invariant factors > 1 in divisibility order; vec/element
     translate between element indices and coordinate tuples mod the factors.
     """
 
-    group: FiniteGroup
-    factors: tuple[int, ...]
-    _to_vec: tuple[tuple[int, ...], ...]
-    _index: dict
+    __slots__ = ("group", "factors", "_to_vec", "_index")
+
+    def __init__(self, group: FiniteGroup, factors: tuple[int, ...],
+                 _to_vec: tuple[tuple[int, ...], ...], _index: dict):
+        assign(self, "group", group)
+        assign(self, "factors", factors)
+        assign(self, "_to_vec", _to_vec)
+        assign(self, "_index", _index)
 
     @property
     def rank(self) -> int:
@@ -101,20 +104,22 @@ def abelian_structure(a: FiniteGroup) -> AbelianStructure:
 # Modules and cochains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiModule:
+class PiModule(Record):
     """A finite abelian group acted on by a finite group, both as tables.
 
     action[x] is the permutation of coefficient indices implementing x; it is
     checked to be a left action by automorphisms.
     """
 
-    pi: FiniteGroup
-    a: FiniteGroup
-    action: tuple[tuple[int, ...], ...]
+    __slots__ = ("pi", "a", "action")
+
+    def __init__(self, pi: FiniteGroup, a: FiniteGroup, action):
+        assign(self, "pi", pi)
+        assign(self, "a", a)
+        assign(self, "action", tuple(tuple(p) for p in action))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "action", tuple(tuple(p) for p in self.action))
         if not self.a.is_abelian():
             raise NotAbelian("coefficients of a module must be abelian")
         if len(self.action) != self.pi.order:
@@ -161,16 +166,18 @@ def free_positions(npi: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(1, npi), repeat=degree))
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """A normalized n-cochain stored densely in row-major argument order."""
 
-    module: PiModule
-    degree: int
-    values: tuple[int, ...]
+    __slots__ = ("module", "degree", "values")
+
+    def __init__(self, module: PiModule, degree: int, values):
+        assign(self, "module", module)
+        assign(self, "degree", degree)
+        assign(self, "values", tuple(values))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
         if not 0 <= self.degree <= MAX_DEGREE:
             raise DegreeOutOfRange(f"degree {self.degree} outside 0..{MAX_DEGREE}")
         npi = self.module.pi.order
@@ -389,7 +396,8 @@ def is_coboundary(c: Cochain) -> Cochain | None:
 
     Solved as an integer linear system over the cyclic decomposition of the
     coefficients, against a factorization cached per module and degree; the
-    witness is the solver's canonical solution.
+    witness is the solver's canonical solution, certified by computing its
+    coboundary from the group tables at the free positions.
     """
     if not 1 <= c.degree <= 3:
         raise DegreeOutOfRange("coboundary witnesses exist for degrees 1..3 only")
@@ -405,7 +413,10 @@ def is_coboundary(c: Cochain) -> Cochain | None:
     if sol is None:
         return None
     witness = _devectorize(module, c.degree - 1, sol)
-    certify(coboundary(witness).values == c.values, "witness must bound the cocycle")
+    # c and d(witness) are normalized, so they agree where the free values do
+    certify(list(_coboundary_values(witness))
+            == list(map(c.values.__getitem__, _free_flat(npi, c.degree))),
+            "witness must bound the cocycle")
     return witness
 
 
@@ -422,8 +433,7 @@ def same_class(c1: Cochain, c2: Cochain) -> bool:
 # Cohomology groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _Lattice:
+class _Lattice(Record, eq=False):
     """The exact integer presentation of one H^n: basis cocycles and the
     factorization a coordinates query reuses.
 
@@ -432,14 +442,18 @@ class _Lattice:
     is one solve against k_factor through to_coords, not a factorization.
     """
 
-    invariant_factors: tuple[int, ...]
-    basis: tuple[Cochain, ...]
-    k_factor: snf.SmithForm
-    to_coords: list
+    __slots__ = ("invariant_factors", "basis", "k_factor", "to_coords")
+
+    def __init__(self, invariant_factors: tuple[int, ...], basis: tuple[Cochain, ...],
+                 k_factor: snf.SmithForm, to_coords: list):
+        assign(self, "invariant_factors", invariant_factors)
+        assign(self, "basis", basis)
+        assign(self, "k_factor", k_factor)
+        assign(self, "to_coords", to_coords)
 
 
-@dataclass(frozen=True, eq=False)
-class CohomologyGroup:
+class CohomologyGroup(Record, eq=False,
+                      shown=("module", "degree", "invariant_factors")):
     """H^degree with invariant factors, basis cocycles, and coordinates.
 
     coordinates(c) expresses the class of a cocycle c with respect to basis;
@@ -449,10 +463,14 @@ class CohomologyGroup:
     filled on first use when cohomology_group decided the factors by ranks.
     """
 
-    module: PiModule
-    degree: int
-    invariant_factors: tuple[int, ...]
-    _lattice: _Lattice | None = field(default=None, repr=False)
+    __slots__ = ("module", "degree", "invariant_factors", "_lattice")
+
+    def __init__(self, module: PiModule, degree: int, invariant_factors: tuple[int, ...],
+                 _lattice: _Lattice | None = None):
+        assign(self, "module", module)
+        assign(self, "degree", degree)
+        assign(self, "invariant_factors", invariant_factors)
+        assign(self, "_lattice", _lattice)
 
     @property
     def order(self) -> int:
@@ -463,7 +481,7 @@ class CohomologyGroup:
             lattice = _integer_lattice(self.module, self.degree)
             certify(lattice.invariant_factors == self.invariant_factors,
                     "the integer lattice must have the invariant factors of the ranks")
-            object.__setattr__(self, "_lattice", lattice)
+            assign(self, "_lattice", lattice)
         return self._lattice
 
     @property

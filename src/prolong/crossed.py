@@ -9,8 +9,6 @@ d: b -> d_group and theta a map from d_group into Aut(b) satisfying
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CheckItem,
     FiberDependentAction,
@@ -22,17 +20,17 @@ from .errors import (
 from .extensions import InducedSequence, Prolongation, induced_sequence
 from .cohomology import PiModule, pi_module
 from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
+from .record import Record, assign
 
 
-@dataclass(frozen=True)
-class CrossedModule:
-    b: FiniteGroup
-    d_group: FiniteGroup
-    d: Homomorphism
-    theta: tuple[tuple[int, ...], ...]
+class CrossedModule(Record):
+    __slots__ = ("b", "d_group", "d", "theta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(tuple(p) for p in self.theta))
+    def __init__(self, b: FiniteGroup, d_group: FiniteGroup, d: Homomorphism, theta):
+        assign(self, "b", b)
+        assign(self, "d_group", d_group)
+        assign(self, "d", d)
+        assign(self, "theta", tuple(tuple(p) for p in theta))
 
 
 def check_crossed_module(cm: CrossedModule) -> ValidationReport:
@@ -143,17 +141,20 @@ def make_crossed_module(b: FiniteGroup, d_group: FiniteGroup, d: Homomorphism,
     return cm
 
 
-@dataclass(frozen=True, eq=False)
-class InducedCrossedModule:
+class InducedCrossedModule(Record, eq=False):
     """The crossed module (E0, G, gamma.pi, theta) a valid ladder induces.
 
     phi[b] is conjugation by b on the middle group transported through the
     injection of E0; theta[g] is phi on any element of the fiber over g.
     """
 
-    cm: CrossedModule
-    phi: tuple[tuple[int, ...], ...]
-    induced: InducedSequence
+    __slots__ = ("cm", "phi", "induced")
+
+    def __init__(self, cm: CrossedModule, phi: tuple[tuple[int, ...], ...],
+                 induced: InducedSequence):
+        assign(self, "cm", cm)
+        assign(self, "phi", phi)
+        assign(self, "induced", induced)
 
 
 def induced_action(p: Prolongation

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+
+from .record import Record, assign
 
 
 class ProlongError(Exception):
@@ -220,21 +221,23 @@ class ShapeError(ScenarioError):
 class CheckItem(namedtuple("CheckItem", ("name", "ok", "detail"), defaults=("",))):
     """One checked invariant: its name, whether it holds, and a detail.
 
-    A tuple, not a frozen dataclass: `derive` builds a report's items on
+    A tuple, not a record: `derive` builds a report's items on
     every call and keeps none, so an item costs one tuple.
     """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of a structural validation: one item per checked invariant.
 
     Reports never raise; callers that need strictness test `.ok` themselves.
     """
 
-    items: tuple[CheckItem, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[CheckItem, ...]):
+        assign(self, "items", items)
 
     @property
     def ok(self) -> bool:

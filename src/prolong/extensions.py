@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -39,10 +38,10 @@ from .groups import (
     quotient,
     validate_group,
 )
+from .record import Record, assign
 
 
-@dataclass(frozen=True)
-class ShortExtension:
+class ShortExtension(Record, init=("j", "p"), compare=("a", "b", "g", "j", "p")):
     """0 -> a -j-> b -p-> g -> 1, exact by construction; a, b and g are read
     off j and p.
 
@@ -51,11 +50,12 @@ class ShortExtension:
     (NotSurjective) or image(j) != kernel(p) (NotExact).
     """
 
-    a: FiniteGroup = field(init=False)
-    b: FiniteGroup = field(init=False)
-    g: FiniteGroup = field(init=False)
-    j: Homomorphism
-    p: Homomorphism
+    __slots__ = ("a", "b", "g", "j", "p")
+
+    def __init__(self, j: Homomorphism, p: Homomorphism):
+        assign(self, "j", j)
+        assign(self, "p", p)
+        self.__post_init__()
 
     def __post_init__(self):
         j, p = self.j, self.p
@@ -67,9 +67,9 @@ class ShortExtension:
             raise NotSurjective("projection is not surjective")
         if set(j.map) != set(kernel(p).members):
             raise NotExact("image(j) != kernel(p)")
-        object.__setattr__(self, "a", j.source)
-        object.__setattr__(self, "b", j.target)
-        object.__setattr__(self, "g", p.target)
+        assign(self, "a", j.source)
+        assign(self, "b", j.target)
+        assign(self, "g", p.target)
 
 
 def extension_checks(prefix: str) -> tuple[CheckItem, ...]:
@@ -89,15 +89,17 @@ def is_central(ext: ShortExtension) -> bool:
     return all(t[x][s] == t[s][x] for x in ext.j.map for s in ext.b.gens)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """A set-theoretic section of p, stored as the representative array u."""
 
-    ext: ShortExtension
-    u: tuple[int, ...]
+    __slots__ = ("ext", "u")
+
+    def __init__(self, ext: ShortExtension, u):
+        assign(self, "ext", ext)
+        assign(self, "u", tuple(u))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
         if self.u[0] != 0:
             raise ValueError("sections must send the identity to the identity")
         for g, b in enumerate(self.u):
@@ -115,16 +117,15 @@ def choose_section(ext: ShortExtension, rng: random.Random | None = None) -> Sec
     return Section(ext=ext, u=u)
 
 
-@dataclass(frozen=True)
-class FactorSet:
+class FactorSet(Record):
     """f(x, y) = u_x u_y (u_{xy})^-1, translated to kernel-side indices."""
 
-    ext: ShortExtension
-    section: Section
-    f: tuple[tuple[int, ...], ...]
+    __slots__ = ("ext", "section", "f")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", tuple(tuple(row) for row in self.f))
+    def __init__(self, ext: ShortExtension, section: Section, f):
+        assign(self, "ext", ext)
+        assign(self, "section", section)
+        assign(self, "f", tuple(tuple(row) for row in f))
 
 
 def factor_set(ext: ShortExtension, section: Section) -> FactorSet:
@@ -162,17 +163,20 @@ def cocycle_terms(k: FiniteGroup, q: FiniteGroup, act, h, triples=None):
                kt[h[x][y]][h[qt[x][y]][z]])
 
 
-@dataclass(frozen=True)
-class PullbackExtension:
+class PullbackExtension(Record):
     """The pulled-back extension along a map into the quotient.
 
     pairs[i] is the (b, c) pair represented by index i of ext.b; to_base is the
     first projection back to the original middle group.
     """
 
-    ext: ShortExtension
-    to_base: Homomorphism
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("ext", "to_base", "pairs")
+
+    def __init__(self, ext: ShortExtension, to_base: Homomorphism,
+                 pairs: tuple[tuple[int, int], ...]):
+        assign(self, "ext", ext)
+        assign(self, "to_base", to_base)
+        assign(self, "pairs", pairs)
 
 
 def pullback(ext: ShortExtension, along: Homomorphism) -> PullbackExtension:
@@ -198,15 +202,18 @@ def pullback(ext: ShortExtension, along: Homomorphism) -> PullbackExtension:
                              to_base=to_base, pairs=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class Prolongation:
+class Prolongation(Record):
     """The full two-row ladder: e0 on top, e below, joined by alpha/beta/gamma."""
 
-    e0: ShortExtension
-    e: ShortExtension
-    alpha: Homomorphism
-    beta: Homomorphism
-    gamma: Homomorphism
+    __slots__ = ("e0", "e", "alpha", "beta", "gamma")
+
+    def __init__(self, e0: ShortExtension, e: ShortExtension, alpha: Homomorphism,
+                 beta: Homomorphism, gamma: Homomorphism):
+        assign(self, "e0", e0)
+        assign(self, "e", e)
+        assign(self, "alpha", alpha)
+        assign(self, "beta", beta)
+        assign(self, "gamma", gamma)
 
 
 # one object per distinct frame_checks result, shared by every frame that has it
@@ -265,8 +272,7 @@ def ladder_checks(p: Prolongation) -> tuple[CheckItem, ...]:
                       else "kernel(beta) != j0(kernel(alpha))"))
 
 
-@dataclass(frozen=True, eq=False)
-class InducedSequence:
+class InducedSequence(Record, eq=False):
     """The sequence 0 -> E0 -> B -> Pi0 -> 1 induced by a valid ladder.
 
     E0 = B0 / j0(ker alpha) with eps(b0 + ker) = beta(b0); i and pi form the
@@ -274,13 +280,18 @@ class InducedSequence:
     of gamma with its natural projection sigma.
     """
 
-    seq: ShortExtension
-    eps: Homomorphism
-    i: Homomorphism
-    pi: Homomorphism
-    e0_data: QuotientData
-    coker: QuotientData
-    top: ShortExtension
+    __slots__ = ("seq", "eps", "i", "pi", "e0_data", "coker", "top")
+
+    def __init__(self, seq: ShortExtension, eps: Homomorphism, i: Homomorphism,
+                 pi: Homomorphism, e0_data: QuotientData, coker: QuotientData,
+                 top: ShortExtension):
+        assign(self, "seq", seq)
+        assign(self, "eps", eps)
+        assign(self, "i", i)
+        assign(self, "pi", pi)
+        assign(self, "e0_data", e0_data)
+        assign(self, "coker", coker)
+        assign(self, "top", top)
 
 
 def group_tags(*homs: Homomorphism) -> tuple:

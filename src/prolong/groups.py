@@ -9,7 +9,6 @@ reruns the full loop to name its first failing element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
@@ -26,38 +25,39 @@ from .errors import (
     OrderBoundExceeded,
     SearchBoundExceeded,
 )
+from .record import Record, assign
 
 MAX_AUT_ORDER = 24            # order of a group whose automorphisms are listed
 MAX_HOM_CANDIDATES = 500000   # product of the candidate image lists
 SUBGROUP_MAX_GENS = 3         # exhaustive for every group of order <= 15
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record, init=("order", "table", "inv", "labels", "name"),
+                  compare=("order", "table", "inv")):
     """A finite group on elements 0..order-1 given by its multiplication table.
 
     table[a][b] is the index of a*b; index 0 is the identity.  Build instances
     through validate_group, which checks all axioms exactly, or where a
     checked theorem proves them (obstruction.crossed_product).  gens is the
     greedy generating set of generating_set(g), always derived from the table,
-    on which the associativity and homomorphism checks rely.
+    on which the associativity and homomorphism checks rely.  Equality reads
+    the order and the tables, not the labels or the name.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
-    name: str = field(default="", compare=False)
-    gens: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("order", "table", "inv", "labels", "name", "gens", "_hash")
+
+    def __init__(self, order: int, table, inv, labels=None, name: str = ""):
+        assign(self, "order", order)
+        assign(self, "table", tuple(tuple(row) for row in table))
+        assign(self, "inv", tuple(inv))
+        assign(self, "labels", None if labels is None else tuple(str(x) for x in labels))
+        assign(self, "name", name)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
-        object.__setattr__(self, "inv", tuple(self.inv))
-        object.__setattr__(self, "gens", _greedy_generators(self.table))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        # the dataclass hash, computed once: lru_cache keys hash whole groups
-        object.__setattr__(self, "_hash", hash((self.order, self.table, self.inv)))
+        assign(self, "gens", _greedy_generators(self.table))
+        # the record hash, computed once: lru_cache keys hash whole groups
+        assign(self, "_hash", hash((self.order, self.table, self.inv)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -183,8 +183,7 @@ def validate_group(table, labels=None, name: str = "") -> FiniteGroup:
     return g
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """A total map between groups preserving the operation (checked eagerly).
 
     With map(0) = 0, map(a*s) = map(a)*map(s) for all a and every s in
@@ -193,12 +192,15 @@ class Homomorphism:
     first failing pair.
     """
 
-    source: FiniteGroup
-    target: FiniteGroup
-    map: tuple[int, ...]
+    __slots__ = ("source", "target", "map")
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, map):
+        assign(self, "source", source)
+        assign(self, "target", target)
+        assign(self, "map", tuple(map))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
         m = self.map
         if len(m) != self.source.order:
             raise NotHomomorphism(
@@ -249,16 +251,18 @@ def is_bijective(f: Homomorphism) -> bool:
     return f.source.order == f.target.order and is_injective(f)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A sorted, closed set of indices of a parent group, containing 0."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
+    __slots__ = ("parent", "members")
+
+    def __init__(self, parent: FiniteGroup, members):
+        assign(self, "parent", parent)
+        assign(self, "members", tuple(sorted(set(members))))
+        self.__post_init__()
 
     def __post_init__(self):
-        members = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", members)
+        members = self.members
         if not members or members[0] != 0:
             raise NotSubgroup("subgroup does not contain the identity")
         inside = set(members)
@@ -322,19 +326,22 @@ def is_normal(h: Subgroup) -> bool:
     return all(g.conjugate(a, x) in inside for a in g.gens for x in h.members)
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(Record):
     """A quotient group together with its projection and coset representatives.
 
     Cosets are indexed by least representative, the identity coset first, so
     the construction is canonical and reproducible.
     """
 
-    parent: FiniteGroup
-    normal: Subgroup
-    quotient: FiniteGroup
-    projection: Homomorphism
-    reps: tuple[int, ...]
+    __slots__ = ("parent", "normal", "quotient", "projection", "reps")
+
+    def __init__(self, parent: FiniteGroup, normal: Subgroup, quotient: FiniteGroup,
+                 projection: Homomorphism, reps: tuple[int, ...]):
+        assign(self, "parent", parent)
+        assign(self, "normal", normal)
+        assign(self, "quotient", quotient)
+        assign(self, "projection", projection)
+        assign(self, "reps", reps)
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> QuotientData:

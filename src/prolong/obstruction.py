@@ -10,7 +10,6 @@ compared, turning the centrality of k into an executable assertion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import (
@@ -60,29 +59,31 @@ from .extensions import (
     ladder_checks,
 )
 from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
+from .record import Record, assign
 
 
-@dataclass(frozen=True)
-class PreProlongation:
+class PreProlongation(Record, init=("e0", "alpha", "gamma", "theta")):
     """The data (alpha, gamma, theta) over a central row e0.
 
     theta is indexed by the big quotient group (gamma's target) and acts on
     E0 = B0 / j0(ker alpha) through its canonical coset indexing.
     """
 
-    e0: ShortExtension
-    alpha: Homomorphism
-    gamma: Homomorphism
-    theta: tuple[tuple[int, ...], ...]
+    __slots__ = ("e0", "alpha", "gamma", "theta", "_hash", "_tags")
+
+    def __init__(self, e0: ShortExtension, alpha: Homomorphism, gamma: Homomorphism,
+                 theta):
+        assign(self, "e0", e0)
+        assign(self, "alpha", alpha)
+        assign(self, "gamma", gamma)
+        assign(self, "theta", tuple(tuple(p) for p in theta))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(tuple(p) for p in self.theta))
-        # the dataclass hash and derive's group tags, computed once: every
+        # the record hash and derive's group tags, computed once: every
         # derive lookup keys on both
-        object.__setattr__(self, "_hash", hash(
-            (self.e0, self.alpha, self.gamma, self.theta)))
-        object.__setattr__(self, "_tags", group_tags(
-            self.e0.j, self.e0.p, self.alpha, self.gamma))
+        assign(self, "_hash", hash((self.e0, self.alpha, self.gamma, self.theta)))
+        assign(self, "_tags", group_tags(self.e0.j, self.e0.p, self.alpha, self.gamma))
 
     def __hash__(self) -> int:
         return self._hash
@@ -96,22 +97,28 @@ class PreProlongation:
         return self.alpha.target
 
 
-@dataclass(frozen=True, eq=False)
-class PreDerived:
+class PreDerived(Record, eq=False):
     """Everything derived from a pre-prolongation, computed once and cached."""
 
-    pre: PreProlongation
-    e0_data: QuotientData
-    e0: FiniteGroup
-    pi: Homomorphism          # E0 -> G0
-    i: Homomorphism           # A -> E0, image = ker pi
-    top: ShortExtension       # 0 -> A -> E0 -> G0 -> 0
-    coker: QuotientData       # G / gamma(G0), projection sigma
-    g_row: ShortExtension     # 0 -> G0 -> G -> Pi0 -> 1 (gamma, sigma)
-    pi0: FiniteGroup
-    gammapi: Homomorphism     # E0 -> G
-    cm: CrossedModule
-    module: PiModule
+    __slots__ = ("pre", "e0_data", "e0", "pi", "i", "top", "coker", "g_row", "pi0",
+                 "gammapi", "cm", "module")
+
+    def __init__(self, pre: PreProlongation, e0_data: QuotientData, e0: FiniteGroup,
+                 pi: Homomorphism, i: Homomorphism, top: ShortExtension,
+                 coker: QuotientData, g_row: ShortExtension, pi0: FiniteGroup,
+                 gammapi: Homomorphism, cm: CrossedModule, module: PiModule):
+        assign(self, "pre", pre)
+        assign(self, "e0_data", e0_data)
+        assign(self, "e0", e0)
+        assign(self, "pi", pi)              # E0 -> G0
+        assign(self, "i", i)                # A -> E0, image = ker pi
+        assign(self, "top", top)            # 0 -> A -> E0 -> G0 -> 0
+        assign(self, "coker", coker)        # G / gamma(G0), projection sigma
+        assign(self, "g_row", g_row)        # 0 -> G0 -> G -> Pi0 -> 1 (gamma, sigma)
+        assign(self, "pi0", pi0)
+        assign(self, "gammapi", gammapi)    # E0 -> G
+        assign(self, "cm", cm)
+        assign(self, "module", module)
 
 
 # the error derive raises for each frame item
@@ -206,23 +213,20 @@ def check_pre(pre: PreProlongation) -> tuple[tuple[CheckItem, ...], PreDerived |
         gammapi=cm.d, cm=cm, module=module), None
 
 
-@dataclass(frozen=True)
-class LiftedFactorSet:
+class LiftedFactorSet(Record):
     """A section u of sigma, its factor set f, and a lift h of f into E0.
 
     f takes values in gamma(G0) inside the big group; h satisfies
     gammapi(h(x, y)) = f(x, y) and is normalized like f.
     """
 
-    pre: PreProlongation
-    u: tuple[int, ...]
-    f: tuple[tuple[int, ...], ...]
-    h: tuple[tuple[int, ...], ...]
+    __slots__ = ("pre", "u", "f", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "f", tuple(tuple(r) for r in self.f))
-        object.__setattr__(self, "h", tuple(tuple(r) for r in self.h))
+    def __init__(self, pre: PreProlongation, u, f, h):
+        assign(self, "pre", pre)
+        assign(self, "u", tuple(u))
+        assign(self, "f", tuple(tuple(r) for r in f))
+        assign(self, "h", tuple(tuple(r) for r in h))
 
 
 def lift_factor_set(pre: PreProlongation,
@@ -300,17 +304,21 @@ def obstruction_cocycle(lfs: LiftedFactorSet) -> Cochain:
     return c
 
 
-@dataclass(frozen=True, eq=False)
-class ObstructionResult:
+class ObstructionResult(Record, eq=False):
     """The obstruction cocycle, its class coordinates in H^3, and, when the
     class vanishes, the witness with d(witness) == cocycle and the covering."""
 
-    h3: CohomologyGroup
-    coordinates: tuple[int, ...]
-    cocycle: Cochain
-    lift: LiftedFactorSet
-    witness: Cochain | None
-    covering: CrossedProductExtension | None
+    __slots__ = ("h3", "coordinates", "cocycle", "lift", "witness", "covering")
+
+    def __init__(self, h3: CohomologyGroup, coordinates: tuple[int, ...], cocycle: Cochain,
+                 lift: LiftedFactorSet, witness: Cochain | None,
+                 covering: CrossedProductExtension | None):
+        assign(self, "h3", h3)
+        assign(self, "coordinates", coordinates)
+        assign(self, "cocycle", cocycle)
+        assign(self, "lift", lift)
+        assign(self, "witness", witness)
+        assign(self, "covering", covering)
 
     @property
     def vanishes(self) -> bool:
@@ -374,16 +382,19 @@ def pairing_table(e0: FiniteGroup, npi: int, pi0_table, phi, h) -> list[list[int
             for erow in et for phix, hx, pix in zip(phi, h, pi0_table)]
 
 
-@dataclass(frozen=True, eq=False)
-class CrossedProductExtension:
+class CrossedProductExtension(Record, eq=False):
     """A crossed product as the bottom row of a ladder over the
     pre-prolongation's frame, with the crossed module that ladder induces,
     read off the pairs."""
 
-    ladder: Prolongation
-    icm: InducedCrossedModule
-    u: tuple[int, ...]
-    h: tuple[tuple[int, ...], ...]
+    __slots__ = ("ladder", "icm", "u", "h")
+
+    def __init__(self, ladder: Prolongation, icm: InducedCrossedModule,
+                 u: tuple[int, ...], h: tuple[tuple[int, ...], ...]):
+        assign(self, "ladder", ladder)
+        assign(self, "icm", icm)
+        assign(self, "u", u)
+        assign(self, "h", h)
 
     @property
     def ext(self) -> ShortExtension:

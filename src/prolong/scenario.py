@@ -12,7 +12,6 @@ after it checks algebra only and builds each group, map and ladder once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ProlongError, ScenarioError, ShapeError
@@ -21,6 +20,7 @@ from .fixtures import builtin, builtin_names, group_to_json
 from .groups import FiniteGroup, Homomorphism, validate_group
 from .cohomology import PiModule, pi_module
 from .obstruction import PreProlongation
+from .record import Record, assign, replace
 
 NEEDS = {
     "pre-prolongation": ("e0", "alpha", "gamma", "theta"),
@@ -114,17 +114,24 @@ def group_from_json(obj, path: str = "") -> FiniteGroup:
     return g
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    mode: str
-    groups: dict[str, FiniteGroup]
-    homs: dict[str, Homomorphism]
-    e0: ShortExtension | None
-    alpha: Homomorphism | None
-    gamma: Homomorphism | None
-    theta: tuple[tuple[int, ...], ...] | None
-    ladders: tuple[Prolongation, ...] = ()
-    cohomology: dict | None = None
+class Scenario(Record, eq=False):
+    __slots__ = ("mode", "groups", "homs", "e0", "alpha", "gamma", "theta", "ladders",
+                 "cohomology")
+
+    def __init__(self, mode: str, groups: dict[str, FiniteGroup],
+                 homs: dict[str, Homomorphism], e0: ShortExtension | None,
+                 alpha: Homomorphism | None, gamma: Homomorphism | None,
+                 theta: tuple[tuple[int, ...], ...] | None,
+                 ladders: tuple[Prolongation, ...] = (), cohomology: dict | None = None):
+        assign(self, "mode", mode)
+        assign(self, "groups", groups)
+        assign(self, "homs", homs)
+        assign(self, "e0", e0)
+        assign(self, "alpha", alpha)
+        assign(self, "gamma", gamma)
+        assign(self, "theta", theta)
+        assign(self, "ladders", ladders)
+        assign(self, "cohomology", cohomology)
 
     def pre_prolongation(self) -> PreProlongation:
         if None in (self.e0, self.alpha, self.gamma, self.theta):

@@ -8,9 +8,10 @@ would make them ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, mul
+
+from .record import Record, assign
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -41,21 +42,25 @@ def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(map(mul, get(row), xs)) for row in a]
 
 
-@dataclass(frozen=True, eq=False)
-class SmithForm:
+class SmithForm(Record, eq=False):
     """u @ a @ v == d with d diagonal, nonnegative, d[i] | d[i+1].
 
     u and v are unimodular; u_inv and v_inv are their exact integer inverses.
     Transforms the caller opted out of (track=...) are None.
     """
 
-    rows: int
-    cols: int
-    d: list[list[int]]
-    u: list[list[int]] | None
-    v: list[list[int]] | None
-    u_inv: list[list[int]] | None
-    v_inv: list[list[int]] | None
+    __slots__ = ("rows", "cols", "d", "u", "v", "u_inv", "v_inv")
+
+    def __init__(self, rows: int, cols: int, d: list[list[int]], u: list[list[int]] | None,
+                 v: list[list[int]] | None, u_inv: list[list[int]] | None,
+                 v_inv: list[list[int]] | None):
+        assign(self, "rows", rows)
+        assign(self, "cols", cols)
+        assign(self, "d", d)
+        assign(self, "u", u)
+        assign(self, "v", v)
+        assign(self, "u_inv", u_inv)
+        assign(self, "v_inv", v_inv)
 
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(self.rows, self.cols))]

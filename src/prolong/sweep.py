@@ -11,7 +11,6 @@ The enumeration is deterministic, so sweep results are reproducible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 
 from .classify import ProlongationClass, brute_force_coverings, enumerate_classes
 from .cohomology import cohomology_group
@@ -39,16 +38,20 @@ from .groups import (
     subgroup_as_group,
 )
 from .obstruction import ObstructionResult, PreProlongation, derive, obstruction_class
+from .record import Record, assign, replace
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Bounds of the generated sweep (inclusive)."""
 
-    max_kernel: int = 3      # |A|
-    max_cokernel: int = 3    # |Pi0|
-    max_e0: int = 8          # |E0| (enforced through |B0|)
-    max_total: int = 16      # |A| * |G| = order of any covering
+    __slots__ = ("max_kernel", "max_cokernel", "max_e0", "max_total")
+
+    def __init__(self, max_kernel: int = 3, max_cokernel: int = 3, max_e0: int = 8,
+                 max_total: int = 16):
+        assign(self, "max_kernel", max_kernel)        # |A|
+        assign(self, "max_cokernel", max_cokernel)    # |Pi0|
+        assign(self, "max_e0", max_e0)                # |E0| (enforced through |B0|)
+        assign(self, "max_total", max_total)          # |A| * |G| = order of any covering
 
 
 def _central_rows(cfg: SweepConfig):
@@ -134,8 +137,7 @@ def generate_pre_prolongations(cfg: SweepConfig = SweepConfig()
     return tuple(found)
 
 
-@dataclass(frozen=True, eq=False)
-class InputReport:
+class InputReport(Record, eq=False):
     """One input's answers and the first way they disagree.
 
     `coverings` is None when the oracle hit a bound, and `unchecked` is then
@@ -143,14 +145,21 @@ class InputReport:
     for a vanishing class only; a check stops at its first disagreement.
     """
 
-    pre: PreProlongation
-    result: ObstructionResult
-    coverings: tuple[Prolongation, ...] | None
-    unchecked: str | None
-    classes: tuple[ProlongationClass, ...] = ()
-    h2_order: int | None = None
-    central: bool | None = None
-    disagreement: str | None = None
+    __slots__ = ("pre", "result", "coverings", "unchecked", "classes", "h2_order",
+                 "central", "disagreement")
+
+    def __init__(self, pre: PreProlongation, result: ObstructionResult,
+                 coverings: tuple[Prolongation, ...] | None, unchecked: str | None,
+                 classes: tuple[ProlongationClass, ...] = (), h2_order: int | None = None,
+                 central: bool | None = None, disagreement: str | None = None):
+        assign(self, "pre", pre)
+        assign(self, "result", result)
+        assign(self, "coverings", coverings)
+        assign(self, "unchecked", unchecked)
+        assign(self, "classes", classes)
+        assign(self, "h2_order", h2_order)
+        assign(self, "central", central)
+        assign(self, "disagreement", disagreement)
 
 
 def check(pre: PreProlongation) -> InputReport:

@@ -584,7 +584,7 @@ def test_failing_lift_raises_on_every_call(monkeypatch):
 def test_renamed_pre_prolongations_get_their_own_products():
     """Two pre-prolongations equal up to group names and labels each get
     products with their own names and labels, also when asked in turn."""
-    from dataclasses import replace
+    from prolong.record import replace
 
     def pre_named(suffix):
         z2, z3, z6 = (replace(builtin(n), name=n + suffix) for n in ("Z2", "Z3", "Z6"))

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -34,6 +33,7 @@ from prolong import cohomology, snf
 from prolong.fixtures import builtin, cyclic
 from prolong.groups import all_homomorphisms, automorphism_group_table
 from prolong.obstruction import derive
+from prolong.record import replace
 
 from oracles import (
     ReferenceCohomology,
@@ -163,6 +163,27 @@ def test_coboundary_round_trip(module, degree, seed):
     witness = is_coboundary(d)
     assert witness is not None
     assert coboundary(witness).values == d.values
+
+
+@pytest.mark.parametrize("degree,pi,a", [(2, "S3", "Z2"), (3, "V4", "Z2"),
+                                         (2, "Z4", "V4")])
+def test_changed_witness_value_fails_its_certificate(monkeypatch, degree, pi, a):
+    """Mutation check of the witness certificate: a witness with one free
+    value changed no longer bounds the cocycle, and is_coboundary raises."""
+    module = trivial_module(builtin(pi), builtin(a))
+    c = coboundary(random_cochain(module, degree - 1, random.Random(degree)))
+    assert is_coboundary(c) is not None
+    real = cohomology._devectorize
+
+    def changed(module, degree, vec):
+        values = list(real(module, degree, vec).values)
+        idx = cohomology._free_flat(module.pi.order, degree)[0]
+        values[idx] = module.a.mul(values[idx], 1)
+        return Cochain(module, degree, values)
+
+    monkeypatch.setattr(cohomology, "_devectorize", changed)
+    with pytest.raises(CertificateFailed):
+        is_coboundary(c)
 
 
 # --- cohomology groups ----------------------------------------------------------
@@ -410,8 +431,7 @@ def test_changed_coordinate_map_entry_disagrees_with_reference(degree, pi, a):
         for j in rng.sample(range(len(row)), 4):
             changed = [list(r) for r in lattice.to_coords]
             changed[i][j] += 1
-            mutant = dataclasses.replace(
-                h, _lattice=dataclasses.replace(lattice, to_coords=changed))
+            mutant = replace(h, _lattice=replace(lattice, to_coords=changed))
             assert [mutant.coordinates(c) for c in cocycles] != expected, (i, j)
 
 

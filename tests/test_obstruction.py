@@ -94,7 +94,7 @@ def pre_inversion():
 def test_derive_keeps_group_names_apart():
     """Two pre-prolongations equal up to group names each get their own names,
     from derive and from the induced sequence and crossed module of a ladder."""
-    from dataclasses import replace
+    from prolong.record import replace
 
     def pre_named(suffix):
         z2, z3, z4, z6 = (replace(builtin(n), name=n + suffix)
@@ -302,8 +302,8 @@ MUTANTS = {
         "ob._conjugates_by_theta = mutant\n",
         "crossed-product ladder must induce theta"),
     "beta": (
-        "from dataclasses import replace\n"
         "from prolong.groups import trivial_hom\n"
+        "from prolong.record import replace\n"
         "real = ob.ladder_checks\n"
         "def mutant(p):\n"
         "    bad = replace(p, beta=trivial_hom(p.beta.source, p.beta.target))\n"

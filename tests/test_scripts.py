@@ -78,6 +78,19 @@ def _sweep_script(monkeypatch):
     return sweep
 
 
+def test_sweep_help_lists_each_bound_with_its_default(monkeypatch, capsys):
+    """The flags and their defaults are read off SweepConfig."""
+    sweep = _sweep_script(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["sweep.py", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main()
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (("--max-kernel", 3), ("--max-cokernel", 3),
+                          ("--max-e0", 8), ("--max-total", 16)):
+        assert f"{flag} N default: {default}" in text, flag
+
+
 def test_sweep_counts_oracle_unchecked_inputs(monkeypatch, capsys):
     """An input past the covering search's bounds is counted and skips only
     the oracle's checks: the sweep runs to the end, where a disagreement
