@@ -14,10 +14,9 @@ from math import prod
 from .cohomology import Cochain, cohomology_group, is_cocycle
 from .crossed import InducedCrossedModule
 from .errors import (
+    CertificateFailed,
     MismatchedFrame,
-    NotCocycle,
     NotHomomorphism,
-    NotInKernel,
     SearchBoundExceeded,
     certify,
 )
@@ -223,9 +222,11 @@ def _equivalence(p1: Prolongation, red1: _Reduction, p2: Prolongation,
 def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
     """The class difference r = h2 - h1 of two coverings of one pre-prolongation.
 
-    Both ladders are reduced over the same canonical section, so r lands in
-    the identified kernel; it is verified to be a 2-cocycle of the induced
-    module.
+    Both ladders are reduced over the same canonical section of one induced
+    row and induce one theta, so their factor sets lie over the same factor
+    set of Pi0: r lands in the identified kernel and is a 2-cocycle of the
+    induced module.  Both facts are certified; a failure is the program's
+    fault and raises CertificateFailed.
     """
     _require_same_frame(p1, p2)
     red1, red2 = _reduce(p1), _reduce(p2)
@@ -240,12 +241,11 @@ def difference_cocycle(p1: Prolongation, p2: Prolongation) -> Cochain:
         for y in pi0.elements():
             r = e0.mul(red2.fs.f[x][y], e0.inv[red1.fs.f[x][y]])
             if r not in i_index:
-                raise NotInKernel(
-                    f"difference at ({x}, {y}) lies outside the identified kernel")
+                raise CertificateFailed(
+                    f"difference at ({x}, {y}) must lie in the identified kernel")
             values.append(i_index[r])
     c = Cochain(d.module, 2, tuple(values))
-    if not is_cocycle(c):
-        raise NotCocycle("difference of lifts fails the 2-cocycle identity")
+    certify(is_cocycle(c), "difference of lifts must be a 2-cocycle")
     return c
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 from .errors import (
     CheckItem,
     FiberDependentAction,
-    FiberInconsistency,
     InvalidCrossedModule,
     KernelNotPreserved,
     ValidationReport,
+    certify,
 )
-from .extensions import InducedSequence, Prolongation, induced_sequence
+from .extensions import InducedSequence, Prolongation, choose_section, induced_sequence
 from .cohomology import PiModule, pi_module
 from .groups import FiniteGroup, Homomorphism, QuotientData, compose, fibers
 from .record import Record, assign
@@ -157,47 +157,62 @@ class InducedCrossedModule(Record, eq=False):
         assign(self, "induced", induced)
 
 
-def induced_action(p: Prolongation
-                   ) -> tuple[InducedSequence, tuple[tuple[int, ...], ...],
-                              tuple[tuple[int, ...], ...]]:
-    """The induced sequence of a valid ladder with its phi and theta.
+def section_action(p: Prolongation) -> tuple[InducedSequence, tuple[tuple[int, ...], ...]]:
+    """The induced sequence of a valid ladder and the theta read off its
+    least section: theta[g] is conjugation by u_g = choose_section(p.e).u[g]
+    on eps(E0).
 
-    theta is not yet checked against the crossed-module axioms; see
-    induce_crossed_module.
+    eps(E0) is normal in B, the kernel of the induced row's projection, so
+    conjugation stays inside it.  theta is not yet checked; see
+    certify_action.
     """
     ind = induced_sequence(p)
-    e0 = ind.e0_data.quotient
-    b = p.e.b
-    eps_index = {ind.eps.map[e]: e for e in e0.elements()}
-    phi = []
-    for x in b.elements():
-        perm = []
-        for e in e0.elements():
-            conj = b.conjugate(x, ind.eps.map[e])
-            if conj not in eps_index:
-                raise FiberInconsistency(
-                    f"conjugation by {x} leaves the image of E0")
-            perm.append(eps_index[conj])
-        phi.append(tuple(perm))
-    ident = tuple(range(e0.order))
-    for a in p.e.a.elements():
-        if phi[p.e.j.map[a]] != ident:
-            raise FiberInconsistency(
-                f"conjugation by j({a}) acts nontrivially on E0")
-    theta = []
-    for g, over in enumerate(fibers(p.e.p)):
-        fiber_maps = {phi[x] for x in over}
-        if len(fiber_maps) != 1:
-            raise FiberInconsistency(f"phi is not constant on the fiber over {g}")
-        theta.append(next(iter(fiber_maps)))
-    return ind, tuple(phi), tuple(theta)
+    b, eps = p.e.b, ind.eps.map
+    index = {x: e for e, x in enumerate(eps)}
+    theta = tuple(tuple([index[b.conjugate(s, x)] for x in eps])
+                  for s in choose_section(p.e).u)
+    return ind, theta
+
+
+def certify_action(p: Prolongation, ind: InducedSequence, cm: CrossedModule,
+                   message: str) -> InducedCrossedModule:
+    """The crossed module the ladder p induces, given its induced sequence
+    and a checked crossed module (E0, G, gamma.pi, theta).
+
+    The induced theta is the one with
+
+        conjugation by b acts on eps(E0) as theta[p(b)], for every b in B.
+
+    Both sides are homomorphisms B -> Aut(E0) (theta is one, as cm was
+    checked, and eps(E0) is normal), so the identity holds iff it holds for
+    b in B.gens on E0.gens (_conjugates_by_theta).  It makes phi = theta . p
+    conjugation by b, constant on each fiber of p and trivial on j(A).  A
+    failure is the program's fault and raises CertificateFailed(message).
+    """
+    certify(_conjugates_by_theta(p.e.b, cm.b, ind.eps.map, p.e.p.map, cm.theta),
+            message)
+    return InducedCrossedModule(cm=cm, phi=tuple(cm.theta[g] for g in p.e.p.map),
+                                induced=ind)
+
+
+def _conjugates_by_theta(b: FiniteGroup, e0: FiniteGroup, eps, p, theta) -> bool:
+    """s eps(t) s^-1 = eps(theta[p(s)](t)) for s in b.gens and t in e0.gens."""
+    return all(b.conjugate(s, eps[t]) == eps[theta[p[s]][t]]
+               for s in b.gens for t in e0.gens)
 
 
 def induce_crossed_module(p: Prolongation) -> InducedCrossedModule:
-    ind, phi, theta = induced_action(p)
-    d = compose(p.gamma, ind.pi)
-    cm = make_crossed_module(ind.e0_data.quotient, p.e.g, d, theta)
-    return InducedCrossedModule(cm=cm, phi=phi, induced=ind)
+    """The crossed module (E0, G, gamma.pi, theta) the valid ladder p
+    induces, its axioms checked on every call.
+
+    theta is read off the least section (section_action), checked by
+    make_crossed_module, and certified against conjugation in B
+    (certify_action).  obstruction.ladder_crossed_module returns the same
+    with the axioms checked once per frame and theta.
+    """
+    ind, theta = section_action(p)
+    cm = make_crossed_module(ind.e0_data.quotient, p.e.g, compose(p.gamma, ind.pi), theta)
+    return certify_action(p, ind, cm, "ladder must induce theta")
 
 
 def induced_module_action(cm: CrossedModule, i: Homomorphism,

@@ -84,10 +84,6 @@ class NotCentral(ProlongError):
     """The kernel of a row is not central in its middle group."""
 
 
-class ValueOutsideExpectedSubgroup(ProlongError):
-    pass
-
-
 class InvalidProlongation(ProlongError):
     """Raised when an operation needs a valid ladder but validation failed."""
 
@@ -126,10 +122,6 @@ class InvalidCrossedModule(ProlongError):
         super().__init__("invalid crossed module: " + "; ".join(
             f"{item.name}: {item.detail or 'failed'}" for item in report.failures()))
         self.report = report
-
-
-class FiberInconsistency(ProlongError):
-    pass
 
 
 class KernelNotPreserved(ProlongError):

@@ -13,6 +13,7 @@ import random
 from functools import lru_cache
 
 from .errors import (
+    CertificateFailed,
     CheckItem,
     InvalidProlongation,
     MismatchedBase,
@@ -20,7 +21,6 @@ from .errors import (
     NotInjective,
     NotSurjective,
     ValidationReport,
-    ValueOutsideExpectedSubgroup,
     certify,
 )
 from .groups import (
@@ -129,6 +129,12 @@ class FactorSet(Record):
 
 
 def factor_set(ext: ShortExtension, section: Section) -> FactorSet:
+    """The factor set of ext over section.
+
+    Each value lies in image(j) = kernel(p), since a Section puts u_x over x
+    for every x.  A value outside it is the program's fault and raises
+    CertificateFailed, naming its position.
+    """
     if section.ext != ext:
         raise ValueError("section does not belong to this extension")
     b, g = ext.b, ext.g
@@ -140,8 +146,8 @@ def factor_set(ext: ShortExtension, section: Section) -> FactorSet:
         for y in g.elements():
             val = b.mul(b.mul(u[x], u[y]), b.inv[u[g.mul(x, y)]])
             if val not in j_index:
-                raise ValueOutsideExpectedSubgroup(
-                    f"factor set value at ({x}, {y}) lies outside image(j)")
+                raise CertificateFailed(
+                    f"factor set value at ({x}, {y}) must lie in image(j)")
             row.append(j_index[val])
         f.append(tuple(row))
     return FactorSet(ext=ext, section=section, f=tuple(f))

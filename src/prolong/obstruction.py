@@ -23,9 +23,10 @@ from .cohomology import (
 from .crossed import (
     CrossedModule,
     InducedCrossedModule,
+    certify_action,
     check_crossed_module,
-    induced_action,
     induced_module_action,
+    section_action,
 )
 from .errors import (
     CheckItem,
@@ -444,23 +445,15 @@ def crossed_product(pre: PreProlongation, u, h) -> CrossedProductExtension:
 
     The ladder's induced crossed module is read off the pairs, not derived
     from the ladder.  Its induced row is 0 -> E0 -eps-> B_h -> Pi0 -> 1 with
-    eps(e) = (e, 0), and its crossed module is derive(pre).cm.  With
-    p(e, x) = gammapi(e) u_x:
-
-        conjugation by b acts on eps(E0) as theta[p(b)], for every b.
-
-    Both sides are homomorphisms from B_h (theta is one into Aut(E0), as
-    derive certified, and p is a checked Homomorphism), and for each b both
-    are automorphisms of E0; so the identity holds iff it holds for b in
-    B_h.gens on E0.gens, which is what is checked.  The induced phi is
-    theta . p, the induced theta is theta, and conjugation by j(A) is trivial
-    on E0.  The frame's items are not checked again: derive refused any frame
-    that fails one.  The ladder's own items are checked at O(|B0|): the
-    squares and kernel(beta) (ladder_checks), then eps against beta, j and p
-    as for any ladder (extensions.certify_induced).  A failure is the
-    program's fault and raises CertificateFailed: "crossed-product ladder
-    must validate", or "crossed-product ladder must induce theta" for the
-    conjugation identity.
+    eps(e) = (e, 0), its crossed module is derive(pre).cm, and
+    p(e, x) = gammapi(e) u_x; crossed.certify_action checks that conjugation
+    by b acts on eps(E0) as theta[p(b)].  The frame's items are not checked
+    again: derive refused any frame that fails one.  The ladder's own items
+    are checked at O(|B0|): the squares and kernel(beta) (ladder_checks),
+    then eps against beta, j and p as for any ladder
+    (extensions.certify_induced).  A failure is the program's fault and
+    raises CertificateFailed: "crossed-product ladder must validate", or
+    "crossed-product ladder must induce theta" for the conjugation identity.
     """
     key = (tuple(u), tuple(tuple(row) for row in h))
     built = _products(pre, pre._tags)
@@ -516,17 +509,8 @@ def _build_crossed_product(pre: PreProlongation, u: tuple[int, ...],
             "crossed-product ladder must validate")
     eps = Homomorphism(e0, bh, tuple(e * npi for e in e0.elements()))
     induced = certify_induced(ladder, eps, d.e0_data, d.top, d.coker)
-    certify(_conjugates_by_theta(bh, e0, eps.map, pmap, theta),
-            "crossed-product ladder must induce theta")
-    icm = InducedCrossedModule(cm=d.cm, phi=tuple(theta[y] for y in pmap),
-                               induced=induced)
+    icm = certify_action(ladder, induced, d.cm, "crossed-product ladder must induce theta")
     return CrossedProductExtension(ladder=ladder, icm=icm, u=u, h=h)
-
-
-def _conjugates_by_theta(bh: FiniteGroup, e0: FiniteGroup, eps, p, theta) -> bool:
-    """s eps(t) s^-1 = eps(theta[p(s)](t)) for s in bh.gens and t in e0.gens."""
-    return all(bh.conjugate(s, eps[t]) == eps[theta[p[s]][t]]
-               for s in bh.gens for t in e0.gens)
 
 
 def build_prolongation(pre: PreProlongation,
@@ -545,13 +529,15 @@ def ladder_crossed_module(p: Prolongation) -> InducedCrossedModule:
     frame and theta.
 
     The crossed module a ladder induces is (E0, G, gamma.pi, theta) on the
-    ladder's frame (e0, alpha, gamma): derive's crossed module of the
-    pre-prolongation with that frame and theta.  derive certifies it and
-    caches it, so every ladder over one pre-prolongation shares one check.
+    ladder's frame (e0, alpha, gamma), with theta read off the least section
+    (crossed.section_action): derive's crossed module of the pre-prolongation
+    with that frame and theta.  derive checks it and caches it, so every
+    ladder over one pre-prolongation shares one check; crossed.certify_action
+    then certifies theta against conjugation in B.
     """
-    ind, phi, theta = induced_action(p)
+    ind, theta = section_action(p)
     pre = PreProlongation(e0=p.e0, alpha=p.alpha, gamma=p.gamma, theta=theta)
-    return InducedCrossedModule(cm=derive(pre).cm, phi=phi, induced=ind)
+    return certify_action(p, ind, derive(pre).cm, "ladder must induce theta")
 
 
 def verify_covering(p: Prolongation, pre: PreProlongation) -> bool:

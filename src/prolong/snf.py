@@ -45,22 +45,20 @@ def matvec(a: list[list[int]], v: list[int]) -> list[int]:
 class SmithForm(Record, eq=False):
     """u @ a @ v == d with d diagonal, nonnegative, d[i] | d[i+1].
 
-    u and v are unimodular; u_inv and v_inv are their exact integer inverses.
+    u and v are unimodular; u_inv is the exact integer inverse of u.
     Transforms the caller opted out of (track=...) are None.
     """
 
-    __slots__ = ("rows", "cols", "d", "u", "v", "u_inv", "v_inv")
+    __slots__ = ("rows", "cols", "d", "u", "v", "u_inv")
 
     def __init__(self, rows: int, cols: int, d: list[list[int]], u: list[list[int]] | None,
-                 v: list[list[int]] | None, u_inv: list[list[int]] | None,
-                 v_inv: list[list[int]] | None):
+                 v: list[list[int]] | None, u_inv: list[list[int]] | None):
         assign(self, "rows", rows)
         assign(self, "cols", cols)
         assign(self, "d", d)
         assign(self, "u", u)
         assign(self, "v", v)
         assign(self, "u_inv", u_inv)
-        assign(self, "v_inv", v_inv)
 
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(self.rows, self.cols))]
@@ -98,12 +96,12 @@ class SmithForm(Record, eq=False):
 
 
 def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
-                      track: str = "uUvV") -> SmithForm:
+                      track: str = "uUv") -> SmithForm:
     """Diagonalize over the integers.
 
     track selects which transforms to carry along: "u" for u, "U" for u_inv,
-    "v" for v, "V" for v_inv.  Skipping unused ones saves most of the work on
-    large matrices.  The pivot at each step is the first entry of least
+    "v" for v.  Skipping unused ones saves most of the work on large
+    matrices.  The pivot at each step is the first entry of least
     absolute value in row-major order of the trailing block, so the result
     does not depend on track.
     """
@@ -118,7 +116,6 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
     u = identity_matrix(r) if "u" in track else None
     ui_t = identity_matrix(r) if "U" in track else None
     v_t = identity_matrix(c) if "v" in track else None
-    vi = identity_matrix(c) if "V" in track else None
 
     def combine(mat, i, j, q):
         # row_i += q * row_j, visiting only the nonzero entries of row_j
@@ -156,8 +153,6 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
             row[i], row[j] = row[j], row[i]
         if v_t is not None:
             swap(v_t, i, j)
-        if vi is not None:
-            swap(vi, i, j)
 
     def add_col(i, j, q):
         # col_i += q * col_j, called only with j the pivot, whose column of m
@@ -165,8 +160,6 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
         m[j][i] += q * m[j][j]
         if v_t is not None:
             combine(v_t, i, j, q)
-        if vi is not None:
-            combine(vi, j, i, -q)
 
     t = 0
     limit = min(r, c)
@@ -233,7 +226,7 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
         return None if mat is None else [list(col) for col in zip(*mat)]
 
     return SmithForm(rows=r, cols=c, d=m, u=u, v=transpose(v_t),
-                     u_inv=transpose(ui_t), v_inv=vi)
+                     u_inv=transpose(ui_t))
 
 
 def rank_mod_p(rows, cols: int, p: int) -> int:
@@ -241,20 +234,17 @@ def rank_mod_p(rows, cols: int, p: int) -> int:
     rows are given sparsely as lists of (column, coefficient) pairs.
 
     A column may repeat within a row (its coefficients add) and coefficients
-    need not be reduced.  Rank is invariant under transposition, so the
-    shorter side is eliminated, each vector read straight from the pairs.
-    For p = 2 a vector is packed one bit per entry into a Python int, and a
-    pivot is kept per leading bit, so reduction is XOR; for odd p vectors are
-    lists reduced modulo p against pivots scaled to a leading 1.
+    need not be reduced.  The columns are eliminated, each gathered from the
+    pairs: the one caller passes d_n, which has at least as many rows as
+    columns.  For p = 2 a vector is packed one bit per entry into a Python
+    int, and a pivot is kept per leading bit, so reduction is XOR; for odd p
+    vectors are lists reduced modulo p against pivots scaled to a leading 1.
     """
-    if len(rows) > cols:
-        vectors: list = [[] for _ in range(cols)]
-        for i, row in enumerate(rows):
-            for j, c in row:
-                vectors[j].append((i, c))
-        length = len(rows)
-    else:
-        vectors, length = rows, cols
+    vectors: list = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            vectors[j].append((i, c))
+    length = len(rows)
     pivots: dict = {}
     if p == 2:
         for pairs in vectors:

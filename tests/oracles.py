@@ -14,12 +14,15 @@ factorization per solve, the coboundary that looks every value up by its
 argument tuple, and coboundary matrices built by running it on elementary
 cochains.  The fast path must agree with it number for number.
 
-`reference_verify_covering` is the covering check that certifies the
-crossed module of every ladder anew, through `induce_crossed_module`.
+`reference_induced_action` is the full read of a ladder's action that the
+library replaced by the read off its least section: every element of B
+conjugated over all of E0, with three fiber checks that raise
+`FiberInconsistency`.  `reference_verify_covering` is the covering check
+that reads theta that way and certifies its crossed module anew.
 `reference_brute_force_coverings` is the covering search that keeps a lift
 when its pairing table (built entry by entry, `reference_pairing_table`)
 passes `validate_group` and filters the assembled ladders by the theta
-`induce_crossed_module` derives.
+`reference_verify_covering` reads.
 `equivalent_class_pair` checks that enumerated classes are pairwise
 inequivalent, by running the equivalence search on every pair, and
 `equivalent_extensions` runs that search on bare extensions.  `FIXTURES`
@@ -52,7 +55,7 @@ from prolong.cohomology import (
     free_positions,
 )
 from prolong.classify import _search_equivalence, are_equivalent
-from prolong.crossed import InducedCrossedModule, induce_crossed_module
+from prolong.crossed import InducedCrossedModule, make_crossed_module
 from prolong.errors import (
     CheckItem,
     IdentityNotAtZero,
@@ -78,12 +81,14 @@ from prolong.extensions import (
     cocycle_terms,
     factor_set,
     frame_checks,
+    induced_sequence,
     ladder_checks,
     make_extension,
 )
 from prolong.groups import (
     FiniteGroup,
     Homomorphism,
+    compose,
     fibers,
     is_bijective,
     subgroup_closure,
@@ -261,11 +266,11 @@ def count_free_cochains(module, degree: int) -> int:
 # ---------------------------------------------------------------------------
 
 def reference_smith_normal_form(a, rows: int | None = None, cols: int | None = None,
-                                track: str = "uUvV") -> SmithForm:
+                                track: str = "uUv") -> SmithForm:
     """The Smith normal form as first written: full pivot scans, dense updates.
 
-    The library's smith_normal_form must return the same d, u, v, u_inv and
-    v_inv entry for entry.
+    The library's smith_normal_form must return the same d, u, v and u_inv
+    entry for entry.
     """
     m = [list(row) for row in a]
     r = len(m) if rows is None else rows
@@ -276,7 +281,6 @@ def reference_smith_normal_form(a, rows: int | None = None, cols: int | None = N
     u = identity_matrix(r) if "u" in track else None
     ui = identity_matrix(r) if "U" in track else None
     v = identity_matrix(c) if "v" in track else None
-    vi = identity_matrix(c) if "V" in track else None
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -313,8 +317,6 @@ def reference_smith_normal_form(a, rows: int | None = None, cols: int | None = N
         if v is not None:
             for row in v:
                 row[i], row[j] = row[j], row[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
 
     def add_col(i, j, q):
         # col_i += q * col_j
@@ -323,11 +325,6 @@ def reference_smith_normal_form(a, rows: int | None = None, cols: int | None = N
         if v is not None:
             for row in v:
                 row[i] += q * row[j]
-        if vi is not None:
-            vj = vi[j]
-            vii = vi[i]
-            for t in range(c):
-                vj[t] -= q * vii[t]
 
     t = 0
     limit = min(r, c)
@@ -390,7 +387,7 @@ def reference_smith_normal_form(a, rows: int | None = None, cols: int | None = N
             add_row(t, viol, 1)
         t += 1
 
-    return SmithForm(rows=r, cols=c, d=m, u=u, v=v, u_inv=ui, v_inv=vi)
+    return SmithForm(rows=r, cols=c, d=m, u=u, v=v, u_inv=ui)
 
 
 def matvec(a, v):
@@ -515,11 +512,54 @@ class ReferenceCohomology:
         return tuple(w[i] % self.diag[i] for i in self.kept)
 
 
+class FiberInconsistency(ProlongError):
+    pass
+
+
+def reference_induced_action(p):
+    """The induced sequence of a valid ladder with its phi and theta, read
+    by conjugating every element of B over all of E0.
+
+    Raises FiberInconsistency when conjugation leaves the image of E0, when
+    j(A) acts nontrivially on it, or when phi is not constant on a fiber of
+    p; theta is not checked against the crossed-module axioms.
+    """
+    ind = induced_sequence(p)
+    e0 = ind.e0_data.quotient
+    b = p.e.b
+    eps_index = {ind.eps.map[e]: e for e in e0.elements()}
+    phi = []
+    for x in b.elements():
+        perm = []
+        for e in e0.elements():
+            conj = b.conjugate(x, ind.eps.map[e])
+            if conj not in eps_index:
+                raise FiberInconsistency(
+                    f"conjugation by {x} leaves the image of E0")
+            perm.append(eps_index[conj])
+        phi.append(tuple(perm))
+    ident = tuple(range(e0.order))
+    for a in p.e.a.elements():
+        if phi[p.e.j.map[a]] != ident:
+            raise FiberInconsistency(
+                f"conjugation by j({a}) acts nontrivially on E0")
+    theta = []
+    for g, over in enumerate(fibers(p.e.p)):
+        fiber_maps = {phi[x] for x in over}
+        if len(fiber_maps) != 1:
+            raise FiberInconsistency(f"phi is not constant on the fiber over {g}")
+        theta.append(next(iter(fiber_maps)))
+    return ind, tuple(phi), tuple(theta)
+
+
 def reference_verify_covering(p, pre) -> bool:
-    """verify_covering with the ladder's crossed module certified anew."""
+    """verify_covering with theta read by reference_induced_action and its
+    crossed module certified anew."""
     if p.e0 != pre.e0 or p.alpha != pre.alpha or p.gamma != pre.gamma:
         raise MismatchedBase("ladder and pre-prolongation share no common base")
-    return induce_crossed_module(p).cm.theta == pre.theta
+    ind, _, theta = reference_induced_action(p)
+    cm = make_crossed_module(ind.e0_data.quotient, p.e.g, compose(p.gamma, ind.pi), theta)
+    return cm.theta == pre.theta
 
 
 def reference_pairing_table(e0, npi: int, pi0_table, phi, h) -> list[list[int]]:

@@ -46,6 +46,7 @@ from oracles import (
     inverse_hom,
     reference_brute_force_coverings,
     reference_crossed_product,
+    reference_induced_action,
     reference_verify_covering,
 )
 from test_seeded_pins import _clear_caches
@@ -448,6 +449,79 @@ def test_crossed_product_reads_off_the_induced_crossed_module(monkeypatch,
         assert read.induced.seq.p.map == full.induced.seq.p.map
         noncentral += any(p != read.phi[0] for p in read.phi)
     assert noncentral
+
+
+def test_section_read_matches_full_read(monkeypatch, default_sweep):
+    """The theta and phi that induce_crossed_module and ladder_crossed_module
+    read off the least section are those of the full read, which conjugates
+    every element of B over all of E0 (reference_induced_action): on every
+    crossed product the sweep's check builds over every tenth frame of the
+    default sweep, and on the ladders of klein_ladder.json and
+    ladder_pair.json."""
+    built = _record_crossed_products(monkeypatch)
+    for thetas in list(_sweep_frames(default_sweep).values())[::10]:
+        for pre in thetas:
+            check(pre)
+    monkeypatch.undo()
+    ladders = list({id(cp): cp.ladder for _, cp in built}.values())
+    assert len(ladders) > 100
+    for name in ("klein_ladder.json", "ladder_pair.json"):
+        ladders.extend(load_scenario(SCENARIOS / name).ladders)
+    nontrivial = 0
+    for p in ladders:
+        _, phi, theta = reference_induced_action(p)
+        for icm in (induce_crossed_module(p), obstruction.ladder_crossed_module(p)):
+            assert icm.cm.theta == theta and icm.phi == phi
+        nontrivial += any(t != theta[0] for t in theta)
+    assert nontrivial
+
+
+DIFFERENCE_MUTANTS = {
+    # the second reduction's factor set moved off the identified kernel
+    "kernel": ("next(e for e in d.e0.elements() if e not in d.i.map)",
+               "difference at (1, 1) must lie in the identified kernel"),
+    # moved by i(1) at (1, 1) only, which A_theta's inversion makes no cocycle
+    "cocycle": ("d.i.map[1]", "difference of lifts must be a 2-cocycle"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(DIFFERENCE_MUTANTS))
+def test_difference_cocycle_certificates_catch_mutants(mutant):
+    """Under python -O, difference_cocycle fed a second lift that no longer
+    lies over the first one's factor set raises CertificateFailed."""
+    import subprocess
+    from pathlib import Path
+    shift, message = DIFFERENCE_MUTANTS[mutant]
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import prolong.classify as cl\n"
+        "from prolong.errors import CertificateFailed\n"
+        "from prolong.extensions import FactorSet\n"
+        "from prolong.obstruction import build_prolongation, derive\n"
+        "from test_obstruction import pre_inversion\n"
+        "d = derive(pre_inversion())\n"
+        "p = build_prolongation(pre_inversion()).prolongation\n"
+        "real, calls = cl._reduce, []\n"
+        "def mutant(ladder):\n"
+        "    red = real(ladder)\n"
+        "    calls.append(ladder)\n"
+        "    if len(calls) == 1:\n"
+        "        return red\n"
+        "    f = [list(row) for row in red.fs.f]\n"
+        f"    f[1][1] = d.e0.mul(f[1][1], {shift})\n"
+        "    return cl._Reduction(red.icm, red.u,\n"
+        "                         FactorSet(red.fs.ext, red.fs.section, f))\n"
+        "cl._reduce = mutant\n"
+        "try:\n"
+        "    cl.difference_cocycle(p, p)\n"
+        "except CertificateFailed as exc:\n"
+        "    print('certificate:', exc)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"certificate: {message}\n"
 
 
 def test_base_covering_is_its_own_reduction(default_sweep):

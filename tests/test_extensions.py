@@ -150,6 +150,35 @@ def test_factor_set_values():
     assert check_factor_identity(ext, choose_section(ext), fs)
 
 
+def test_factor_set_certificate_catches_a_bad_section():
+    """Under python -O, factor_set over a Section built with its own check
+    patched out, u = (0, 1, 1) on Z2 -> Z6 -> Z3 (u_2 lies over 1), raises
+    CertificateFailed at (1, 1), where u_1 u_1 u_2^-1 = 1 is not in j(Z2)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import prolong.extensions as ex\n"
+        "from prolong.errors import CertificateFailed\n"
+        "from prolong.fixtures import builtin\n"
+        "from prolong.groups import Homomorphism\n"
+        "z2, z6, z3 = builtin('Z2'), builtin('Z6'), builtin('Z3')\n"
+        "ext = ex.ShortExtension(Homomorphism(z2, z6, (0, 3)),\n"
+        "                        Homomorphism(z6, z3, (0, 1, 2, 0, 1, 2)))\n"
+        "ex.Section.__post_init__ = lambda self: None\n"
+        "try:\n"
+        "    ex.factor_set(ext, ex.Section(ext, (0, 1, 1)))\n"
+        "except CertificateFailed as exc:\n"
+        "    print('certificate:', exc)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "certificate: factor set value at (1, 1) must lie in image(j)\n"
+
+
 def test_factor_identity_detects_corruption():
     ext = ext_z2_z4()
     section = choose_section(ext)

@@ -273,10 +273,11 @@ def test_certificates_survive_python_O():
     from pathlib import Path
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
+        "import prolong.crossed as crossed\n"
         "import prolong.obstruction as ob\n"
         "from prolong.errors import CertificateFailed\n"
         "from test_obstruction import pre_canonical\n"
-        "ob._conjugates_by_theta = lambda *args: False\n"
+        "crossed._conjugates_by_theta = lambda *args: False\n"
         "try:\n"
         "    ob.build_prolongation(pre_canonical())\n"
         "except CertificateFailed as exc:\n"
@@ -293,13 +294,13 @@ def test_certificates_survive_python_O():
 # the image of one generator of B_h, and a beta that breaks the squares.
 MUTANTS = {
     "theta": (
-        "real = ob._conjugates_by_theta\n"
+        "real = crossed._conjugates_by_theta\n"
         "def mutant(bh, e0, eps, p, theta):\n"
         "    g = next(p[s] for s in bh.gens if p[s] != 0)\n"
         "    theta = list(theta)\n"
         "    theta[g] = next(t for t in theta if t != theta[g])\n"
         "    return real(bh, e0, eps, p, theta)\n"
-        "ob._conjugates_by_theta = mutant\n",
+        "crossed._conjugates_by_theta = mutant\n",
         "crossed-product ladder must induce theta"),
     "beta": (
         "from prolong.groups import trivial_hom\n"
@@ -325,6 +326,7 @@ def test_crossed_product_certificates_catch_mutants(mutant):
     patch, message = MUTANTS[mutant]
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
+        "import prolong.crossed as crossed\n"
         "import prolong.obstruction as ob\n"
         "from prolong.errors import CertificateFailed\n"
         "from test_obstruction import pre_inversion\n"
@@ -339,6 +341,40 @@ def test_crossed_product_certificates_catch_mutants(mutant):
         env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
     assert res.returncode == 0, res.stderr
     assert res.stdout == f"certificate: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["klein_ladder.json", "ladder_pair.json"])
+def test_user_ladder_certificate_catches_a_changed_theta(name):
+    """Under python -O, verify_covering on a user ladder whose theta is
+    changed at the image of one generator of B raises CertificateFailed."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import prolong.crossed as crossed\n"
+        "from prolong.errors import CertificateFailed\n"
+        "from prolong.obstruction import verify_covering\n"
+        "from prolong.scenario import load_scenario\n"
+        "from oracles import SCENARIOS\n"
+        "real = crossed._conjugates_by_theta\n"
+        "def mutant(b, e0, eps, p, theta):\n"
+        "    g = next(p[s] for s in b.gens if p[s] != 0)\n"
+        "    theta = list(theta)\n"
+        "    theta[g] = theta[g][::-1]\n"
+        "    return real(b, e0, eps, p, theta)\n"
+        "crossed._conjugates_by_theta = mutant\n"
+        f"scn = load_scenario(SCENARIOS / {name!r})\n"
+        "try:\n"
+        "    verify_covering(scn.ladders[0], scn.pre_prolongation())\n"
+        "except CertificateFailed as exc:\n"
+        "    print('certificate:', exc)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": f"{src}:{Path(__file__).resolve().parent}"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "certificate: ladder must induce theta\n"
 
 
 # --- lifting ---------------------------------------------------------------------
