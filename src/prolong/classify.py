@@ -95,10 +95,12 @@ def _reduce(p: Prolongation) -> _Reduction:
 
 
 def _reduction(p: Prolongation, icm: InducedCrossedModule) -> _Reduction:
-    """The reduction of p, given the crossed module p induces."""
+    """The reduction of p, given the crossed module p induces: over the
+    least section that icm was read off, or, for a crossed product's
+    crossed module, over choose_section(p.e)."""
     ind = icm.induced
     u = ind.coker.reps
-    least = choose_section(p.e).u
+    least = choose_section(p.e).u if icm.least is None else icm.least
     v = Section(ext=ind.seq, u=tuple(least[g] for g in u))
     return _Reduction(icm=icm, u=u, fs=factor_set(ind.seq, v))
 

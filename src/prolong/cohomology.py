@@ -434,22 +434,104 @@ def same_class(c1: Cochain, c2: Cochain) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Lattice(Record, eq=False):
-    """The exact integer presentation of one H^n: basis cocycles and the
-    factorization a coordinates query reuses.
+    """The exact integer presentation of one H^n: basis cocycles and, for
+    coefficients that are not (Z/p)^r, the factorization a coordinates
+    query reuses.
 
     k_factor is the Smith form of the cocycle-lattice basis K and to_coords
     the rows kept of the quotient's u, precomposed with k_factor.v: a query
     is one solve against k_factor through to_coords, not a factorization.
+    For (Z/p)^r coefficients queries reduce against the group's _Echelon
+    instead, and both are None.
     """
 
     __slots__ = ("invariant_factors", "basis", "k_factor", "to_coords")
 
     def __init__(self, invariant_factors: tuple[int, ...], basis: tuple[Cochain, ...],
-                 k_factor: snf.SmithForm, to_coords: list):
+                 k_factor: snf.SmithForm | None, to_coords: list | None):
         assign(self, "invariant_factors", invariant_factors)
         assign(self, "basis", basis)
         assign(self, "k_factor", k_factor)
         assign(self, "to_coords", to_coords)
+
+
+class _Echelon(Record, eq=False):
+    """The cocycles Z^n over GF(p), for coefficients (Z/p)^r, in echelon
+    form with every vector tagged by its class in H^n.
+
+    pivots, keyed by lead as snf.column_echelon keys them, are the pivots of
+    d_{n-1}'s columns, which span B^n and carry tag 0, and the basis
+    cocycles, basis[k] with tag e_k, each reduced against those before it.
+    A vector is a cochain's `width` free-position coordinates (_vectorize)
+    followed by `tags` tag entries, one per basis cocycle: for p = 2 an int
+    with the tag in its low bits, for odd p a list with the tag at the end.
+    Every pivot's tag is its class, so a cochain reduced from tag 0 keeps a
+    nonzero cochain part exactly when it is no cocycle, and otherwise its
+    tag part is minus its coordinates.  For p = 2, digits[a] is the bit
+    string of A-element a's coordinates and order the flat indices of the
+    free positions, both last first, so that int(..., 2) of the digits
+    packs a cochain.
+    """
+
+    __slots__ = ("p", "width", "tags", "pivots", "digits", "order")
+
+    def __init__(self, p: int, width: int, tags: int, pivots: dict,
+                 digits: tuple[str, ...], order: tuple[int, ...]):
+        assign(self, "p", p)
+        assign(self, "width", width)
+        assign(self, "tags", tags)
+        assign(self, "pivots", pivots)
+        assign(self, "digits", digits)
+        assign(self, "order", order)
+
+    def vector(self, c: Cochain, k: int | None = None):
+        """The vector of c with tag e_k, or with tag 0 when k is None."""
+        if self.p == 2:
+            digits = self.digits
+            x = int("".join([digits[v] for v in map(c.values.__getitem__, self.order)])
+                    + "0" * self.tags, 2)
+            return x if k is None else x | 1 << k
+        x = _vectorize(c) + [0] * self.tags
+        if k is not None:
+            x[self.width + k] = 1
+        return x
+
+    def in_cochain_part(self, lead: int | None) -> bool:
+        """A lead from snf.reduce_mod_p lies in the cochain part of a vector."""
+        return lead is not None and (lead > self.tags if self.p == 2 else lead < self.width)
+
+    def coordinates(self, c: Cochain) -> tuple[int, ...]:
+        lead, x = snf.reduce_mod_p(self.pivots, self.vector(c), self.p)
+        if self.in_cochain_part(lead):
+            raise NotCocycle("only cocycles have class coordinates")
+        if self.p == 2:
+            return tuple((x >> k) & 1 for k in range(self.tags))
+        return tuple(-v % self.p for v in x[self.width:])
+
+
+def _class_echelon(module: PiModule, degree: int, basis: tuple[Cochain, ...],
+                   p: int) -> _Echelon:
+    """The tagged echelon of Z^degree for (Z/p)^r coefficients, certified to
+    span the cocycles: each basis cocycle is independent modulo B^degree,
+    and the pivots number dim C^degree - rank d_degree = dim Z^degree."""
+    struct = abelian_structure(module.a)
+    tags = len(basis)
+    spans_b = snf.column_echelon(*_delta_matrix(module, degree - 1), p)
+    if p == 2:
+        pivots = {lead + tags: x << tags for lead, x in spans_b.items()}
+    else:
+        pivots = {lead: x + [0] * tags for lead, x in spans_b.items()}
+    width = _dimension(module, degree)
+    echelon = _Echelon(
+        p=p, width=width, tags=tags, pivots=pivots,
+        digits=tuple("".join(map(str, reversed(struct.vec(a)))) for a in module.a.elements()),
+        order=_free_flat(module.pi.order, degree)[::-1])
+    for k, b in enumerate(basis):
+        certify(echelon.in_cochain_part(snf.add_pivot(pivots, echelon.vector(b, k), p)),
+                "basis cocycles must be independent modulo coboundaries")
+    certify(len(pivots) == width - _delta_rank(module, degree),
+            "the tagged echelon must span the cocycles")
+    return echelon
 
 
 class CohomologyGroup(Record, eq=False,
@@ -458,19 +540,25 @@ class CohomologyGroup(Record, eq=False,
 
     coordinates(c) expresses the class of a cocycle c with respect to basis;
     distinct coordinate tuples are non-cohomologous classes.  The invariant
-    factors are known on construction; the exact lattice behind basis,
-    coordinates and from_coordinates sits in the one mutable slot _lattice,
-    filled on first use when cohomology_group decided the factors by ranks.
+    factors are known on construction.  The exact lattice behind basis and
+    from_coordinates sits in the mutable slot _lattice, filled on first use
+    when cohomology_group decided the factors by ranks.  For (Z/p)^r
+    coefficients coordinates reduces against the tagged echelon of Z^n in
+    the mutable slot _echelon, built and certified on first use from the
+    pivots of d_{n-1} and the basis: one reduction decides that c is a
+    cocycle and reads its class, with no integer solve.  Other coefficients
+    check is_cocycle and solve through the lattice.
     """
 
-    __slots__ = ("module", "degree", "invariant_factors", "_lattice")
+    __slots__ = ("module", "degree", "invariant_factors", "_lattice", "_echelon")
 
     def __init__(self, module: PiModule, degree: int, invariant_factors: tuple[int, ...],
-                 _lattice: _Lattice | None = None):
+                 _lattice: _Lattice | None = None, _echelon: _Echelon | None = None):
         assign(self, "module", module)
         assign(self, "degree", degree)
         assign(self, "invariant_factors", invariant_factors)
         assign(self, "_lattice", _lattice)
+        assign(self, "_echelon", _echelon)
 
     @property
     def order(self) -> int:
@@ -484,6 +572,17 @@ class CohomologyGroup(Record, eq=False,
             assign(self, "_lattice", lattice)
         return self._lattice
 
+    def _classes(self) -> _Echelon | None:
+        """The tagged echelon of Z^n when the coefficients are (Z/p)^r and
+        Pi0 is nontrivial, else None."""
+        if self._echelon is None:
+            p = (_elementary_prime(abelian_structure(self.module.a))
+                 if self.module.pi.order > 1 else None)
+            if p is None:
+                return None
+            assign(self, "_echelon", _class_echelon(self.module, self.degree, self.basis, p))
+        return self._echelon
+
     @property
     def basis(self) -> tuple[Cochain, ...]:
         return self._exact().basis if self.invariant_factors else ()
@@ -491,6 +590,9 @@ class CohomologyGroup(Record, eq=False,
     def coordinates(self, c: Cochain) -> tuple[int, ...]:
         if c.module != self.module or c.degree != self.degree:
             raise ValueError("cochain lives in a different complex")
+        echelon = self._classes()
+        if echelon is not None:
+            return echelon.coordinates(c)
         if not is_cocycle(c):
             raise NotCocycle("only cocycles have class coordinates")
         if not self.invariant_factors:
@@ -520,7 +622,9 @@ class CohomologyGroup(Record, eq=False,
 
 
 def _elementary_prime(struct: AbelianStructure) -> int | None:
-    """p when the coefficients are (Z/p)^r for a prime p, else None."""
+    """p when the coefficients are (Z/p)^r for a prime p and r > 0, else None."""
+    if not struct.factors:
+        return None
     p = struct.factors[0]
     if any(f != p for f in struct.factors) or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         return None
@@ -613,5 +717,8 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
         rep = _devectorize(module, degree, vec)
         certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
+    if _elementary_prime(struct) is not None:   # queries reduce against _Echelon
+        return _Lattice(invariant_factors=factors, basis=tuple(basis), k_factor=None,
+                        to_coords=None)
     return _Lattice(invariant_factors=factors, basis=tuple(basis), k_factor=k_factor,
                     to_coords=snf.matmul([sf.u[i] for i in kept], k_factor.v))

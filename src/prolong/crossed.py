@@ -146,38 +146,45 @@ class InducedCrossedModule(Record, eq=False):
 
     phi[b] is conjugation by b on the middle group transported through the
     injection of E0; theta[g] is phi on any element of the fiber over g.
+    least is the least section choose_section(p.e).u that section_action
+    read theta off, or None when theta was read off a crossed product's
+    pairs.
     """
 
-    __slots__ = ("cm", "phi", "induced")
+    __slots__ = ("cm", "phi", "induced", "least")
 
     def __init__(self, cm: CrossedModule, phi: tuple[tuple[int, ...], ...],
-                 induced: InducedSequence):
+                 induced: InducedSequence, least: tuple[int, ...] | None = None):
         assign(self, "cm", cm)
         assign(self, "phi", phi)
         assign(self, "induced", induced)
+        assign(self, "least", least)
 
 
-def section_action(p: Prolongation) -> tuple[InducedSequence, tuple[tuple[int, ...], ...]]:
-    """The induced sequence of a valid ladder and the theta read off its
-    least section: theta[g] is conjugation by u_g = choose_section(p.e).u[g]
-    on eps(E0).
+def section_action(p: Prolongation) -> tuple[InducedSequence, tuple[int, ...],
+                                              tuple[tuple[int, ...], ...]]:
+    """The induced sequence of a valid ladder, its least section u =
+    choose_section(p.e).u, and the theta read off it: theta[g] is
+    conjugation by u[g] on eps(E0).
 
     eps(E0) is normal in B, the kernel of the induced row's projection, so
     conjugation stays inside it.  theta is not yet checked; see
-    certify_action.
+    certify_action, which hands the section on for classify to reuse.
     """
     ind = induced_sequence(p)
     b, eps = p.e.b, ind.eps.map
     index = {x: e for e, x in enumerate(eps)}
-    theta = tuple(tuple([index[b.conjugate(s, x)] for x in eps])
-                  for s in choose_section(p.e).u)
-    return ind, theta
+    least = choose_section(p.e).u
+    theta = tuple(tuple([index[b.conjugate(s, x)] for x in eps]) for s in least)
+    return ind, least, theta
 
 
 def certify_action(p: Prolongation, ind: InducedSequence, cm: CrossedModule,
-                   message: str) -> InducedCrossedModule:
-    """The crossed module the ladder p induces, given its induced sequence
-    and a checked crossed module (E0, G, gamma.pi, theta).
+                   message: str, least: tuple[int, ...] | None = None
+                   ) -> InducedCrossedModule:
+    """The crossed module the ladder p induces, given its induced sequence,
+    a checked crossed module (E0, G, gamma.pi, theta) and, for a user
+    ladder, the least section theta was read off (kept on the result).
 
     The induced theta is the one with
 
@@ -192,7 +199,7 @@ def certify_action(p: Prolongation, ind: InducedSequence, cm: CrossedModule,
     certify(_conjugates_by_theta(p.e.b, cm.b, ind.eps.map, p.e.p.map, cm.theta),
             message)
     return InducedCrossedModule(cm=cm, phi=tuple(cm.theta[g] for g in p.e.p.map),
-                                induced=ind)
+                                induced=ind, least=least)
 
 
 def _conjugates_by_theta(b: FiniteGroup, e0: FiniteGroup, eps, p, theta) -> bool:
@@ -210,9 +217,9 @@ def induce_crossed_module(p: Prolongation) -> InducedCrossedModule:
     (certify_action).  obstruction.ladder_crossed_module returns the same
     with the axioms checked once per frame and theta.
     """
-    ind, theta = section_action(p)
+    ind, least, theta = section_action(p)
     cm = make_crossed_module(ind.e0_data.quotient, p.e.g, compose(p.gamma, ind.pi), theta)
-    return certify_action(p, ind, cm, "ladder must induce theta")
+    return certify_action(p, ind, cm, "ladder must induce theta", least)
 
 
 def induced_module_action(cm: CrossedModule, i: Homomorphism,

@@ -307,23 +307,37 @@ def obstruction_cocycle(lfs: LiftedFactorSet) -> Cochain:
 
 class ObstructionResult(Record, eq=False):
     """The obstruction cocycle, its class coordinates in H^3, and, when the
-    class vanishes, the witness with d(witness) == cocycle and the covering."""
+    class vanishes, the witness with d(witness) == cocycle and the covering.
 
-    __slots__ = ("h3", "coordinates", "cocycle", "lift", "witness", "covering")
+    The class vanishes exactly when the witness exists.  The coordinates
+    of a nonzero class are read from H^3 on first use and kept in the one
+    mutable slot _coordinates, so deciding existence never asks H^3 for
+    its basis.
+    """
 
-    def __init__(self, h3: CohomologyGroup, coordinates: tuple[int, ...], cocycle: Cochain,
-                 lift: LiftedFactorSet, witness: Cochain | None,
-                 covering: CrossedProductExtension | None):
+    __slots__ = ("h3", "cocycle", "lift", "witness", "covering", "_coordinates")
+
+    def __init__(self, h3: CohomologyGroup, cocycle: Cochain, lift: LiftedFactorSet,
+                 witness: Cochain | None, covering: CrossedProductExtension | None,
+                 _coordinates: tuple[int, ...] | None = None):
         assign(self, "h3", h3)
-        assign(self, "coordinates", coordinates)
         assign(self, "cocycle", cocycle)
         assign(self, "lift", lift)
         assign(self, "witness", witness)
         assign(self, "covering", covering)
+        assign(self, "_coordinates", _coordinates)
 
     @property
     def vanishes(self) -> bool:
-        return all(c == 0 for c in self.coordinates)
+        return self.witness is not None
+
+    @property
+    def coordinates(self) -> tuple[int, ...]:
+        if self._coordinates is None:
+            assign(self, "_coordinates",
+                   (0,) * len(self.h3.invariant_factors) if self.vanishes
+                   else self.h3.coordinates(self.cocycle))
+        return self._coordinates
 
     @property
     def prolongation(self) -> Prolongation | None:
@@ -335,9 +349,10 @@ def obstruction_class(pre: PreProlongation,
     """Class coordinates of the obstruction in H^3 of the induced module,
     and the covering they build when the class vanishes.
 
-    Vanishing is decided first by solving k = d(l) against the degree-2
-    factorization; a coboundary has zero coordinates in any basis, so only a
-    nonzero class needs H^3's lattice.  The covering is the crossed product
+    Vanishing is decided by solving k = d(l) against the degree-2
+    factorization; a coboundary has zero coordinates in any basis, so only
+    the coordinates of a nonzero class need H^3's basis, and they are read
+    on first use.  The covering is the crossed product
     on h' = h - i(l), with beta'(b0) = (b0 + ker, 1).  Without an rng the
     result depends on pre alone, and the last one is kept, keyed like derive.
     """
@@ -358,12 +373,11 @@ def _solve(pre: PreProlongation, rng: random.Random | None) -> ObstructionResult
     h3 = cohomology_group(3, d.module)
     witness = is_coboundary(k)
     if witness is None:
-        return ObstructionResult(h3, h3.coordinates(k), k, lfs, None, None)
+        return ObstructionResult(h3, k, lfs, None, None)
     e0, i = d.e0, d.i.map
     h = tuple(tuple(e0.mul(hxy, e0.inv[i[witness.value((x, y))]])
                     for y, hxy in enumerate(row)) for x, row in enumerate(lfs.h))
-    return ObstructionResult(h3, (0,) * len(h3.invariant_factors), k, lfs, witness,
-                             crossed_product(pre, lfs.u, h))
+    return ObstructionResult(h3, k, lfs, witness, crossed_product(pre, lfs.u, h))
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +549,9 @@ def ladder_crossed_module(p: Prolongation) -> InducedCrossedModule:
     ladder over one pre-prolongation shares one check; crossed.certify_action
     then certifies theta against conjugation in B.
     """
-    ind, theta = section_action(p)
+    ind, least, theta = section_action(p)
     pre = PreProlongation(e0=p.e0, alpha=p.alpha, gamma=p.gamma, theta=theta)
-    return certify_action(p, ind, derive(pre).cm, "ladder must induce theta")
+    return certify_action(p, ind, derive(pre).cm, "ladder must induce theta", least)
 
 
 def verify_covering(p: Prolongation, pre: PreProlongation) -> bool:

@@ -1,8 +1,8 @@
 """Exact integer linear algebra: Smith normal form, solving, kernels, lattices.
 
 Matrices are plain lists of row lists of Python ints, so everything is exact
-and overflow-free; rank_mod_p alone reads sparse rows of (column,
-coefficient) pairs.  Shapes are passed explicitly wherever an empty matrix
+and overflow-free; column_echelon and rank_mod_p alone read sparse rows of
+(column, coefficient) pairs and work over GF(p).  Shapes are passed explicitly wherever an empty matrix
 would make them ambiguous.
 """
 
@@ -229,16 +229,20 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
                      u_inv=transpose(ui_t))
 
 
-def rank_mod_p(rows, cols: int, p: int) -> int:
-    """Rank over GF(p), p prime, of the integer matrix with cols columns whose
-    rows are given sparsely as lists of (column, coefficient) pairs.
+def column_echelon(rows, cols: int, p: int) -> dict:
+    """An echelon basis over GF(p), p prime, of the column space of the
+    integer matrix with cols columns whose rows are given sparsely as lists
+    of (column, coefficient) pairs.
 
     A column may repeat within a row (its coefficients add) and coefficients
-    need not be reduced.  The columns are eliminated, each gathered from the
-    pairs: the one caller passes d_n, which has at least as many rows as
-    columns.  For p = 2 a vector is packed one bit per entry into a Python
-    int, and a pivot is kept per leading bit, so reduction is XOR; for odd p
-    vectors are lists reduced modulo p against pivots scaled to a leading 1.
+    need not be reduced.  Each column is gathered from the pairs, reduced
+    against the pivots found so far (reduce_mod_p) and kept when it does not
+    vanish, so the pivots are keyed by lead and their number is the rank.
+    For p = 2 a vector is packed one bit per entry into a Python int (entry
+    i is bit i) and its lead is its bit length, so reduction is XOR; for odd
+    p vectors are lists whose lead is the first nonzero index, scaled to a
+    leading 1.  cohomology reduces cocycles against these pivots to read
+    class coordinates.
     """
     vectors: list = [[] for _ in range(cols)]
     for i, row in enumerate(rows):
@@ -246,36 +250,64 @@ def rank_mod_p(rows, cols: int, p: int) -> int:
             vectors[j].append((i, c))
     length = len(rows)
     pivots: dict = {}
-    if p == 2:
-        for pairs in vectors:
+    for pairs in vectors:
+        if p == 2:
             x = 0
             for j, c in pairs:
                 if c & 1:
                     x ^= 1 << j
-            while x:
-                top = x.bit_length()
-                pivot = pivots.get(top)
-                if pivot is None:
-                    pivots[top] = x
-                    break
-                x ^= pivot
-        return len(pivots)
-    for pairs in vectors:
-        vec = [0] * length
-        for j, c in pairs:
-            vec[j] += c
-        vec = [x % p for x in vec]
-        lead = next((j for j, x in enumerate(vec) if x), None)
-        while lead is not None:
-            pivot = pivots.get(lead)
+        else:
+            x = [0] * length
+            for j, c in pairs:
+                x[j] += c
+            x = [v % p for v in x]
+        add_pivot(pivots, x, p)
+    return pivots
+
+
+def reduce_mod_p(pivots: dict, x, p: int):
+    """(lead, x) for x reduced against the pivots of an echelon until its
+    lead has none: lead is None when x reduced to zero.  Vectors are packed
+    as column_echelon packs them.  A caller may append entries that no
+    pivot leads at (below the lowest lead for p = 2, after the last for odd
+    p): reduction carries them along, and a lead among them means the rest
+    of x reduced to zero."""
+    if p == 2:
+        while x:
+            top = x.bit_length()
+            pivot = pivots.get(top)
             if pivot is None:
-                scale = pow(vec[lead], -1, p)
-                pivots[lead] = [x * scale % p for x in vec]
-                break
-            c = vec[lead]
-            vec = [(x - c * y) % p for x, y in zip(vec, pivot)]
-            lead = next((j for j in range(lead + 1, len(vec)) if vec[j]), None)
-    return len(pivots)
+                return top, x
+            x ^= pivot
+        return None, x
+    lead = next((j for j, v in enumerate(x) if v), None)
+    while lead is not None:
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return lead, x
+        c = x[lead]
+        x = [(v - c * y) % p for v, y in zip(x, pivot)]
+        lead = next((j for j in range(lead + 1, len(x)) if x[j]), None)
+    return None, x
+
+
+def add_pivot(pivots: dict, x, p: int):
+    """Reduce x against the echelon and keep what is left as a new pivot.
+    Returns the lead of the new pivot, or None when x lay in the span."""
+    lead, x = reduce_mod_p(pivots, x, p)
+    if lead is not None:
+        if p != 2:
+            scale = pow(x[lead], -1, p)
+            x = [v * scale % p for v in x]
+        pivots[lead] = x
+    return lead
+
+
+def rank_mod_p(rows, cols: int, p: int) -> int:
+    """Rank over GF(p), p prime, of the integer matrix with cols columns
+    whose rows are given sparsely as lists of (column, coefficient) pairs:
+    the pivot count of column_echelon."""
+    return len(column_echelon(rows, cols, p))
 
 
 def kernel_basis(a, rows: int | None = None, cols: int | None = None) -> list[list[int]]:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import sys
@@ -5,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from prolong.cli import run
 from prolong.classify import (
     are_equivalent,
     brute_force_coverings,
@@ -474,6 +476,28 @@ def test_section_read_matches_full_read(monkeypatch, default_sweep):
             assert icm.cm.theta == theta and icm.phi == phi
         nontrivial += any(t != theta[0] for t in theta)
     assert nontrivial
+
+
+def test_section_travels_once(monkeypatch):
+    """prolong equiv on ladder_pair.json picks each ladder's least section
+    once: section_action reads theta off it, the induced crossed module
+    keeps it, and the reduction of the first ladder reuses it."""
+    calls = []
+    real = extensions.choose_section
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prolong") and getattr(module, "choose_section", None) is real:
+            monkeypatch.setattr(module, "choose_section", counted)
+    out = io.StringIO()
+    assert run(["--format", "json", "equiv", str(SCENARIOS / "ladder_pair.json")],
+               out=out) == 3
+    assert len(calls) == 2
+    for p in load_scenario(SCENARIOS / "ladder_pair.json").ladders:
+        assert obstruction.ladder_crossed_module(p).least == real(p.e).u
 
 
 DIFFERENCE_MUTANTS = {

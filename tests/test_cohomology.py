@@ -309,6 +309,10 @@ def _ladder_module(pi_name, a_name, action):
         swap = next(h.map for h in all_homomorphisms(a, a, injective_only=True)
                     if h.map[1] != 1 and h.map[h.map[1]] == 1)
         return pi_module(pi, a, [ident, swap])
+    if action == "aut":         # S3 acting on V4 through an isomorphism S3 -> Aut(V4)
+        aut, maps = automorphism_group_table(a)
+        iso = all_homomorphisms(pi, aut, injective_only=True)[0]
+        return pi_module(pi, a, [maps[iso.map[x]].map for x in pi.elements()])
     return trivial_module(pi, a)
 
 
@@ -409,7 +413,12 @@ def _query_case(degree, pi, a):
         coords = tuple(rng.randrange(d) for d in h.invariant_factors)
         noise = reference_coboundary(random_cochain(module, degree - 1, rng))
         cocycles.append(cochain_add(h.from_coordinates(coords), noise))
-    return h, ReferenceCohomology(degree, module), cocycles
+    return h, _reference(degree, pi, a, None), cocycles
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(degree, pi, a, action):
+    return ReferenceCohomology(degree, _ladder_module(pi, a, action))
 
 
 @pytest.mark.parametrize("degree,pi,a", QUERY_GROUPS)
@@ -420,19 +429,20 @@ def test_coordinates_match_reference_on_query_groups(degree, pi, a):
 
 @pytest.mark.parametrize("degree,pi,a", QUERY_GROUPS)
 def test_changed_coordinate_map_entry_disagrees_with_reference(degree, pi, a):
-    """Mutation check of the test above: one entry of the precomposed
-    coordinate map off by one, in each row at seeded columns, makes some
-    seeded cocycle's coordinates differ from the reference engine's."""
+    """Mutation check of the test above: one tag bit of the echelon flipped,
+    for each coordinate at seeded pivots, makes some seeded cocycle's
+    coordinates differ from the reference engine's."""
     h, ref, cocycles = _query_case(degree, pi, a)
     expected = [ref.coordinates(c) for c in cocycles]
-    lattice = h._exact()
+    echelon = h._classes()
+    assert echelon.p == 2 and echelon.tags == len(h.invariant_factors)
     rng = random.Random(f"mutate {degree} {pi} {a}")
-    for i, row in enumerate(lattice.to_coords):
-        for j in rng.sample(range(len(row)), 4):
-            changed = [list(r) for r in lattice.to_coords]
-            changed[i][j] += 1
-            mutant = replace(h, _lattice=replace(lattice, to_coords=changed))
-            assert [mutant.coordinates(c) for c in cocycles] != expected, (i, j)
+    for k in range(echelon.tags):
+        for lead in rng.sample(sorted(echelon.pivots), 4):
+            changed = dict(echelon.pivots)
+            changed[lead] ^= 1 << k
+            mutant = replace(h, _echelon=replace(echelon, pivots=changed))
+            assert [mutant.coordinates(c) for c in cocycles] != expected, (k, lead)
 
 
 def test_queries_reuse_their_factorizations(monkeypatch):
@@ -456,6 +466,133 @@ def test_queries_reuse_their_factorizations(monkeypatch):
         witness = is_coboundary(c)
         assert (witness is None) == any(coords)
     assert calls == []
+
+
+# --- class coordinates by the tagged echelon, for (Z/p)^r coefficients -----------
+
+# Every module of LADDER (all of them have (Z/p)^r coefficients), trivial Z2
+# over D4 and Q8, Z3 over Z3xZ3, and S3 acting on V4 as Aut(V4), each in
+# the degrees 1..3 whose integer lattice and reference engine are built in
+# a few seconds: degree 3 over S3, Z5, Z6 and the groups of order 8 takes
+# from 3 s to more than 30 s, and degree 2 over Z3xZ3 about 10 s.
+ECHELON_CASES = sorted(
+    {(degree, pi, a, action) for _, pi, a, action in LADDER for degree in (1, 2, 3)
+     if degree < 3 or pi not in ("S3", "Z5", "Z6")}
+    | {(degree, pi, "Z2", None) for pi in ("D4", "Q8") for degree in (1, 2)}
+    | {(1, "Z3xZ3", "Z3", None), (1, "S3", "V4", "aut"), (2, "S3", "V4", "aut")},
+    key=str)
+
+
+def _integer_solve(monkeypatch, module, degree, cocycles):
+    """The coordinates the integer solve gives: the group built and queried
+    as for coefficients that are not (Z/p)^r, whose lattice keeps its
+    precomposed coordinate map and which has no echelon."""
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "_elementary_prime", lambda struct: None)
+        h = cohomology_group.__wrapped__(degree, module)     # not the cached group
+        assert h._lattice.to_coords is not None or not h.invariant_factors
+        coords = [h.coordinates(c) for c in cocycles]
+        assert h._echelon is None
+    return h, coords
+
+
+@pytest.mark.parametrize("degree,pi,a,action", ECHELON_CASES)
+def test_echelon_coordinates_match_reference_and_integer_solve(monkeypatch, degree, pi,
+                                                               a, action):
+    module = _ladder_module(pi, a, action)
+    h = cohomology_group(degree, module)
+    rng = random.Random(f"echelon {degree} {pi} {a} {action}")
+    drawn, cocycles = [], []
+    for _ in range(8):
+        coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+        noise = coboundary(random_cochain(module, degree - 1, rng))
+        drawn.append(coords)
+        cocycles.append(cochain_add(h.from_coordinates(coords), noise))
+    got = [h.coordinates(c) for c in cocycles]
+    assert h._classes() is not None
+    # the lattice is built for the basis only, without the integer coordinate map
+    assert (h._lattice.to_coords is None) if h.invariant_factors else h._lattice is None
+    integer, by_solve = _integer_solve(monkeypatch, module, degree, cocycles)
+    assert [b.values for b in integer.basis] == [b.values for b in h.basis]
+    assert got == drawn == by_solve
+    assert got == [_reference(degree, pi, a, action).coordinates(c) for c in cocycles]
+
+
+@functools.lru_cache(maxsize=None)
+def _echelon_group(degree, pi, a, action):
+    return cohomology_group(degree, _ladder_module(pi, a, action))
+
+
+@given(case=st.sampled_from([c for c in ECHELON_CASES if c[1] not in ("D4", "Q8")]),
+       kind=st.sampled_from(["random", "cocycle", "changed"]), seed=st.integers(0, 2**32))
+def test_echelon_raises_not_cocycle_exactly_off_the_cocycles(case, kind, seed):
+    """On random cochains, on random cocycles, and on random cocycles with
+    one free value changed, the echelon's coordinates raise NotCocycle
+    exactly when is_cocycle fails."""
+    h = _echelon_group(*case)
+    module, degree = h.module, h.degree
+    rng = random.Random(seed)
+    if kind == "random":
+        c = random_cochain(module, degree, rng)
+    else:
+        coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+        c = cochain_add(h.from_coordinates(coords),
+                        coboundary(random_cochain(module, degree - 1, rng)))
+        if kind == "changed":
+            pos = rng.choice(free_positions(module.pi.order, degree))
+            c = cochain_add(c, cochain_from_values(
+                module, degree, {pos: rng.randrange(1, module.a.order)}))
+    if is_cocycle(c):
+        assert len(h.coordinates(c)) == len(h.invariant_factors)
+    else:
+        with pytest.raises(NotCocycle, match="only cocycles have class coordinates"):
+            h.coordinates(c)
+
+
+def test_echelon_query_solves_nothing(monkeypatch):
+    """Once its echelon is built, an elementary coordinates query (p = 2 and
+    odd p, with and without classes, on cocycles and on cochains that are
+    not) calls neither SmithForm.solve nor smith_normal_form."""
+    cases = [(2, "D4", "Z2", None), (3, "Z4", "V4", None), (2, "Z3", "Z3", None),
+             (2, "S3", "Z3", None), (2, "S3", "V4", "aut")]
+    rng = random.Random(7)
+    queries = []
+    for case in cases:
+        h = _echelon_group(*case)
+        for _ in range(4):
+            coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+            noise = coboundary(random_cochain(h.module, h.degree - 1, rng))
+            queries.append((h, coords, cochain_add(h.from_coordinates(coords), noise)))
+        queries.append((h, None, random_cochain(h.module, h.degree, rng)))
+        h.coordinates(queries[-2][2])    # builds the echelon
+    calls = []
+    real_snf, real_solve = snf.smith_normal_form, snf.SmithForm.solve
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
+    monkeypatch.setattr(snf.SmithForm, "solve",
+                        lambda *a, **k: calls.append("solve") or real_solve(*a, **k))
+    raised = 0
+    for h, coords, c in queries:
+        if coords is None and not is_cocycle(c):
+            with pytest.raises(NotCocycle):
+                h.coordinates(c)
+            raised += 1
+        elif coords is not None:
+            assert h.coordinates(c) == coords
+    assert calls == [] and raised >= 3
+
+
+def test_echelon_certificate_catches_a_dependent_basis(monkeypatch):
+    """A basis cocycle that is a coboundary, or a basis shorter than H^n,
+    fails the echelon's certificate, also under python -O."""
+    module = trivial_module(builtin("V4"), Z2)
+    h = cohomology_group(2, module)
+    basis = h.basis
+    bounding = coboundary(random_cochain(module, 1, random.Random(3)))
+    for broken, message in ((basis[:-1] + (bounding,), "independent modulo coboundaries"),
+                            (basis[:-1], "span the cocycles")):
+        with pytest.raises(CertificateFailed, match=message):
+            cohomology._class_echelon(module, 2, broken, 2)
 
 
 # --- ranks mod p against the integer lattice and the reference engine ------------
@@ -535,10 +672,7 @@ def test_aut_v4_action_decided_by_ranks(monkeypatch):
     """S3 acting on V4 through Aut(V4) = S3: V4 is then the projective
     Steinberg module of GL_2(F_2), so H^2 vanishes; the ranks decide it
     without dense rows, and the integer lattice agrees."""
-    s3, v4 = builtin("S3"), builtin("V4")
-    aut, maps = automorphism_group_table(v4)
-    iso = all_homomorphisms(s3, aut, injective_only=True)[0]
-    module = pi_module(s3, v4, [maps[iso.map[x]].map for x in s3.elements()])
+    module = _ladder_module("S3", "V4", "aut")
     assert _decided_by_ranks(monkeypatch, 2, module) == ()
     monkeypatch.undo()
     assert cohomology._integer_lattice(module, 2).invariant_factors == ()

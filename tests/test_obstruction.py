@@ -691,3 +691,20 @@ def test_nonzero_class_builds_only_the_degree_three_lattice(monkeypatch):
         build_prolongation(pre)
     assert info.value.coordinates == (1,)
     assert built == [3]
+
+
+def test_oracle_on_an_obstructed_input_builds_no_lattice(monkeypatch):
+    """prolong oracle decides the class vanishes before it enumerates, and
+    the coordinates of a nonzero class are read only when asked for, so an
+    obstructed input builds no integer lattice; the answer is unchanged."""
+    pre = _cold_scenario("obstructed")
+    built = _record_lattices(monkeypatch)
+    out = io.StringIO()
+    assert run(["--format", "json", "oracle", str(SCENARIOS / "obstructed.json")],
+               out=out) == 0
+    assert json.loads(out.getvalue()) == {
+        "command": "oracle", "brute_force_count": 0, "enumerated_count": 0,
+        "match": True}
+    res = obstruction_class(pre)
+    assert not res.vanishes and built == []
+    assert res.coordinates == (1,) and built == [3]

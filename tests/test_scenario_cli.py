@@ -457,6 +457,26 @@ def test_equiv_identical_pair():
     assert payload["equivalent"] is True
 
 
+INVERSION_LADDER = Path(__file__).resolve().parent / "data" / "inversion_ladder.json"
+
+
+def test_user_ladder_with_nontrivial_theta():
+    """The covering that build makes of inversion_action.json, held twice as
+    a full-ladder scenario: its theta acts nontrivially on E0 = Z6, validate
+    reads both ladders as coverings, and equiv finds them equivalent."""
+    doc = json.loads(INVERSION_LADDER.read_text())
+    code, built = invoke_json("build", str(SCENARIOS / "inversion_action.json"))
+    assert code == 0
+    assert doc == {**built["built_scenario"],
+                   "ladders": built["built_scenario"]["ladders"] * 2}
+    assert len({tuple(t) for t in doc["theta"]}) > 1
+    code, payload = invoke_json("validate", str(INVERSION_LADDER))
+    assert code == 0
+    assert [ladder["covering"] for ladder in payload["ladders"]] == [True, True]
+    code, payload = invoke_json("equiv", str(INVERSION_LADDER))
+    assert code == 0 and payload["equivalent"] is True
+
+
 def test_oracle_agreement():
     for name in ("canonical_order4.json", "inversion_action.json",
                  "obstructed.json"):
