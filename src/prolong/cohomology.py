@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt, lcm, prod
+from operator import mul
 
 from .errors import (
     DegreeOutOfRange,
@@ -384,32 +385,157 @@ def _with_moduli(module: PiModule, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _coboundary_factor(module: PiModule, degree: int):
-    """The Smith form every is_coboundary query in degree + 1 solves against,
-    and the rows of its v that give a solution's C^degree coordinates."""
+def _bit_packer(module: PiModule, degree: int):
+    """For coefficients (Z/2)^r: the function that packs a cochain of this
+    degree into one int with _vectorize(c)[i] at bit i, as
+    snf.column_echelon packs a vector.
+
+    digits[a] is the bit string of A-element a's coordinates and order the
+    flat indices of the free positions, both last first, so that int(..., 2)
+    of the digits is the packed cochain.
+    """
+    struct = abelian_structure(module.a)
+    digits = tuple("".join(map(str, reversed(struct.vec(a)))) for a in module.a.elements())
+    order = _free_flat(module.pi.order, degree)[::-1]
+
+    def pack(c: Cochain) -> int:
+        return int("".join([digits[v] for v in map(c.values.__getitem__, order)]), 2)
+    return pack
+
+
+class _CoboundaryMap(Record, eq=False):
+    """Every is_coboundary query in degree n = degree + 1 on one module,
+    read off the Smith form u [d_{n-1} | moduli] v = D once.
+
+    The moduli columns give the matrix full row rank, so every d_i > 0; let
+    L = lcm(d_i), f_j the factor of C^{n-1} coordinate j and b = _vectorize(c).
+    checks holds the rows y_i = u_i mod d_i with d_i > 1: c is a coboundary
+    exactly when y_i b == 0 mod d_i for each.  witness holds the rows
+    M_j = sum_i v[j, i] (L / d_i) u_i mod L f_j, one per C^{n-1} coordinate:
+    W_j = (M_j b mod L f_j) // L is the canonical solution x = v y of the
+    integer solve (y_i = u_i b / d_i) reduced mod f_j.  For p = 2
+    (coefficients (Z/2)^r, so every d_i divides 2) a check row is an int
+    packed as pack packs b, and a witness row is the pair of bit planes
+    (low, high) of M_j mod 4; otherwise check rows are (y_i, d_i) and witness
+    rows (M_j, L f_j), as lists.
+    """
+
+    __slots__ = ("p", "lcm", "checks", "witness", "pack")
+
+    def __init__(self, p: int | None, lcm: int, checks: tuple, witness: tuple, pack):
+        assign(self, "p", p)
+        assign(self, "lcm", lcm)
+        assign(self, "checks", checks)
+        assign(self, "witness", witness)
+        assign(self, "pack", pack)
+
+    def solve(self, c: Cochain) -> list[int] | None:
+        """The C^{n-1} coordinates of the witness of c, or None when a check
+        row fails, which certifies that c is no coboundary."""
+        lcm = self.lcm
+        if self.p == 2:
+            b = self.pack(c)
+            if any((y & b).bit_count() & 1 for y in self.checks):
+                return None
+            return [((low & b).bit_count() + 2 * (high & b).bit_count()) % (2 * lcm) // lcm
+                    for low, high in self.witness]
+        b = _vectorize(c)
+        if any(sum(map(mul, y, b)) % d for y, d in self.checks):
+            return None
+        return [sum(map(mul, row, b)) % m // lcm for row, m in self.witness]
+
+
+def _bit_planes(row: list[int]) -> tuple[int, int]:
+    """(low, high): bits 0 and 1 of the entries of row mod 4, packed."""
+    low = high = 0
+    for k in itertools.compress(range(len(row)), row):
+        if row[k] & 1:
+            low |= 1 << k
+        if row[k] & 2:
+            high |= 1 << k
+    return low, high
+
+
+@lru_cache(maxsize=None)
+def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
+    """The check and witness rows of every is_coboundary query in degree
+    degree + 1, read from one Smith form of [d_degree | moduli], which is then
+    dropped.
+
+    Certified once, with certify so that python -O keeps it: every check
+    row vanishes mod its d_i on every column of [d_degree | moduli], so a
+    failing check row is a dual certificate for a None answer.  The witness
+    rows are certified by each witness they give (is_coboundary).
+    """
+    struct = abelian_structure(module.a)
+    factors, r = struct.factors, struct.rank
+    p = _elementary_prime(struct)
+    rows, cols = _dimension(module, degree + 1), _dimension(module, degree)
     sf = snf.smith_normal_form(*_with_moduli(module, degree), track="uv")
-    return sf, sf.v[:_dimension(module, degree)]
+    diag = sf.diagonal()
+    certify(all(diag), "[d | moduli] must have full row rank")
+    lcm_d = lcm(*diag)
+    scale = [lcm_d // d for d in diag]
+    witness = []
+    if p == 2:
+        planes = [_bit_planes(row) for row in sf.u]
+        checks = tuple(low for (low, _), d in zip(planes, diag) if d > 1)
+        for vrow in sf.v[:cols]:
+            # sum of c u_i mod 4 over the bit planes: low carries into high
+            low = high = 0
+            for i in itertools.compress(range(rows), vrow):
+                c = vrow[i] * scale[i]
+                plane_low, plane_high = planes[i]
+                if c & 1:
+                    carry = low & plane_low
+                    low ^= plane_low
+                    high ^= plane_high ^ carry
+                if c & 2:
+                    high ^= plane_low
+            witness.append((low, high))
+    else:
+        checks = tuple(([x % d for x in row], d) for row, d in zip(sf.u, diag) if d > 1)
+        sparse = [[(k, row[k]) for k in itertools.compress(range(rows), row)] for row in sf.u]
+        for j, vrow in enumerate(sf.v[:cols]):
+            acc = [0] * rows
+            for i in itertools.compress(range(rows), vrow):
+                c = vrow[i] * scale[i]
+                for k, x in sparse[i]:
+                    acc[k] += c * x
+            m = lcm_d * factors[j % r]
+            witness.append(([x % m for x in acc], m))
+    columns = snf.sparse_columns(*_delta_matrix(module, degree))
+    if p == 2:     # the moduli columns are 2 e_k, even
+        packed = [snf.pack_mod_p(pairs, rows, 2) for pairs in columns]
+        vanish = not any((y & x).bit_count() & 1 for y in checks for x in packed)
+    else:
+        vanish = all(sum(y[i] * c for i, c in pairs) % d == 0
+                     for y, d in checks for pairs in columns) and all(
+            y[k] * factors[k % r] % d == 0 for y, d in checks for k in range(rows))
+    certify(vanish, "check rows must vanish on every column of [d | moduli]")
+    return _CoboundaryMap(p=p, lcm=lcm_d, checks=checks, witness=tuple(witness),
+                          pack=_bit_packer(module, degree + 1) if p == 2 else None)
 
 
 def is_coboundary(c: Cochain) -> Cochain | None:
     """A witness t with d t == c, or None.
 
-    Solved as an integer linear system over the cyclic decomposition of the
-    coefficients, against a factorization cached per module and degree; the
-    witness is the solver's canonical solution, certified by computing its
-    coboundary from the group tables at the free positions.
+    The witness is the canonical solution of the integer linear system over
+    the cyclic decomposition of the coefficients, read through the check and
+    witness rows of one _CoboundaryMap cached per module and degree: no
+    factorization and no integer solve per query.  A None answer rests on a
+    check row certified when the map was built; a witness is certified by
+    computing its coboundary from the group tables at the free positions.
     """
     if not 1 <= c.degree <= 3:
         raise DegreeOutOfRange("coboundary witnesses exist for degrees 1..3 only")
     module = c.module
     struct = abelian_structure(module.a)
-    r = struct.rank
     npi = module.pi.order
-    if r == 0 or npi == 1:
+    if struct.rank == 0 or npi == 1:
         witness = zero_cochain(module, c.degree - 1)
         return witness if c.is_zero() else None
-    sf, rows = _coboundary_factor(module, c.degree - 1)
-    sol = sf.solve(_vectorize(c), out=rows)
+    sol = _coboundary_map(module, c.degree - 1).solve(c)
     if sol is None:
         return None
     witness = _devectorize(module, c.degree - 1, sol)
@@ -467,29 +593,23 @@ class _Echelon(Record, eq=False):
     with the tag in its low bits, for odd p a list with the tag at the end.
     Every pivot's tag is its class, so a cochain reduced from tag 0 keeps a
     nonzero cochain part exactly when it is no cocycle, and otherwise its
-    tag part is minus its coordinates.  For p = 2, digits[a] is the bit
-    string of A-element a's coordinates and order the flat indices of the
-    free positions, both last first, so that int(..., 2) of the digits
-    packs a cochain.
+    tag part is minus its coordinates.  For p = 2, pack is the cochain
+    packer of the degree (_bit_packer), whose int the tag bits follow.
     """
 
-    __slots__ = ("p", "width", "tags", "pivots", "digits", "order")
+    __slots__ = ("p", "width", "tags", "pivots", "pack")
 
-    def __init__(self, p: int, width: int, tags: int, pivots: dict,
-                 digits: tuple[str, ...], order: tuple[int, ...]):
+    def __init__(self, p: int, width: int, tags: int, pivots: dict, pack):
         assign(self, "p", p)
         assign(self, "width", width)
         assign(self, "tags", tags)
         assign(self, "pivots", pivots)
-        assign(self, "digits", digits)
-        assign(self, "order", order)
+        assign(self, "pack", pack)
 
     def vector(self, c: Cochain, k: int | None = None):
         """The vector of c with tag e_k, or with tag 0 when k is None."""
         if self.p == 2:
-            digits = self.digits
-            x = int("".join([digits[v] for v in map(c.values.__getitem__, self.order)])
-                    + "0" * self.tags, 2)
+            x = self.pack(c) << self.tags
             return x if k is None else x | 1 << k
         x = _vectorize(c) + [0] * self.tags
         if k is not None:
@@ -514,7 +634,6 @@ def _class_echelon(module: PiModule, degree: int, basis: tuple[Cochain, ...],
     """The tagged echelon of Z^degree for (Z/p)^r coefficients, certified to
     span the cocycles: each basis cocycle is independent modulo B^degree,
     and the pivots number dim C^degree - rank d_degree = dim Z^degree."""
-    struct = abelian_structure(module.a)
     tags = len(basis)
     spans_b = snf.column_echelon(*_delta_matrix(module, degree - 1), p)
     if p == 2:
@@ -524,8 +643,7 @@ def _class_echelon(module: PiModule, degree: int, basis: tuple[Cochain, ...],
     width = _dimension(module, degree)
     echelon = _Echelon(
         p=p, width=width, tags=tags, pivots=pivots,
-        digits=tuple("".join(map(str, reversed(struct.vec(a)))) for a in module.a.elements()),
-        order=_free_flat(module.pi.order, degree)[::-1])
+        pack=_bit_packer(module, degree) if p == 2 else None)
     for k, b in enumerate(basis):
         certify(echelon.in_cochain_part(snf.add_pivot(pivots, echelon.vector(b, k), p)),
                 "basis cocycles must be independent modulo coboundaries")

@@ -1,9 +1,13 @@
 """Exact integer linear algebra: Smith normal form, solving, kernels, lattices.
 
 Matrices are plain lists of row lists of Python ints, so everything is exact
-and overflow-free; column_echelon and rank_mod_p alone read sparse rows of
-(column, coefficient) pairs and work over GF(p).  Shapes are passed explicitly wherever an empty matrix
+and overflow-free.  Shapes are passed explicitly wherever an empty matrix
 would make them ambiguous.
+
+The sparse readers (sparse_columns, pack_mod_p, column_echelon, rank_mod_p)
+take a matrix as sparse rows of (column, coefficient) pairs instead; all but
+sparse_columns work over GF(p), packing a vector one bit per entry into a
+Python int for p = 2 and keeping it as a list otherwise.
 """
 
 from __future__ import annotations
@@ -229,39 +233,51 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
                      u_inv=transpose(ui_t))
 
 
+def sparse_columns(rows, cols: int) -> list[list[tuple[int, int]]]:
+    """The columns of the integer matrix with cols columns whose rows are
+    given sparsely as lists of (column, coefficient) pairs: column j as the
+    list of (row, coefficient) pairs of its terms, in row order.  A row
+    appears once per term it holds in column j; its coefficients add."""
+    columns: list = [[] for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            columns[j].append((i, c))
+    return columns
+
+
+def pack_mod_p(pairs, length: int, p: int):
+    """The vector of the given length over GF(p) whose entries are the sums
+    of the (index, coefficient) pairs, packed as column_echelon packs it."""
+    if p == 2:
+        x = 0
+        for i, c in pairs:
+            if c & 1:
+                x ^= 1 << i
+        return x
+    x = [0] * length
+    for i, c in pairs:
+        x[i] += c
+    return [v % p for v in x]
+
+
 def column_echelon(rows, cols: int, p: int) -> dict:
     """An echelon basis over GF(p), p prime, of the column space of the
     integer matrix with cols columns whose rows are given sparsely as lists
     of (column, coefficient) pairs.
 
     A column may repeat within a row (its coefficients add) and coefficients
-    need not be reduced.  Each column is gathered from the pairs, reduced
-    against the pivots found so far (reduce_mod_p) and kept when it does not
-    vanish, so the pivots are keyed by lead and their number is the rank.
-    For p = 2 a vector is packed one bit per entry into a Python int (entry
-    i is bit i) and its lead is its bit length, so reduction is XOR; for odd
-    p vectors are lists whose lead is the first nonzero index, scaled to a
-    leading 1.  cohomology reduces cocycles against these pivots to read
-    class coordinates.
+    need not be reduced.  Each column is gathered from the pairs
+    (sparse_columns), reduced against the pivots found so far
+    (reduce_mod_p) and kept when it does not vanish, so the pivots are keyed
+    by lead and their number is the rank.  For p = 2 a vector is packed one
+    bit per entry into a Python int (entry i is bit i) and its lead is its
+    bit length, so reduction is XOR; for odd p vectors are lists whose lead
+    is the first nonzero index, scaled to a leading 1.  cohomology reduces
+    cocycles against these pivots to read class coordinates.
     """
-    vectors: list = [[] for _ in range(cols)]
-    for i, row in enumerate(rows):
-        for j, c in row:
-            vectors[j].append((i, c))
-    length = len(rows)
     pivots: dict = {}
-    for pairs in vectors:
-        if p == 2:
-            x = 0
-            for j, c in pairs:
-                if c & 1:
-                    x ^= 1 << j
-        else:
-            x = [0] * length
-            for j, c in pairs:
-                x[j] += c
-            x = [v % p for v in x]
-        add_pivot(pivots, x, p)
+    for pairs in sparse_columns(rows, cols):
+        add_pivot(pivots, pack_mod_p(pairs, len(rows), p), p)
     return pivots
 
 

@@ -13,6 +13,9 @@ cohomology engine replaced: the untightened Smith normal form, one
 factorization per solve, the coboundary that looks every value up by its
 argument tuple, and coboundary matrices built by running it on elementary
 cochains.  The fast path must agree with it number for number.
+`reference_is_coboundary` is the witness path `is_coboundary` replaced: a
+Smith form of `[d_{n-1} | moduli]` factored once per module and degree, and
+one integer solve through it (`SmithForm.solve`) per query.
 
 `reference_induced_action` is the full read of a ladder's action that the
 library replaced by the read off its least section: every element of B
@@ -44,15 +47,18 @@ set computed by repeated subgroup closure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd, prod
 from pathlib import Path
 
+from prolong import cohomology
 from prolong.cohomology import (
     Cochain,
     abelian_structure,
     cochain_from_values,
     free_positions,
+    zero_cochain,
 )
 from prolong.classify import _search_equivalence, are_equivalent
 from prolong.crossed import InducedCrossedModule, make_crossed_module
@@ -100,7 +106,7 @@ from prolong.obstruction import (
     derive,
     lift_factor_set,
 )
-from prolong.snf import SmithForm, identity_matrix, matmul
+from prolong.snf import SmithForm, identity_matrix, matmul, smith_normal_form
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "prolong" / "fixtures"
 SCENARIOS = FIXTURES / "scenarios"
@@ -510,6 +516,26 @@ class ReferenceCohomology:
         x = reference_solve_integer(self.k_basis, vec, n, n)
         w = matvec(self.u, x)
         return tuple(w[i] % self.diag[i] for i in self.kept)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_coboundary_factor(module, degree: int):
+    """The Smith form of [d_degree | moduli] that reference_is_coboundary
+    solves against, and the rows of its v that give C^degree coordinates."""
+    sf = smith_normal_form(*cohomology._with_moduli(module, degree), track="uv")
+    return sf, sf.v[:cohomology._dimension(module, degree)]
+
+
+def reference_is_coboundary(c):
+    """A witness t with d t == c, or None: the canonical solution of the
+    integer solve against the factorization of c's module and degree,
+    reduced into a cochain, with no certificate."""
+    module = c.module
+    if abelian_structure(module.a).rank == 0 or module.pi.order == 1:
+        return zero_cochain(module, c.degree - 1) if c.is_zero() else None
+    sf, rows = _reference_coboundary_factor(module, c.degree - 1)
+    sol = sf.solve(cohomology._vectorize(c), out=rows)
+    return None if sol is None else cohomology._devectorize(module, c.degree - 1, sol)
 
 
 class FiberInconsistency(ProlongError):

@@ -42,6 +42,7 @@ from oracles import (
     iter_normalized_cochains,
     reference_coboundary,
     reference_delta_matrix,
+    reference_is_coboundary,
 )
 
 Z2 = builtin("Z2")
@@ -313,6 +314,8 @@ def _ladder_module(pi_name, a_name, action):
         aut, maps = automorphism_group_table(a)
         iso = all_homomorphisms(pi, aut, injective_only=True)[0]
         return pi_module(pi, a, [maps[iso.map[x]].map for x in pi.elements()])
+    if action == "rotate":      # a generator of Z3 permutes the nonzero elements of V4
+        return pi_module(pi, a, [ident, (0, 2, 3, 1), (0, 3, 1, 2)])
     return trivial_module(pi, a)
 
 
@@ -593,6 +596,186 @@ def test_echelon_certificate_catches_a_dependent_basis(monkeypatch):
                             (basis[:-1], "span the cocycles")):
         with pytest.raises(CertificateFailed, match=message):
             cohomology._class_echelon(module, 2, broken, 2)
+
+
+# --- coboundary witnesses from one map per module and degree ---------------------
+
+# Every module of LADDER in degrees 1..3; trivial Z2 over D4, Q8 and Z2^3 in
+# degree 2; Z3 over Z3xZ3 in degrees 1 and 2; Z5 over Z5, S3 acting on V4
+# as Aut(V4) and Z3 rotating V4 in degrees 1..3; and coefficients Z4, Z6, Z8 and Z4xZ2, read by
+# the list path of the map, over Z2, Z3 and V4 trivially and over Z2 and Z4
+# inverted by a generator, in degrees 1..3.
+WITNESS_CASES = sorted(
+    {(degree, pi, a, action) for _, pi, a, action in LADDER for degree in (1, 2, 3)}
+    | {(2, pi, "Z2", None) for pi in ("D4", "Q8", "Z2xZ2xZ2")}
+    | {(degree, "Z3xZ3", "Z3", None) for degree in (1, 2)}
+    | {(degree, pi, a, action) for degree in (1, 2, 3)
+       for pi, a, action in (("Z5", "Z5", None), ("S3", "V4", "aut"),
+                             ("Z3", "V4", "rotate"))}
+    | {(degree, pi, a, action) for degree in (1, 2, 3) for a in ("Z4", "Z6", "Z8", "Z4xZ2")
+       for pi, action in (("Z2", None), ("Z3", None), ("V4", None), ("Z2", "invert"),
+                          ("Z4", "invert"))},
+    key=str)
+
+WITNESS_KINDS = ("coboundary", "random", "changed")
+
+
+def _witness_query(module, degree, kind, rng):
+    """A coboundary of a random cochain, a random cochain, or a coboundary
+    with one free value changed."""
+    if kind == "random":
+        return random_cochain(module, degree, rng)
+    c = coboundary(random_cochain(module, degree - 1, rng))
+    if kind == "changed":
+        pos = rng.choice(free_positions(module.pi.order, degree))
+        c = cochain_add(c, cochain_from_values(
+            module, degree, {pos: rng.randrange(1, module.a.order)}))
+    return c
+
+
+def _values(witness):
+    return None if witness is None else witness.values
+
+
+@pytest.mark.parametrize("degree,pi,a,action", WITNESS_CASES)
+def test_witness_matches_reference(degree, pi, a, action):
+    """The map gives the None answers and the witness bytes of the integer
+    solve it replaced, on seeded queries of each kind."""
+    module = _ladder_module(pi, a, action)
+    rng = random.Random(f"witness {degree} {pi} {a} {action}")
+    queries = [_witness_query(module, degree, kind, rng) for kind in WITNESS_KINDS * 4]
+    got = [is_coboundary(c) for c in queries]
+    assert [_values(w) for w in got] == [_values(reference_is_coboundary(c)) for c in queries]
+    assert all(w is not None for w in got[::3])
+
+
+@pytest.mark.parametrize("degree,pi,a", QUERY_GROUPS)
+def test_witness_matches_reference_on_query_groups(degree, pi, a):
+    """On cocycles in seeded classes, some nonzero, of the benchmark's query
+    groups: None exactly off the zero class, and the reference's witness."""
+    h, _, cocycles = _query_case(degree, pi, a)
+    got = [is_coboundary(c) for c in cocycles]
+    assert [_values(w) for w in got] == [_values(reference_is_coboundary(c)) for c in cocycles]
+    assert [w is None for w in got] == [any(h.coordinates(c)) for c in cocycles]
+
+
+@given(case=st.sampled_from(WITNESS_CASES), kind=st.sampled_from(WITNESS_KINDS),
+       seed=st.integers(0, 2**32))
+def test_witness_matches_reference_on_random_cochains(case, kind, seed):
+    degree, pi, a, action = case
+    module = _ladder_module(pi, a, action)
+    c = _witness_query(module, degree, kind, random.Random(seed))
+    assert _values(is_coboundary(c)) == _values(reference_is_coboundary(c))
+
+
+def _coboundary_case(degree, pi, a, action=None):
+    """A module, a nonzero coboundary on it (the first a seeded draw gives),
+    and the module's map for it, built."""
+    module = _ladder_module(pi, a, action)
+    rng = random.Random(f"{degree} {pi} {a} {action}")
+    c = next(c for c in (coboundary(random_cochain(module, degree - 1, rng))
+                         for _ in range(100)) if not c.is_zero())
+    assert is_coboundary(c) is not None
+    return module, c, cohomology._coboundary_map(module, degree - 1)
+
+
+# (degree, Pi0, A, action): the p = 2 path, odd p, and the list path with
+# mixed d_i for Z4, Z6 and Z4xZ2 coefficients.  WITH_ONTO adds a degree in
+# which d_0 is onto C^1, so that every d_i is 1 and the map has no check row.
+MAP_CASES = [(2, "S3", "Z2", None), (3, "Z4", "V4", None), (2, "D4", "Z2", None),
+             (2, "S3", "Z3", None), (2, "Z4", "Z4", "invert"), (2, "Z3", "Z6", None),
+             (2, "V4", "Z4xZ2", None)]
+ONTO = (1, "Z2", "Z3", "invert")
+WITH_ONTO = MAP_CASES + [ONTO]
+
+
+@pytest.mark.parametrize("degree,pi,a,action", MAP_CASES)
+def test_changed_check_row_fails_the_map_certificate(monkeypatch, degree, pi, a, action):
+    """Mutation check of the map's certificate: one bit (p = 2) or entry of
+    a check row changed, at a row of [d | moduli] that does not vanish
+    modulo its d_i, makes building the map raise, also under python -O."""
+    module = _ladder_module(pi, a, action)
+    abelian_structure(module.a)     # its Smith form is not the one changed
+    real = snf.smith_normal_form
+    changed = []
+
+    def smith_with_changed_check(a, rows, cols, track):
+        sf = real(a, rows, cols, track=track)
+        i, k = next((i, k) for i, d in enumerate(sf.diagonal()) if d > 1
+                    for k in range(rows) if any(x % d for x in a[k]))
+        sf.u[i][k] += 1
+        changed.append((i, k))
+        return sf
+
+    monkeypatch.setattr(snf, "smith_normal_form", smith_with_changed_check)
+    with pytest.raises(CertificateFailed, match="check rows must vanish"):
+        cohomology._coboundary_map.__wrapped__(module, degree - 1)
+    assert len(changed) == 1
+
+
+def test_map_without_check_rows():
+    """d_0 is onto C^1 for Z2 inverting Z3: every 1-cochain bounds, every
+    d_i is 1, and the map has no check row."""
+    module, _, cmap = _coboundary_case(*ONTO)
+    assert cmap.checks == () and cmap.lcm == 1
+    for c in iter_normalized_cochains(module, 1):
+        assert coboundary(is_coboundary(c)) == c
+
+
+@pytest.mark.parametrize("degree,pi,a,action", WITH_ONTO)
+def test_changed_witness_row_fails_the_witness_certificate(monkeypatch, degree, pi, a,
+                                                           action):
+    """Mutation check of the witness certificate: one witness row changed
+    by L at an entry the coboundary's vector holds (for p = 2 one bit of the
+    plane that carries L), where the witness coordinate it moves is no
+    cocycle, makes the query on that coboundary raise."""
+    module, c, cmap = _coboundary_case(degree, pi, a, action)
+    b = cohomology._vectorize(c)
+    moved = []      # (j, k): adding b[k] to witness coordinate j moves d(witness)
+    for j in range(len(cmap.witness)):
+        for k in (k for k, x in enumerate(b) if x):
+            step = [0] * len(cmap.witness)
+            step[j] = b[k]
+            if not coboundary(cohomology._devectorize(module, degree - 1, step)).is_zero():
+                moved.append((j, k))
+                break
+    assert moved
+    for j, k in moved:
+        witness = list(cmap.witness)
+        if cmap.p == 2:     # L = 2, so W_j reads the high plane
+            assert cmap.lcm == 2
+            low, high = witness[j]
+            witness[j] = (low, high ^ 1 << k)
+        else:
+            row, m = witness[j]
+            row = list(row)
+            row[k] = (row[k] + cmap.lcm) % m
+            witness[j] = (row, m)
+        mutant = replace(cmap, witness=tuple(witness))
+        monkeypatch.setattr(cohomology, "_coboundary_map", lambda module, degree: mutant)
+        with pytest.raises(CertificateFailed, match="witness must bound the cocycle"):
+            is_coboundary(c)
+
+
+def test_witness_queries_solve_nothing(monkeypatch):
+    """After the first query on a module, a witness query (p = 2, odd p and
+    the list path; coboundaries and cochains that are not) calls neither
+    smith_normal_form nor SmithForm.solve."""
+    queries = []
+    for degree, pi, a, action in WITH_ONTO:
+        module, _, _ = _coboundary_case(degree, pi, a, action)
+        rng = random.Random(f"{degree} {pi} {a}")
+        queries += [_witness_query(module, degree, kind, rng) for kind in WITNESS_KINDS]
+    calls = []
+    real_snf, real_solve = snf.smith_normal_form, snf.SmithForm.solve
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
+    monkeypatch.setattr(snf.SmithForm, "solve",
+                        lambda *a, **k: calls.append("solve") or real_solve(*a, **k))
+    answers = [is_coboundary(c) for c in queries]
+    assert calls == []
+    assert all(w is not None for w in answers[::len(WITNESS_KINDS)])
+    assert any(w is None for w in answers)
 
 
 # --- ranks mod p against the integer lattice and the reference engine ------------
