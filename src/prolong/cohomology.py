@@ -404,34 +404,43 @@ def _bit_packer(module: PiModule, degree: int):
 
 
 class _CoboundaryMap(Record, eq=False):
-    """Every is_coboundary query in degree n = degree + 1 on one module,
-    read off the Smith form u [d_{n-1} | moduli] v = D once.
+    """The rows T y, each reduced mod its f_j, of the solution y of
+    D y = u b, read off a Smith form u a v = D with every d_i > 0, for the
+    vector b = _vectorize(c) of a cochain c.
 
-    The moduli columns give the matrix full row rank, so every d_i > 0; let
-    L = lcm(d_i), f_j the factor of C^{n-1} coordinate j and b = _vectorize(c).
-    checks holds the rows y_i = u_i mod d_i with d_i > 1: c is a coboundary
-    exactly when y_i b == 0 mod d_i for each.  witness holds the rows
-    M_j = sum_i v[j, i] (L / d_i) u_i mod L f_j, one per C^{n-1} coordinate:
-    W_j = (M_j b mod L f_j) // L is the canonical solution x = v y of the
-    integer solve (y_i = u_i b / d_i) reduced mod f_j.  For p = 2
-    (coefficients (Z/2)^r, so every d_i divides 2) a check row is an int
-    packed as pack packs b, and a witness row is the pair of bit planes
-    (low, high) of M_j mod 4; otherwise check rows are (y_i, d_i) and witness
-    rows (M_j, L f_j), as lists.
+    With L = lcm(d_i), checks holds the rows y_i = u_i mod d_i with d_i > 1:
+    y is integral exactly when y_i b == 0 mod d_i for each.  witness holds
+    the rows M_j = sum_i T[j, i] (L / d_i) u_i mod L f_j, and
+    (M_j b mod L f_j) // L is (T y)_j mod f_j.
+
+    _coboundary_map reads the is_coboundary queries in degree n = degree + 1
+    from a = [d_{n-1} | moduli], with T the rows of v that give C^{n-1}
+    coordinates and f_j their factors: the output is the witness, the
+    canonical solution v y of the integer solve reduced mod f_j.  Its map
+    keeps in cocycles the generators of the cocycle lattice of degree
+    n - 1, read from the same v.  _integer_lattice reads class coordinates
+    from a = the cocycle-lattice generators, with T the rows of the
+    quotient's u that give coordinates and f_j the invariant factors.  For
+    p = 2 (coefficients (Z/2)^r, so every d_i divides 2 and every f_j is 2)
+    a check row is an int packed as pack packs b, and a witness row is the
+    pair of bit planes (low, high) of M_j mod 4; otherwise check rows are
+    (y_i, d_i) and witness rows (M_j, L f_j), as lists.
     """
 
-    __slots__ = ("p", "lcm", "checks", "witness", "pack")
+    __slots__ = ("p", "lcm", "checks", "witness", "pack", "cocycles")
 
-    def __init__(self, p: int | None, lcm: int, checks: tuple, witness: tuple, pack):
+    def __init__(self, p: int | None, lcm: int, checks: tuple, witness: tuple, pack,
+                 cocycles: list | None = None):
         assign(self, "p", p)
         assign(self, "lcm", lcm)
         assign(self, "checks", checks)
         assign(self, "witness", witness)
         assign(self, "pack", pack)
+        assign(self, "cocycles", cocycles)
 
     def solve(self, c: Cochain) -> list[int] | None:
-        """The C^{n-1} coordinates of the witness of c, or None when a check
-        row fails, which certifies that c is no coboundary."""
+        """The outputs for c, or None when a check row fails, which
+        certifies that D y = u b has no integer solution."""
         lcm = self.lcm
         if self.p == 2:
             b = self.pack(c)
@@ -456,35 +465,24 @@ def _bit_planes(row: list[int]) -> tuple[int, int]:
     return low, high
 
 
-@lru_cache(maxsize=None)
-def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
-    """The check and witness rows of every is_coboundary query in degree
-    degree + 1, read from one Smith form of [d_degree | moduli], which is then
-    dropped.
-
-    Certified once, with certify so that python -O keeps it: every check
-    row vanishes mod its d_i on every column of [d_degree | moduli], so a
-    failing check row is a dual certificate for a None answer.  The witness
-    rows are certified by each witness they give (is_coboundary).
-    """
-    struct = abelian_structure(module.a)
-    factors, r = struct.factors, struct.rank
-    p = _elementary_prime(struct)
-    rows, cols = _dimension(module, degree + 1), _dimension(module, degree)
-    sf = snf.smith_normal_form(*_with_moduli(module, degree), track="uv")
-    diag = sf.diagonal()
-    certify(all(diag), "[d | moduli] must have full row rank")
+def _read_map(u: list[list[int]], diag: list[int], t_rows, moduli: list[int],
+              p: int | None, pack, cocycles: list | None = None) -> _CoboundaryMap:
+    """The _CoboundaryMap of the Smith form with square u and positive
+    diagonal diag, for the output rows t_rows of T and their moduli.  Each
+    t_row is read only at the indices of u's rows; the rows are built from
+    sparse or bit-packed rows of u."""
+    n = len(u)
     lcm_d = lcm(*diag)
     scale = [lcm_d // d for d in diag]
     witness = []
     if p == 2:
-        planes = [_bit_planes(row) for row in sf.u]
+        planes = [_bit_planes(row) for row in u]
         checks = tuple(low for (low, _), d in zip(planes, diag) if d > 1)
-        for vrow in sf.v[:cols]:
+        for t_row in t_rows:
             # sum of c u_i mod 4 over the bit planes: low carries into high
             low = high = 0
-            for i in itertools.compress(range(rows), vrow):
-                c = vrow[i] * scale[i]
+            for i in itertools.compress(range(n), t_row):
+                c = t_row[i] * scale[i]
                 plane_low, plane_high = planes[i]
                 if c & 1:
                     carry = low & plane_low
@@ -494,16 +492,46 @@ def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
                     high ^= plane_low
             witness.append((low, high))
     else:
-        checks = tuple(([x % d for x in row], d) for row, d in zip(sf.u, diag) if d > 1)
-        sparse = [[(k, row[k]) for k in itertools.compress(range(rows), row)] for row in sf.u]
-        for j, vrow in enumerate(sf.v[:cols]):
-            acc = [0] * rows
-            for i in itertools.compress(range(rows), vrow):
-                c = vrow[i] * scale[i]
+        checks = tuple(([x % d for x in row], d) for row, d in zip(u, diag) if d > 1)
+        sparse = [[(k, row[k]) for k in itertools.compress(range(n), row)] for row in u]
+        for t_row, f in zip(t_rows, moduli):
+            acc = [0] * n
+            for i in itertools.compress(range(n), t_row):
+                c = t_row[i] * scale[i]
                 for k, x in sparse[i]:
                     acc[k] += c * x
-            m = lcm_d * factors[j % r]
+            m = lcm_d * f
             witness.append(([x % m for x in acc], m))
+    return _CoboundaryMap(p=p, lcm=lcm_d, checks=checks, witness=tuple(witness),
+                          pack=pack, cocycles=cocycles)
+
+
+@lru_cache(maxsize=None)
+def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
+    """The check and witness rows of every is_coboundary query in degree
+    degree + 1, and the generators of the cocycle lattice of this degree,
+    read from one Smith form u [d_degree | moduli] v = D, which is then
+    dropped.
+
+    The moduli columns give the matrix full row rank, so the integer
+    kernel is spanned by v's last dim C^degree columns, and the cocycle
+    lattice by their first dim C^degree entries: only those rows of v are
+    kept.  Certified once, with certify so that python -O keeps it: every
+    check row vanishes mod its d_i on every column of [d_degree | moduli],
+    so a failing check row is a dual certificate for a None answer.  The
+    witness rows are certified by each witness they give (is_coboundary).
+    """
+    struct = abelian_structure(module.a)
+    factors, r = struct.factors, struct.rank
+    p = _elementary_prime(struct)
+    rows, cols = _dimension(module, degree + 1), _dimension(module, degree)
+    sf = snf.smith_normal_form(*_with_moduli(module, degree), track="uv", v_rows=cols)
+    diag = sf.diagonal()
+    certify(all(diag), "[d | moduli] must have full row rank")
+    cmap = _read_map(sf.u, diag, sf.v, [factors[j % r] for j in range(cols)], p,
+                     _bit_packer(module, degree + 1) if p == 2 else None,
+                     cocycles=[row[rows:] for row in sf.v])
+    checks = cmap.checks
     columns = snf.sparse_columns(*_delta_matrix(module, degree))
     if p == 2:     # the moduli columns are 2 e_k, even
         packed = [snf.pack_mod_p(pairs, rows, 2) for pairs in columns]
@@ -513,8 +541,7 @@ def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
                      for y, d in checks for pairs in columns) and all(
             y[k] * factors[k % r] % d == 0 for y, d in checks for k in range(rows))
     certify(vanish, "check rows must vanish on every column of [d | moduli]")
-    return _CoboundaryMap(p=p, lcm=lcm_d, checks=checks, witness=tuple(witness),
-                          pack=_bit_packer(module, degree + 1) if p == 2 else None)
+    return cmap
 
 
 def is_coboundary(c: Cochain) -> Cochain | None:
@@ -561,23 +588,22 @@ def same_class(c1: Cochain, c2: Cochain) -> bool:
 
 class _Lattice(Record, eq=False):
     """The exact integer presentation of one H^n: basis cocycles and, for
-    coefficients that are not (Z/p)^r, the factorization a coordinates
-    query reuses.
+    coefficients that are not (Z/p)^r, the map a coordinates query reads.
 
-    k_factor is the Smith form of the cocycle-lattice basis K and to_coords
-    the rows kept of the quotient's u, precomposed with k_factor.v: a query
-    is one solve against k_factor through to_coords, not a factorization.
-    For (Z/p)^r coefficients queries reduce against the group's _Echelon
-    instead, and both are None.
+    to_coords is the _CoboundaryMap of the Smith form u G v = D of the
+    cocycle-lattice generators G, whose outputs are a cocycle's coordinates
+    in the basis: its checks certify that the cocycle's vector lies in the
+    cocycle lattice, and a query is one pass over its rows, not a
+    factorization.  For (Z/p)^r coefficients queries reduce against the
+    group's _Echelon instead, and to_coords is None.
     """
 
-    __slots__ = ("invariant_factors", "basis", "k_factor", "to_coords")
+    __slots__ = ("invariant_factors", "basis", "to_coords")
 
     def __init__(self, invariant_factors: tuple[int, ...], basis: tuple[Cochain, ...],
-                 k_factor: snf.SmithForm | None, to_coords: list | None):
+                 to_coords: _CoboundaryMap | None):
         assign(self, "invariant_factors", invariant_factors)
         assign(self, "basis", basis)
-        assign(self, "k_factor", k_factor)
         assign(self, "to_coords", to_coords)
 
 
@@ -665,7 +691,7 @@ class CohomologyGroup(Record, eq=False,
     the mutable slot _echelon, built and certified on first use from the
     pivots of d_{n-1} and the basis: one reduction decides that c is a
     cocycle and reads its class, with no integer solve.  Other coefficients
-    check is_cocycle and solve through the lattice.
+    check is_cocycle and read the coordinates through the lattice's map.
     """
 
     __slots__ = ("module", "degree", "invariant_factors", "_lattice", "_echelon")
@@ -715,10 +741,9 @@ class CohomologyGroup(Record, eq=False,
             raise NotCocycle("only cocycles have class coordinates")
         if not self.invariant_factors:
             return ()
-        lattice = self._exact()
-        w = lattice.k_factor.solve(_vectorize(c), out=lattice.to_coords)
-        certify(w is not None, "cocycle vector must lie in the cocycle lattice")
-        return tuple(x % d for x, d in zip(w, self.invariant_factors))
+        coords = self._exact().to_coords.solve(c)
+        certify(coords is not None, "cocycle vector must lie in the cocycle lattice")
+        return tuple(coords)
 
     def from_coordinates(self, coords) -> Cochain:
         """The basis combination sum_k coords[k] * basis[k]."""
@@ -792,35 +817,38 @@ def cohomology_group(degree: int, module: PiModule) -> CohomologyGroup:
 def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     """H^degree by integer Smith normal form, for a module with npi > 1 and r > 0.
 
-    Combines the cocycle-kernel lattice with the coboundary image (plus the
-    coefficient moduli) and reads invariant factors and basis representatives
-    off the diagonalization.  Deterministic for fixed inputs.
+    Takes the cocycle lattice K from the generators _coboundary_map read
+    off [d_degree | moduli], expresses the coboundary image (plus the
+    coefficient moduli) in K-coordinates and reads invariant factors and
+    basis representatives off the diagonalization of that.  Deterministic
+    for fixed inputs.
     """
     struct = abelian_structure(module.a)
     r = struct.rank
+    p = _elementary_prime(struct)
     n_unknowns, prev_cols = _dimension(module, degree), _dimension(module, degree - 1)
     dm = _scatter(module, degree - 1, prev_cols)
     moduli_n = [struct.factors[i % r] for i in range(n_unknowns)]
-    # cocycle lattice K = {v : dn v == 0 modulo the coefficient moduli}
-    full_kernel = snf.kernel_basis(*_with_moduli(module, degree))
-    k_gens = [col[:n_unknowns] for col in full_kernel]
-    k_basis_cols = snf.lattice_column_basis(k_gens, n_unknowns)
-    certify(len(k_basis_cols) == n_unknowns, "cocycle lattice must have full rank")
-    k_basis = [[col[i] for col in k_basis_cols] for i in range(n_unknowns)]
+    # the basis K = u^-1 D = G v of the cocycle lattice from the Smith form
+    # u G v = D of its generators, which then puts B in K-coordinates:
+    # K^-1 b = D^-1 u b
+    gens = _coboundary_map(module, degree).cocycles
+    g_form = snf.smith_normal_form(gens, n_unknowns, n_unknowns, track="uU")
+    k_diag = g_form.diagonal()
+    certify(all(k_diag), "cocycle lattice must have full rank")
+    k_basis = [[x * d for x, d in zip(row, k_diag)] for row in g_form.u_inv]
     # coboundary image plus coefficient moduli, expressed in K-coordinates
     b_gens = []
     for j in range(prev_cols):
         b_gens.append([dm[i][j] for i in range(n_unknowns)])
     for i in range(n_unknowns):
         b_gens.append([moduli_n[i] if k == i else 0 for k in range(n_unknowns)])
-    # one factorization of the lattice basis serves every solve, here and in
-    # coordinates
-    k_factor = snf.smith_normal_form(k_basis, n_unknowns, n_unknowns, track="uv")
     q_cols = []
     for b in b_gens:
-        x = k_factor.solve(b)
-        certify(x is not None, "coboundaries must lie in the cocycle lattice")
-        q_cols.append(x)
+        ub = snf.matvec(g_form.u, b)
+        certify(not any(x % d for x, d in zip(ub, k_diag)),
+                "coboundaries must lie in the cocycle lattice")
+        q_cols.append([x // d for x, d in zip(ub, k_diag)])
     q = [[col[i] for col in q_cols] for i in range(n_unknowns)]
     sf = snf.smith_normal_form(q, n_unknowns, len(q_cols), track="uU")
     diag = sf.diagonal()
@@ -835,8 +863,7 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
         rep = _devectorize(module, degree, vec)
         certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
-    if _elementary_prime(struct) is not None:   # queries reduce against _Echelon
-        return _Lattice(invariant_factors=factors, basis=tuple(basis), k_factor=None,
-                        to_coords=None)
-    return _Lattice(invariant_factors=factors, basis=tuple(basis), k_factor=k_factor,
-                    to_coords=snf.matmul([sf.u[i] for i in kept], k_factor.v))
+    # (Z/p)^r queries reduce against _Echelon
+    to_coords = None if p is not None else _read_map(
+        g_form.u, k_diag, [sf.u[i] for i in kept], list(factors), p=None, pack=None)
+    return _Lattice(invariant_factors=factors, basis=tuple(basis), to_coords=to_coords)

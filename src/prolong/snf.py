@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, solving, kernels, lattices.
+"""Exact integer linear algebra: Smith normal form and its products.
 
 Matrices are plain lists of row lists of Python ints, so everything is exact
 and overflow-free.  Shapes are passed explicitly wherever an empty matrix
@@ -50,7 +50,8 @@ class SmithForm(Record, eq=False):
     """u @ a @ v == d with d diagonal, nonnegative, d[i] | d[i+1].
 
     u and v are unimodular; u_inv is the exact integer inverse of u.
-    Transforms the caller opted out of (track=...) are None.
+    Transforms the caller opted out of (track=...) are None, and v holds
+    only the leading rows the caller kept (v_rows=...).
     """
 
     __slots__ = ("rows", "cols", "d", "u", "v", "u_inv")
@@ -67,47 +68,17 @@ class SmithForm(Record, eq=False):
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(self.rows, self.cols))]
 
-    def solve(self, b: list[int], out: list[list[int]] | None = None) -> list[int] | None:
-        """out @ y for the diagonal solution y of d @ y == u @ b, or None
-        when a @ x == b has no integer solution.
-
-        out defaults to v, which gives one integer solution x = v @ y.  A
-        caller that needs only some linear image M @ x passes M @ v, computed
-        once, or only some rows of v; the rows of out are then the only ones
-        multiplied.  Needs u, and v unless out is given (track="uv").  The
-        factorization is reused as is, so each call costs the product u @ b,
-        which decides solvability, and the product out @ y.
-        """
-        out = self.v if out is None else out
-        if self.u is None or out is None:
-            raise ValueError("solving needs the u and v transforms (track='uv')")
-        r, c = self.rows, self.cols
-        if len(b) != r:
-            raise ValueError("right-hand side length disagrees with the matrix")
-        rhs = matvec(self.u, b)
-        y = [0] * c
-        for i in range(min(r, c)):
-            d = self.d[i][i]
-            if d:
-                if rhs[i] % d:
-                    return None
-                y[i] = rhs[i] // d
-            elif rhs[i]:
-                return None
-        if any(rhs[min(r, c):]):
-            return None
-        return matvec(out, y)
-
 
 def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
-                      track: str = "uUv") -> SmithForm:
+                      track: str = "uUv", v_rows: int | None = None) -> SmithForm:
     """Diagonalize over the integers.
 
     track selects which transforms to carry along: "u" for u, "U" for u_inv,
     "v" for v.  Skipping unused ones saves most of the work on large
-    matrices.  The pivot at each step is the first entry of least
-    absolute value in row-major order of the trailing block, so the result
-    does not depend on track.
+    matrices; so does v_rows, which keeps only the leading v_rows rows of
+    v (at most cols; default all).  The pivot at each step is the first
+    entry of least absolute value in row-major order of the trailing block,
+    so the result does not depend on track or v_rows.
     """
     m = [list(row) for row in a]
     r = len(m) if rows is None else rows
@@ -119,7 +90,10 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
     # transposes, so every transform is kept as rows and updated row-wise.
     u = identity_matrix(r) if "u" in track else None
     ui_t = identity_matrix(r) if "U" in track else None
-    v_t = identity_matrix(c) if "v" in track else None
+    # v_t's rows are v's columns, cut to their first v_rows entries
+    kept = c if v_rows is None else v_rows
+    v_t = ([[1 if i == j else 0 for j in range(kept)] for i in range(c)]
+           if "v" in track else None)
 
     def combine(mat, i, j, q):
         # row_i += q * row_j, visiting only the nonzero entries of row_j
@@ -324,26 +298,3 @@ def rank_mod_p(rows, cols: int, p: int) -> int:
     whose rows are given sparsely as lists of (column, coefficient) pairs:
     the pivot count of column_echelon."""
     return len(column_echelon(rows, cols, p))
-
-
-def kernel_basis(a, rows: int | None = None, cols: int | None = None) -> list[list[int]]:
-    """Column vectors spanning the integer kernel of a."""
-    sf = smith_normal_form(a, rows, cols, track="v")
-    r, c = sf.rows, sf.cols
-    diag = sf.diagonal() + [0] * (c - min(r, c))
-    return [[sf.v[i][j] for i in range(c)] for j in range(c) if diag[j] == 0]
-
-
-def lattice_column_basis(columns: list[list[int]], dim: int) -> list[list[int]]:
-    """A basis (as column vectors) of the lattice spanned by the given columns."""
-    if not columns or dim == 0:
-        return []
-    a = [[col[i] for col in columns] for i in range(dim)]
-    sf = smith_normal_form(a, dim, len(columns), track="U")
-    w = matmul(sf.u_inv, sf.d)
-    basis = []
-    for j in range(len(columns)):
-        col = [w[i][j] for i in range(dim)]
-        if any(col):
-            basis.append(col)
-    return basis

@@ -15,7 +15,7 @@ argument tuple, and coboundary matrices built by running it on elementary
 cochains.  The fast path must agree with it number for number.
 `reference_is_coboundary` is the witness path `is_coboundary` replaced: a
 Smith form of `[d_{n-1} | moduli]` factored once per module and degree, and
-one integer solve through it (`SmithForm.solve`) per query.
+one integer solve through it (`smith_solve`) per query.
 
 `reference_induced_action` is the full read of a ladder's action that the
 library replaced by the read off its least section: every element of B
@@ -107,6 +107,7 @@ from prolong.obstruction import (
     lift_factor_set,
 )
 from prolong.snf import SmithForm, identity_matrix, matmul, smith_normal_form
+from prolong.snf import matvec as sparse_matvec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "prolong" / "fixtures"
 SCENARIOS = FIXTURES / "scenarios"
@@ -420,6 +421,39 @@ def reference_solve_integer(a, b, rows=None, cols=None):
     return matvec(sf.v, y) if c else []
 
 
+def smith_solve(sf: SmithForm, b: list[int], out: list[list[int]] | None = None
+                ) -> list[int] | None:
+    """out @ y for the diagonal solution y of d @ y == u @ b, or None
+    when a @ x == b has no integer solution, for the Smith form sf of a.
+
+    out defaults to v, which gives one integer solution x = v @ y.  A
+    caller that needs only some linear image M @ x passes M @ v, computed
+    once, or only some rows of v; the rows of out are then the only ones
+    multiplied.  Needs u, and v unless out is given (track="uv").  The
+    factorization is reused as is, so each call costs the product u @ b,
+    which decides solvability, and the product out @ y.
+    """
+    out = sf.v if out is None else out
+    if sf.u is None or out is None:
+        raise ValueError("solving needs the u and v transforms (track='uv')")
+    r, c = sf.rows, sf.cols
+    if len(b) != r:
+        raise ValueError("right-hand side length disagrees with the matrix")
+    rhs = sparse_matvec(sf.u, b)
+    y = [0] * c
+    for i in range(min(r, c)):
+        d = sf.d[i][i]
+        if d:
+            if rhs[i] % d:
+                return None
+            y[i] = rhs[i] // d
+        elif rhs[i]:
+            return None
+    if any(rhs[min(r, c):]):
+        return None
+    return sparse_matvec(out, y)
+
+
 def reference_coboundary(c):
     """d c under the sign convention, each value looked up by its argument tuple."""
     module = c.module
@@ -534,7 +568,7 @@ def reference_is_coboundary(c):
     if abelian_structure(module.a).rank == 0 or module.pi.order == 1:
         return zero_cochain(module, c.degree - 1) if c.is_zero() else None
     sf, rows = _reference_coboundary_factor(module, c.degree - 1)
-    sol = sf.solve(cohomology._vectorize(c), out=rows)
+    sol = smith_solve(sf, cohomology._vectorize(c), out=rows)
     return None if sol is None else cohomology._devectorize(module, c.degree - 1, sol)
 
 

@@ -487,9 +487,9 @@ ECHELON_CASES = sorted(
 
 
 def _integer_solve(monkeypatch, module, degree, cocycles):
-    """The coordinates the integer solve gives: the group built and queried
+    """The coordinates the integer path gives: the group built and queried
     as for coefficients that are not (Z/p)^r, whose lattice keeps its
-    precomposed coordinate map and which has no echelon."""
+    coordinate map and which has no echelon."""
     with monkeypatch.context() as m:
         m.setattr(cohomology, "_elementary_prime", lambda struct: None)
         h = cohomology_group.__wrapped__(degree, module)     # not the cached group
@@ -555,7 +555,7 @@ def test_echelon_raises_not_cocycle_exactly_off_the_cocycles(case, kind, seed):
 def test_echelon_query_solves_nothing(monkeypatch):
     """Once its echelon is built, an elementary coordinates query (p = 2 and
     odd p, with and without classes, on cocycles and on cochains that are
-    not) calls neither SmithForm.solve nor smith_normal_form."""
+    not) calls no smith_normal_form."""
     cases = [(2, "D4", "Z2", None), (3, "Z4", "V4", None), (2, "Z3", "Z3", None),
              (2, "S3", "Z3", None), (2, "S3", "V4", "aut")]
     rng = random.Random(7)
@@ -569,11 +569,9 @@ def test_echelon_query_solves_nothing(monkeypatch):
         queries.append((h, None, random_cochain(h.module, h.degree, rng)))
         h.coordinates(queries[-2][2])    # builds the echelon
     calls = []
-    real_snf, real_solve = snf.smith_normal_form, snf.SmithForm.solve
+    real_snf = snf.smith_normal_form
     monkeypatch.setattr(snf, "smith_normal_form",
                         lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
-    monkeypatch.setattr(snf.SmithForm, "solve",
-                        lambda *a, **k: calls.append("solve") or real_solve(*a, **k))
     raised = 0
     for h, coords, c in queries:
         if coords is None and not is_cocycle(c):
@@ -596,6 +594,90 @@ def test_echelon_certificate_catches_a_dependent_basis(monkeypatch):
                             (basis[:-1], "span the cocycles")):
         with pytest.raises(CertificateFailed, match=message):
             cohomology._class_echelon(module, 2, broken, 2)
+
+
+# --- class coordinates by the lattice's map, for other coefficients --------------
+
+# Coefficients Z4, Z6, Z8 and Z4xZ2 over Z2, Z3, V4 and Z4 trivially, and Z4
+# inverted by Z2, V4 and Z4, in degrees 1..3: none of them is (Z/p)^r, so
+# coordinates read the lattice's map.  Each reference builds in under a second.
+INTEGER_CASES = sorted(
+    {(degree, pi, a, None) for degree in (1, 2, 3) for pi in ("Z2", "Z3", "V4", "Z4")
+     for a in ("Z4", "Z6", "Z8", "Z4xZ2")}
+    | {(degree, pi, "Z4", "invert") for degree in (1, 2, 3) for pi in ("Z2", "V4", "Z4")},
+    key=str)
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_case(degree, pi, a, action):
+    """H^degree, read through the lattice's map, and seeded cocycles with
+    the coordinates drawn for them: basis combinations plus coboundaries of
+    random cochains."""
+    h = cohomology_group(degree, _ladder_module(pi, a, action))
+    assert h._classes() is None and h._exact().to_coords is not None
+    rng = random.Random(f"integer {degree} {pi} {a} {action}")
+    drawn, cocycles = [], []
+    for _ in range(8):
+        coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+        noise = coboundary(random_cochain(h.module, degree - 1, rng))
+        drawn.append(coords)
+        cocycles.append(cochain_add(h.from_coordinates(coords), noise))
+    return h, drawn, cocycles
+
+
+@pytest.mark.parametrize("degree,pi,a,action", INTEGER_CASES)
+def test_integer_coordinates_match_reference(degree, pi, a, action):
+    h, drawn, cocycles = _integer_case(degree, pi, a, action)
+    ref = _reference(degree, pi, a, action)
+    assert h.invariant_factors == ref.invariant_factors
+    assert tuple(b.values for b in h.basis) == ref.basis
+    assert [h.coordinates(c) for c in cocycles] == drawn
+    assert [ref.coordinates(c) for c in cocycles] == drawn
+
+
+# The cases above with a class of order 4 or a nontrivial action among them.
+MUTATED_CASES = [(2, "Z4", "Z4", None), (2, "V4", "Z4xZ2", None), (2, "Z3", "Z6", None),
+                 (3, "V4", "Z8", None), (2, "V4", "Z4", "invert")]
+
+
+def _with_map(h, cmap):
+    return replace(h, _lattice=replace(h._exact(), to_coords=cmap))
+
+
+@pytest.mark.parametrize("degree,pi,a,action", MUTATED_CASES)
+def test_changed_coordinate_row_disagrees_with_reference(degree, pi, a, action):
+    """Mutation check of the test above: one entry of each coordinate row
+    changed by L, at the first entry some seeded cocycle holds off the
+    row's factor, makes some seeded cocycle's coordinates differ."""
+    h, drawn, cocycles = _integer_case(degree, pi, a, action)
+    cmap = h._exact().to_coords
+    vectors = [cohomology._vectorize(c) for c in cocycles]
+    assert len(cmap.witness) == len(h.invariant_factors) > 0
+    for j, (row, m) in enumerate(cmap.witness):
+        f = h.invariant_factors[j]
+        k = next(k for k in range(len(row)) if any(b[k] % f for b in vectors))
+        witness = list(cmap.witness)
+        witness[j] = (row[:k] + [(row[k] + cmap.lcm) % m] + row[k + 1:], m)
+        mutant = _with_map(h, replace(cmap, witness=tuple(witness)))
+        assert [mutant.coordinates(c) for c in cocycles] != drawn, (j, k)
+
+
+@pytest.mark.parametrize("degree,pi,a,action", MUTATED_CASES)
+def test_changed_lattice_check_row_fails_the_membership_certificate(degree, pi, a, action):
+    """Mutation check of the lattice-membership certificate: one entry of a
+    check row changed by 1, at an entry some seeded cocycle holds off the
+    row's d_i, makes that cocycle's query raise, also under python -O."""
+    h, _, cocycles = _integer_case(degree, pi, a, action)
+    cmap = h._exact().to_coords
+    assert cmap.checks
+    i, k, c = next((i, k, c) for i, (y, d) in enumerate(cmap.checks)
+                   for c in cocycles for k, x in enumerate(cohomology._vectorize(c)) if x % d)
+    checks = list(cmap.checks)
+    y, d = checks[i]
+    checks[i] = (y[:k] + [(y[k] + 1) % d] + y[k + 1:], d)
+    mutant = _with_map(h, replace(cmap, checks=tuple(checks)))
+    with pytest.raises(CertificateFailed, match="must lie in the cocycle lattice"):
+        mutant.coordinates(c)
 
 
 # --- coboundary witnesses from one map per module and degree ---------------------
@@ -699,8 +781,8 @@ def test_changed_check_row_fails_the_map_certificate(monkeypatch, degree, pi, a,
     real = snf.smith_normal_form
     changed = []
 
-    def smith_with_changed_check(a, rows, cols, track):
-        sf = real(a, rows, cols, track=track)
+    def smith_with_changed_check(a, rows, cols, track, v_rows):
+        sf = real(a, rows, cols, track=track, v_rows=v_rows)
         i, k = next((i, k) for i, d in enumerate(sf.diagonal()) if d > 1
                     for k in range(rows) if any(x % d for x in a[k]))
         sf.u[i][k] += 1
@@ -759,19 +841,17 @@ def test_changed_witness_row_fails_the_witness_certificate(monkeypatch, degree, 
 
 def test_witness_queries_solve_nothing(monkeypatch):
     """After the first query on a module, a witness query (p = 2, odd p and
-    the list path; coboundaries and cochains that are not) calls neither
-    smith_normal_form nor SmithForm.solve."""
+    the list path; coboundaries and cochains that are not) calls no
+    smith_normal_form."""
     queries = []
     for degree, pi, a, action in WITH_ONTO:
         module, _, _ = _coboundary_case(degree, pi, a, action)
         rng = random.Random(f"{degree} {pi} {a}")
         queries += [_witness_query(module, degree, kind, rng) for kind in WITNESS_KINDS]
     calls = []
-    real_snf, real_solve = snf.smith_normal_form, snf.SmithForm.solve
+    real_snf = snf.smith_normal_form
     monkeypatch.setattr(snf, "smith_normal_form",
                         lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
-    monkeypatch.setattr(snf.SmithForm, "solve",
-                        lambda *a, **k: calls.append("solve") or real_solve(*a, **k))
     answers = [is_coboundary(c) for c in queries]
     assert calls == []
     assert all(w is not None for w in answers[::len(WITNESS_KINDS)])

@@ -681,6 +681,29 @@ def test_class_covering_and_classes_share_one_solve(monkeypatch):
     assert calls == {"obstruction_cocycle": 1, "is_coboundary": 1, "crossed_product": 1}
 
 
+def test_degree_two_matrix_is_factored_once_for_witness_and_lattice(monkeypatch):
+    """On a cold cache, classifying the Klein quotient (Pi0 = V4, A = Z2)
+    factors the 27x36 matrix [d_2 | moduli] once, keeping the 9 rows of v
+    that give C^2 coordinates: the degree-3 witness and H^2's cocycle
+    lattice are both read from it, and the lattice takes two more
+    factorizations, of its generators and of the quotient."""
+    from prolong import snf
+    from prolong.classify import enumerate_classes
+    pre = _cold_scenario("klein_quotient")
+    real = snf.smith_normal_form
+    shapes = []
+    monkeypatch.setattr(snf, "smith_normal_form", lambda a, rows=None, cols=None, **k: (
+        shapes.append((rows, cols, k.get("track"), k.get("v_rows")))
+        or real(a, rows, cols, **k)))
+    built = _record_lattices(monkeypatch)
+    assert len(enumerate_classes(pre)) == 8
+    assert built == [2]
+    degree_two = [shape for shape in shapes if shape[:2] == (27, 36)]
+    assert degree_two == [(27, 36, "uv", 9)]
+    assert shapes[shapes.index(degree_two[0]) + 1:] == [(9, 9, "uU", None),
+                                                        (9, 12, "uU", None)]
+
+
 def test_nonzero_class_builds_only_the_degree_three_lattice(monkeypatch):
     pre = _cold_scenario("obstructed")
     built = _record_lattices(monkeypatch)

@@ -3,15 +3,18 @@ from hypothesis import assume, given, strategies as st
 
 from prolong.snf import (
     identity_matrix,
-    kernel_basis,
-    lattice_column_basis,
     matmul,
     matvec,
     rank_mod_p,
     smith_normal_form,
 )
 
-from oracles import matvec as dense_matvec, reference_smith_normal_form, reference_solve_integer
+from oracles import (
+    matvec as dense_matvec,
+    reference_smith_normal_form,
+    reference_solve_integer,
+    smith_solve,
+)
 
 small_matrix = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=5),
@@ -56,7 +59,9 @@ def test_known_small_cases():
 def test_empty_shapes():
     sf = smith_normal_form([], rows=0, cols=3)
     assert sf.diagonal() == []
-    assert kernel_basis([], rows=0, cols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert smith_normal_form([], rows=0, cols=3, track="v").v == identity_matrix(3)
+    assert smith_normal_form([], rows=0, cols=3, track="v", v_rows=2).v == [[1, 0, 0],
+                                                                          [0, 1, 0]]
 
 
 @given(small_matrix)
@@ -69,43 +74,16 @@ def test_solve_round_trip(m, data):
     cols = len(m[0])
     x = data.draw(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols))
     b = matvec(m, x)
-    sol = smith_normal_form(m, track="uv").solve(b)
+    sol = smith_solve(smith_normal_form(m, track="uv"), b)
     assert sol is not None
     assert matvec(m, sol) == b
 
 
 def test_solve_unsolvable():
-    assert smith_normal_form([[2]], track="uv").solve([1]) is None
+    assert smith_solve(smith_normal_form([[2]], track="uv"), [1]) is None
     diag = smith_normal_form([[2, 0], [0, 3]], track="uv")
-    assert diag.solve([1, 1]) is None
-    assert diag.solve([4, 9]) == [2, 3]
-
-
-@given(small_matrix)
-def test_kernel_columns_annihilate(m):
-    cols = len(m[0])
-    basis = kernel_basis(m)
-    for col in basis:
-        assert matvec(m, col) == [0] * len(m)
-    # completeness: rank + kernel dimension = number of columns
-    sf = smith_normal_form(m)
-    rank = sum(1 for d in sf.diagonal() if d)
-    assert len(basis) == cols - rank
-
-
-def test_lattice_basis_spans():
-    cols = [[2, 0], [0, 3], [2, 3]]
-    basis = lattice_column_basis(cols, 2)
-    assert len(basis) == 2
-    # every generator solvable over the basis
-    mat = [[b[i] for b in basis] for i in range(2)]
-    for col in cols:
-        assert smith_normal_form(mat, track="uv").solve(col) is not None
-
-
-def test_lattice_basis_degenerate():
-    assert lattice_column_basis([], 3) == []
-    assert lattice_column_basis([[0, 0]], 2) == []
+    assert smith_solve(diag, [1, 1]) is None
+    assert smith_solve(diag, [4, 9]) == [2, 3]
 
 
 # --- differential: the tightened loops against the reference elimination ------
@@ -124,13 +102,26 @@ def test_smith_form_matches_reference(m, track):
         assert getattr(new, name) == getattr(ref, name), name
 
 
+@given(sparse_matrix, st.sampled_from(["uUv", "uv", "v"]), st.data())
+def test_leading_rows_of_v_match_the_full_factorization(m, track, data):
+    """v_rows keeps the leading rows of v the full factorization gives and
+    changes neither d nor the other transforms."""
+    cols = len(m[0]) if m else 3
+    kept = data.draw(st.integers(0, cols))
+    full = smith_normal_form(m, len(m), cols, track=track)
+    cut = smith_normal_form(m, len(m), cols, track=track, v_rows=kept)
+    assert cut.v == full.v[:kept]
+    for name in ("d", "u", "u_inv"):
+        assert getattr(cut, name) == getattr(full, name), name
+
+
 @given(sparse_matrix, st.data())
 def test_one_factor_solves_like_a_fresh_one(m, data):
     cols = len(m[0]) if m else 2
     sf = smith_normal_form(m, len(m), cols, track="uv")
     for _ in range(3):
         b = data.draw(st.lists(st.integers(-4, 4), min_size=len(m), max_size=len(m)))
-        assert sf.solve(b) == reference_solve_integer(m, b, len(m), cols)
+        assert smith_solve(sf, b) == reference_solve_integer(m, b, len(m), cols)
 
 
 big_entry = st.integers(-9, 9) | st.integers(-2**70, 2**70)
@@ -161,8 +152,9 @@ def test_matvec_matches_the_dense_product(case):
 
 @given(sparse_matrix, st.data())
 def test_solve_through_an_output_map(m, data):
-    """solve(b, out=M @ v) is M applied to solve(b), for rows of v picked
-    out and for any integer M, and is None exactly when solve(b) is."""
+    """smith_solve(sf, b, out=M @ v) is M applied to smith_solve(sf, b),
+    for rows of v picked out and for any integer M, and is None exactly
+    when smith_solve(sf, b) is."""
     rows, cols = len(m), len(m[0]) if m else 2
     assume(cols)
     sf = smith_normal_form(m, rows, cols, track="uv")
@@ -171,9 +163,9 @@ def test_solve_through_an_output_map(m, data):
                              min_size=1, max_size=3))
     for _ in range(3):
         b = data.draw(st.lists(st.integers(-4, 4), min_size=rows, max_size=rows))
-        x = sf.solve(b)
-        through_rows = sf.solve(b, out=[sf.v[i] for i in picked])
-        through_map = sf.solve(b, out=matmul(mat, sf.v))
+        x = smith_solve(sf, b)
+        through_rows = smith_solve(sf, b, out=[sf.v[i] for i in picked])
+        through_map = smith_solve(sf, b, out=matmul(mat, sf.v))
         if x is None:
             assert through_rows is None and through_map is None
         else:
@@ -183,9 +175,9 @@ def test_solve_through_an_output_map(m, data):
 
 def test_solve_needs_u_and_v():
     with pytest.raises(ValueError):
-        smith_normal_form([[2]], track="v").solve([2])
+        smith_solve(smith_normal_form([[2]], track="v"), [2])
     with pytest.raises(ValueError):
-        smith_normal_form([[2]], track="uv").solve([2, 0])
+        smith_solve(smith_normal_form([[2]], track="uv"), [2, 0])
 
 
 def _pairs(m):
