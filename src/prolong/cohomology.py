@@ -418,13 +418,14 @@ class _CoboundaryMap(Record, eq=False):
     coordinates and f_j their factors: the output is the witness, the
     canonical solution v y of the integer solve reduced mod f_j.  Its map
     keeps in cocycles the generators of the cocycle lattice of degree
-    n - 1, read from the same v.  _integer_lattice reads class coordinates
-    from a = the cocycle-lattice generators, with T the rows of the
-    quotient's u that give coordinates and f_j the invariant factors.  For
-    p = 2 (coefficients (Z/2)^r, so every d_i divides 2 and every f_j is 2)
-    a check row is an int packed as pack packs b, and a witness row is the
-    pair of bit planes (low, high) of M_j mod 4; otherwise check rows are
-    (y_i, d_i) and witness rows (M_j, L f_j), as lists.
+    n - 1, read from the same v.  _integer_lattice reads the class
+    coordinates of every A from a = the cocycle-lattice generators, with T
+    the rows of the quotient's u that give coordinates and f_j the
+    invariant factors, so that its checks decide whether c is a cocycle.
+    For p = 2 (coefficients (Z/2)^r, so every d_i divides 2 and every f_j
+    is 2) a check row is an int packed as pack packs b, and a witness row is
+    the pair of bit planes (low, high) of M_j mod 4; otherwise check rows
+    are (y_i, d_i) and witness rows (M_j, L f_j), as lists.
     """
 
     __slots__ = ("p", "lcm", "checks", "witness", "pack", "cocycles")
@@ -438,14 +439,30 @@ class _CoboundaryMap(Record, eq=False):
         assign(self, "pack", pack)
         assign(self, "cocycles", cocycles)
 
+    @property
+    def index(self) -> int:
+        """prod d_i over the check rows, the order of the group they map
+        into."""
+        return 2 ** len(self.checks) if self.p == 2 else prod(d for _, d in self.checks)
+
+    def vanishes_on(self, columns, length: int) -> bool:
+        """Every check row vanishes mod its d_i on every column, each given
+        as (index, coefficient) pairs over length entries."""
+        if self.p == 2:
+            packed = [x for x in (snf.pack_mod_p(pairs, length, 2) for pairs in columns) if x]
+            return not any((y & x).bit_count() & 1 for y in self.checks for x in packed)
+        return all(sum(y[i] * c for i, c in pairs) % d == 0
+                   for y, d in self.checks for pairs in columns)
+
     def solve(self, c: Cochain) -> list[int] | None:
         """The outputs for c, or None when a check row fails, which
         certifies that D y = u b has no integer solution."""
         lcm = self.lcm
         if self.p == 2:
             b = self.pack(c)
-            if any((y & b).bit_count() & 1 for y in self.checks):
-                return None
+            for y in self.checks:     # a plain loop: any() over a generator costs more
+                if (y & b).bit_count() & 1:
+                    return None
             return [((low & b).bit_count() + 2 * (high & b).bit_count()) % (2 * lcm) // lcm
                     for low, high in self.witness]
         b = _vectorize(c)
@@ -531,16 +548,10 @@ def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
     cmap = _read_map(sf.u, diag, sf.v, [factors[j % r] for j in range(cols)], p,
                      _bit_packer(module, degree + 1) if p == 2 else None,
                      cocycles=[row[rows:] for row in sf.v])
-    checks = cmap.checks
-    columns = snf.sparse_columns(*_delta_matrix(module, degree))
-    if p == 2:     # the moduli columns are 2 e_k, even
-        packed = [snf.pack_mod_p(pairs, rows, 2) for pairs in columns]
-        vanish = not any((y & x).bit_count() & 1 for y in checks for x in packed)
-    else:
-        vanish = all(sum(y[i] * c for i, c in pairs) % d == 0
-                     for y, d in checks for pairs in columns) and all(
-            y[k] * factors[k % r] % d == 0 for y, d in checks for k in range(rows))
-    certify(vanish, "check rows must vanish on every column of [d | moduli]")
+    columns = (snf.sparse_columns(*_delta_matrix(module, degree))
+               + [[(k, factors[k % r])] for k in range(rows)])
+    certify(cmap.vanishes_on(columns, rows),
+            "check rows must vanish on every column of [d | moduli]")
     return cmap
 
 
@@ -587,95 +598,25 @@ def same_class(c1: Cochain, c2: Cochain) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Lattice(Record, eq=False):
-    """The exact integer presentation of one H^n: basis cocycles and, for
-    coefficients that are not (Z/p)^r, the map a coordinates query reads.
+    """The exact integer presentation of one H^n: basis cocycles and the
+    map a coordinates query reads.
 
     to_coords is the _CoboundaryMap of the Smith form u G v = D of the
     cocycle-lattice generators G, whose outputs are a cocycle's coordinates
-    in the basis: its checks certify that the cocycle's vector lies in the
-    cocycle lattice, and a query is one pass over its rows, not a
-    factorization.  For (Z/p)^r coefficients queries reduce against the
-    group's _Echelon instead, and to_coords is None.
+    in the basis.  Its check rows hold exactly when the cochain's vector
+    lies in the cocycle lattice, that is when the cochain is a cocycle, so
+    a query is one pass over its rows: no factorization and no is_cocycle
+    walk.  For (Z/2)^r coefficients the rows are packed as _read_map packs
+    them.
     """
 
     __slots__ = ("invariant_factors", "basis", "to_coords")
 
     def __init__(self, invariant_factors: tuple[int, ...], basis: tuple[Cochain, ...],
-                 to_coords: _CoboundaryMap | None):
+                 to_coords: _CoboundaryMap):
         assign(self, "invariant_factors", invariant_factors)
         assign(self, "basis", basis)
         assign(self, "to_coords", to_coords)
-
-
-class _Echelon(Record, eq=False):
-    """The cocycles Z^n over GF(p), for coefficients (Z/p)^r, in echelon
-    form with every vector tagged by its class in H^n.
-
-    pivots, keyed by lead as snf.column_echelon keys them, are the pivots of
-    d_{n-1}'s columns, which span B^n and carry tag 0, and the basis
-    cocycles, basis[k] with tag e_k, each reduced against those before it.
-    A vector is a cochain's `width` free-position coordinates (_vectorize)
-    followed by `tags` tag entries, one per basis cocycle: for p = 2 an int
-    with the tag in its low bits, for odd p a list with the tag at the end.
-    Every pivot's tag is its class, so a cochain reduced from tag 0 keeps a
-    nonzero cochain part exactly when it is no cocycle, and otherwise its
-    tag part is minus its coordinates.  For p = 2, pack is the cochain
-    packer of the degree (_bit_packer), whose int the tag bits follow.
-    """
-
-    __slots__ = ("p", "width", "tags", "pivots", "pack")
-
-    def __init__(self, p: int, width: int, tags: int, pivots: dict, pack):
-        assign(self, "p", p)
-        assign(self, "width", width)
-        assign(self, "tags", tags)
-        assign(self, "pivots", pivots)
-        assign(self, "pack", pack)
-
-    def vector(self, c: Cochain, k: int | None = None):
-        """The vector of c with tag e_k, or with tag 0 when k is None."""
-        if self.p == 2:
-            x = self.pack(c) << self.tags
-            return x if k is None else x | 1 << k
-        x = _vectorize(c) + [0] * self.tags
-        if k is not None:
-            x[self.width + k] = 1
-        return x
-
-    def in_cochain_part(self, lead: int | None) -> bool:
-        """A lead from snf.reduce_mod_p lies in the cochain part of a vector."""
-        return lead is not None and (lead > self.tags if self.p == 2 else lead < self.width)
-
-    def coordinates(self, c: Cochain) -> tuple[int, ...]:
-        lead, x = snf.reduce_mod_p(self.pivots, self.vector(c), self.p)
-        if self.in_cochain_part(lead):
-            raise NotCocycle("only cocycles have class coordinates")
-        if self.p == 2:
-            return tuple((x >> k) & 1 for k in range(self.tags))
-        return tuple(-v % self.p for v in x[self.width:])
-
-
-def _class_echelon(module: PiModule, degree: int, basis: tuple[Cochain, ...],
-                   p: int) -> _Echelon:
-    """The tagged echelon of Z^degree for (Z/p)^r coefficients, certified to
-    span the cocycles: each basis cocycle is independent modulo B^degree,
-    and the pivots number dim C^degree - rank d_degree = dim Z^degree."""
-    tags = len(basis)
-    spans_b = snf.column_echelon(*_delta_matrix(module, degree - 1), p)
-    if p == 2:
-        pivots = {lead + tags: x << tags for lead, x in spans_b.items()}
-    else:
-        pivots = {lead: x + [0] * tags for lead, x in spans_b.items()}
-    width = _dimension(module, degree)
-    echelon = _Echelon(
-        p=p, width=width, tags=tags, pivots=pivots,
-        pack=_bit_packer(module, degree) if p == 2 else None)
-    for k, b in enumerate(basis):
-        certify(echelon.in_cochain_part(snf.add_pivot(pivots, echelon.vector(b, k), p)),
-                "basis cocycles must be independent modulo coboundaries")
-    certify(len(pivots) == width - _delta_rank(module, degree),
-            "the tagged echelon must span the cocycles")
-    return echelon
 
 
 class CohomologyGroup(Record, eq=False,
@@ -684,25 +625,23 @@ class CohomologyGroup(Record, eq=False,
 
     coordinates(c) expresses the class of a cocycle c with respect to basis;
     distinct coordinate tuples are non-cohomologous classes.  The invariant
-    factors are known on construction.  The exact lattice behind basis and
-    from_coordinates sits in the mutable slot _lattice, filled on first use
-    when cohomology_group decided the factors by ranks.  For (Z/p)^r
-    coefficients coordinates reduces against the tagged echelon of Z^n in
-    the mutable slot _echelon, built and certified on first use from the
-    pivots of d_{n-1} and the basis: one reduction decides that c is a
-    cocycle and reads its class, with no integer solve.  Other coefficients
-    check is_cocycle and read the coordinates through the lattice's map.
+    factors are known on construction.  The exact lattice behind basis,
+    coordinates and from_coordinates sits in the mutable slot _lattice,
+    filled on first use when cohomology_group decided the factors by ranks.
+    For every coefficient group with classes, coordinates reads the
+    lattice's map: its check rows decide that c is a cocycle (raising
+    NotCocycle when one fails) and its coordinate rows give the class.
+    When H^n = 0, coordinates walks is_cocycle and builds no lattice.
     """
 
-    __slots__ = ("module", "degree", "invariant_factors", "_lattice", "_echelon")
+    __slots__ = ("module", "degree", "invariant_factors", "_lattice")
 
     def __init__(self, module: PiModule, degree: int, invariant_factors: tuple[int, ...],
-                 _lattice: _Lattice | None = None, _echelon: _Echelon | None = None):
+                 _lattice: _Lattice | None = None):
         assign(self, "module", module)
         assign(self, "degree", degree)
         assign(self, "invariant_factors", invariant_factors)
         assign(self, "_lattice", _lattice)
-        assign(self, "_echelon", _echelon)
 
     @property
     def order(self) -> int:
@@ -716,17 +655,6 @@ class CohomologyGroup(Record, eq=False,
             assign(self, "_lattice", lattice)
         return self._lattice
 
-    def _classes(self) -> _Echelon | None:
-        """The tagged echelon of Z^n when the coefficients are (Z/p)^r and
-        Pi0 is nontrivial, else None."""
-        if self._echelon is None:
-            p = (_elementary_prime(abelian_structure(self.module.a))
-                 if self.module.pi.order > 1 else None)
-            if p is None:
-                return None
-            assign(self, "_echelon", _class_echelon(self.module, self.degree, self.basis, p))
-        return self._echelon
-
     @property
     def basis(self) -> tuple[Cochain, ...]:
         return self._exact().basis if self.invariant_factors else ()
@@ -734,15 +662,12 @@ class CohomologyGroup(Record, eq=False,
     def coordinates(self, c: Cochain) -> tuple[int, ...]:
         if c.module != self.module or c.degree != self.degree:
             raise ValueError("cochain lives in a different complex")
-        echelon = self._classes()
-        if echelon is not None:
-            return echelon.coordinates(c)
-        if not is_cocycle(c):
+        if self.invariant_factors:
+            coords = self._exact().to_coords.solve(c)
+        else:
+            coords = () if is_cocycle(c) else None
+        if coords is None:
             raise NotCocycle("only cocycles have class coordinates")
-        if not self.invariant_factors:
-            return ()
-        coords = self._exact().to_coords.solve(c)
-        certify(coords is not None, "cocycle vector must lie in the cocycle lattice")
         return tuple(coords)
 
     def from_coordinates(self, coords) -> Cochain:
@@ -822,6 +747,15 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     coefficient moduli) in K-coordinates and reads invariant factors and
     basis representatives off the diagonalization of that.  Deterministic
     for fixed inputs.
+
+    The coordinate map is read off the Smith form u G v = D of K's
+    generators and certified once, with certify so that python -O keeps it:
+    every check row vanishes mod its D_i on every generator, so a failing
+    row proves that a cochain is no cocycle, and the D_i of the check rows
+    multiply to |C^n : Z^n|, counted apart from G (p^rank d_n for (Z/p)^r,
+    else |C^(n+1)| over the diagonal product of [d_n | moduli]).  Rows of
+    the unimodular u that meet both cut out K itself, so every cocycle
+    passes them.
     """
     struct = abelian_structure(module.a)
     r = struct.rank
@@ -832,7 +766,8 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     # the basis K = u^-1 D = G v of the cocycle lattice from the Smith form
     # u G v = D of its generators, which then puts B in K-coordinates:
     # K^-1 b = D^-1 u b
-    gens = _coboundary_map(module, degree).cocycles
+    cmap = _coboundary_map(module, degree)
+    gens = cmap.cocycles
     g_form = snf.smith_normal_form(gens, n_unknowns, n_unknowns, track="uU")
     k_diag = g_form.diagonal()
     certify(all(k_diag), "cocycle lattice must have full rank")
@@ -863,7 +798,13 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
         rep = _devectorize(module, degree, vec)
         certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
-    # (Z/p)^r queries reduce against _Echelon
-    to_coords = None if p is not None else _read_map(
-        g_form.u, k_diag, [sf.u[i] for i in kept], list(factors), p=None, pack=None)
+    to_coords = _read_map(g_form.u, k_diag, [sf.u[i] for i in kept], list(factors), p,
+                          _bit_packer(module, degree) if p == 2 else None)
+    # |C^n : Z^n| = |B^(n+1)|, and |C^(n+1) : B^(n+1)| = cmap.index
+    index = (p ** _delta_rank(module, degree) if p is not None else
+             module.a.order ** (module.pi.order - 1) ** (degree + 1) // cmap.index)
+    certify(to_coords.vanishes_on([[(i, row[j]) for i, row in enumerate(gens) if row[j]]
+                                   for j in range(n_unknowns)], n_unknowns),
+            "check rows must vanish on every generator of the cocycle lattice")
+    certify(to_coords.index == index, "check rows must number the index of the cocycles")
     return _Lattice(invariant_factors=factors, basis=tuple(basis), to_coords=to_coords)

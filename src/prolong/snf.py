@@ -7,7 +7,8 @@ would make them ambiguous.
 The sparse readers (sparse_columns, pack_mod_p, column_echelon, rank_mod_p)
 take a matrix as sparse rows of (column, coefficient) pairs instead; all but
 sparse_columns work over GF(p), packing a vector one bit per entry into a
-Python int for p = 2 and keeping it as a list otherwise.
+Python int for p = 2 and keeping it as a list otherwise.  The echelon is
+read only for its pivot count, the rank.
 """
 
 from __future__ import annotations
@@ -241,56 +242,41 @@ def column_echelon(rows, cols: int, p: int) -> dict:
 
     A column may repeat within a row (its coefficients add) and coefficients
     need not be reduced.  Each column is gathered from the pairs
-    (sparse_columns), reduced against the pivots found so far
-    (reduce_mod_p) and kept when it does not vanish, so the pivots are keyed
-    by lead and their number is the rank.  For p = 2 a vector is packed one
-    bit per entry into a Python int (entry i is bit i) and its lead is its
-    bit length, so reduction is XOR; for odd p vectors are lists whose lead
-    is the first nonzero index, scaled to a leading 1.  cohomology reduces
-    cocycles against these pivots to read class coordinates.
+    (sparse_columns), reduced against the pivots found so far (_add_pivot)
+    and kept when it does not vanish, so the pivots are keyed by lead and
+    their number is the rank.  For p = 2 a vector is packed one bit per
+    entry into a Python int (entry i is bit i) and its lead is its bit
+    length, so reduction is XOR; for odd p vectors are lists whose lead is
+    the first nonzero index, scaled to a leading 1.
     """
     pivots: dict = {}
     for pairs in sparse_columns(rows, cols):
-        add_pivot(pivots, pack_mod_p(pairs, len(rows), p), p)
+        _add_pivot(pivots, pack_mod_p(pairs, len(rows), p), p)
     return pivots
 
 
-def reduce_mod_p(pivots: dict, x, p: int):
-    """(lead, x) for x reduced against the pivots of an echelon until its
-    lead has none: lead is None when x reduced to zero.  Vectors are packed
-    as column_echelon packs them.  A caller may append entries that no
-    pivot leads at (below the lowest lead for p = 2, after the last for odd
-    p): reduction carries them along, and a lead among them means the rest
-    of x reduced to zero."""
+def _add_pivot(pivots: dict, x, p: int) -> None:
+    """Reduce x against the pivots until its lead has none and keep what
+    is left as a new pivot; an x that reduces to zero adds nothing."""
     if p == 2:
         while x:
             top = x.bit_length()
             pivot = pivots.get(top)
             if pivot is None:
-                return top, x
+                pivots[top] = x
+                return
             x ^= pivot
-        return None, x
+        return
     lead = next((j for j, v in enumerate(x) if v), None)
     while lead is not None:
         pivot = pivots.get(lead)
         if pivot is None:
-            return lead, x
+            scale = pow(x[lead], -1, p)
+            pivots[lead] = [v * scale % p for v in x]
+            return
         c = x[lead]
         x = [(v - c * y) % p for v, y in zip(x, pivot)]
         lead = next((j for j in range(lead + 1, len(x)) if x[j]), None)
-    return None, x
-
-
-def add_pivot(pivots: dict, x, p: int):
-    """Reduce x against the echelon and keep what is left as a new pivot.
-    Returns the lead of the new pivot, or None when x lay in the span."""
-    lead, x = reduce_mod_p(pivots, x, p)
-    if lead is not None:
-        if p != 2:
-            scale = pow(x[lead], -1, p)
-            x = [v * scale % p for v in x]
-        pivots[lead] = x
-    return lead
 
 
 def rank_mod_p(rows, cols: int, p: int) -> int:

@@ -430,22 +430,29 @@ def test_coordinates_match_reference_on_query_groups(degree, pi, a):
     assert [h.coordinates(c) for c in cocycles] == [ref.coordinates(c) for c in cocycles]
 
 
+def _with_map(h, cmap):
+    return replace(h, _lattice=replace(h._exact(), to_coords=cmap))
+
+
 @pytest.mark.parametrize("degree,pi,a", QUERY_GROUPS)
 def test_changed_coordinate_map_entry_disagrees_with_reference(degree, pi, a):
-    """Mutation check of the test above: one tag bit of the echelon flipped,
-    for each coordinate at seeded pivots, makes some seeded cocycle's
-    coordinates differ from the reference engine's."""
+    """Mutation check of the test above: one bit of a packed coordinate row
+    flipped, in the plane that carries L and at seeded entries some seeded
+    cocycle holds, makes some seeded cocycle's coordinates differ from the
+    reference engine's."""
     h, ref, cocycles = _query_case(degree, pi, a)
     expected = [ref.coordinates(c) for c in cocycles]
-    echelon = h._classes()
-    assert echelon.p == 2 and echelon.tags == len(h.invariant_factors)
+    cmap = h._exact().to_coords
+    assert cmap.p == 2 and cmap.lcm == 2 and len(cmap.witness) == len(h.invariant_factors)
+    held = sorted({k for c in cocycles for k, x in enumerate(cohomology._vectorize(c)) if x})
     rng = random.Random(f"mutate {degree} {pi} {a}")
-    for k in range(echelon.tags):
-        for lead in rng.sample(sorted(echelon.pivots), 4):
-            changed = dict(echelon.pivots)
-            changed[lead] ^= 1 << k
-            mutant = replace(h, _echelon=replace(echelon, pivots=changed))
-            assert [mutant.coordinates(c) for c in cocycles] != expected, (k, lead)
+    for j in range(len(cmap.witness)):
+        for k in rng.sample(held, 4):
+            witness = list(cmap.witness)
+            low, high = witness[j]
+            witness[j] = (low, high ^ 1 << k)     # L = 2: coordinate j reads the high plane
+            mutant = _with_map(h, replace(cmap, witness=tuple(witness)))
+            assert [mutant.coordinates(c) for c in cocycles] != expected, (j, k)
 
 
 def test_queries_reuse_their_factorizations(monkeypatch):
@@ -471,13 +478,14 @@ def test_queries_reuse_their_factorizations(monkeypatch):
     assert calls == []
 
 
-# --- class coordinates by the tagged echelon, for (Z/p)^r coefficients -----------
+# --- class coordinates through the lattice's map ----------------------------------
 
 # Every module of LADDER (all of them have (Z/p)^r coefficients), trivial Z2
 # over D4 and Q8, Z3 over Z3xZ3, and S3 acting on V4 as Aut(V4), each in
 # the degrees 1..3 whose integer lattice and reference engine are built in
 # a few seconds: degree 3 over S3, Z5, Z6 and the groups of order 8 takes
-# from 3 s to more than 30 s, and degree 2 over Z3xZ3 about 10 s.
+# from 3 s to more than 30 s, and degree 2 over Z3xZ3 about 10 s.  Their
+# maps keep packed rows for p = 2 and lists for odd p.
 ECHELON_CASES = sorted(
     {(degree, pi, a, action) for _, pi, a, action in LADDER for degree in (1, 2, 3)
      if degree < 3 or pi not in ("S3", "Z5", "Z6")}
@@ -485,23 +493,35 @@ ECHELON_CASES = sorted(
     | {(1, "Z3xZ3", "Z3", None), (1, "S3", "V4", "aut"), (2, "S3", "V4", "aut")},
     key=str)
 
+# Coefficients Z4, Z6, Z8 and Z4xZ2 over Z2, Z3, V4 and Z4 trivially, and Z4
+# inverted by Z2, V4 and Z4, in degrees 1..3: none of them is (Z/p)^r, so
+# their maps keep list rows and cohomology_group builds their lattices at
+# once.  Each reference builds in under a second.
+INTEGER_CASES = sorted(
+    {(degree, pi, a, None) for degree in (1, 2, 3) for pi in ("Z2", "Z3", "V4", "Z4")
+     for a in ("Z4", "Z6", "Z8", "Z4xZ2")}
+    | {(degree, pi, "Z4", "invert") for degree in (1, 2, 3) for pi in ("Z2", "V4", "Z4")},
+    key=str)
+
 
 def _integer_solve(monkeypatch, module, degree, cocycles):
-    """The coordinates the integer path gives: the group built and queried
-    as for coefficients that are not (Z/p)^r, whose lattice keeps its
-    coordinate map and which has no echelon."""
+    """The coordinates the list rows give: the group built and queried as
+    for coefficients that are not (Z/p)^r, whose lattice is built at once
+    and whose map keeps its rows as lists."""
     with monkeypatch.context() as m:
         m.setattr(cohomology, "_elementary_prime", lambda struct: None)
         h = cohomology_group.__wrapped__(degree, module)     # not the cached group
-        assert h._lattice.to_coords is not None or not h.invariant_factors
+        assert h._lattice.to_coords.p is None
         coords = [h.coordinates(c) for c in cocycles]
-        assert h._echelon is None
     return h, coords
 
 
 @pytest.mark.parametrize("degree,pi,a,action", ECHELON_CASES)
 def test_echelon_coordinates_match_reference_and_integer_solve(monkeypatch, degree, pi,
                                                                a, action):
+    """Coordinates through the packed (p = 2) or odd-p rows of the map equal
+    the drawn ones, those of the same lattice read through list rows, and
+    the reference engine's."""
     module = _ladder_module(pi, a, action)
     h = cohomology_group(degree, module)
     rng = random.Random(f"echelon {degree} {pi} {a} {action}")
@@ -512,9 +532,9 @@ def test_echelon_coordinates_match_reference_and_integer_solve(monkeypatch, degr
         drawn.append(coords)
         cocycles.append(cochain_add(h.from_coordinates(coords), noise))
     got = [h.coordinates(c) for c in cocycles]
-    assert h._classes() is not None
-    # the lattice is built for the basis only, without the integer coordinate map
-    assert (h._lattice.to_coords is None) if h.invariant_factors else h._lattice is None
+    # no lattice is built when H^n = 0
+    assert (h._lattice.to_coords.p == h.invariant_factors[0] if h.invariant_factors
+            else h._lattice is None)
     integer, by_solve = _integer_solve(monkeypatch, module, degree, cocycles)
     assert [b.values for b in integer.basis] == [b.values for b in h.basis]
     assert got == drawn == by_solve
@@ -522,17 +542,19 @@ def test_echelon_coordinates_match_reference_and_integer_solve(monkeypatch, degr
 
 
 @functools.lru_cache(maxsize=None)
-def _echelon_group(degree, pi, a, action):
+def _class_group(degree, pi, a, action):
     return cohomology_group(degree, _ladder_module(pi, a, action))
 
 
-@given(case=st.sampled_from([c for c in ECHELON_CASES if c[1] not in ("D4", "Q8")]),
+@given(case=st.sampled_from([c for c in ECHELON_CASES if c[1] not in ("D4", "Q8")]
+                            + INTEGER_CASES),
        kind=st.sampled_from(["random", "cocycle", "changed"]), seed=st.integers(0, 2**32))
 def test_echelon_raises_not_cocycle_exactly_off_the_cocycles(case, kind, seed):
     """On random cochains, on random cocycles, and on random cocycles with
-    one free value changed, the echelon's coordinates raise NotCocycle
-    exactly when is_cocycle fails."""
-    h = _echelon_group(*case)
+    one free value changed, coordinates raise NotCocycle exactly when
+    is_cocycle fails: for (Z/p)^r and for Z4, Z6, Z8 and Z4xZ2 the map's
+    check rows decide."""
+    h = _class_group(*case)
     module, degree = h.module, h.degree
     rng = random.Random(seed)
     if kind == "random":
@@ -553,7 +575,7 @@ def test_echelon_raises_not_cocycle_exactly_off_the_cocycles(case, kind, seed):
 
 
 def test_echelon_query_solves_nothing(monkeypatch):
-    """Once its echelon is built, an elementary coordinates query (p = 2 and
+    """Once its lattice is built, an elementary coordinates query (p = 2 and
     odd p, with and without classes, on cocycles and on cochains that are
     not) calls no smith_normal_form."""
     cases = [(2, "D4", "Z2", None), (3, "Z4", "V4", None), (2, "Z3", "Z3", None),
@@ -561,13 +583,13 @@ def test_echelon_query_solves_nothing(monkeypatch):
     rng = random.Random(7)
     queries = []
     for case in cases:
-        h = _echelon_group(*case)
+        h = _class_group(*case)
         for _ in range(4):
             coords = tuple(rng.randrange(d) for d in h.invariant_factors)
             noise = coboundary(random_cochain(h.module, h.degree - 1, rng))
             queries.append((h, coords, cochain_add(h.from_coordinates(coords), noise)))
         queries.append((h, None, random_cochain(h.module, h.degree, rng)))
-        h.coordinates(queries[-2][2])    # builds the echelon
+        h.coordinates(queries[-2][2])    # builds the lattice and its map
     calls = []
     real_snf = snf.smith_normal_form
     monkeypatch.setattr(snf, "smith_normal_form",
@@ -583,38 +605,88 @@ def test_echelon_query_solves_nothing(monkeypatch):
     assert calls == [] and raised >= 3
 
 
-def test_echelon_certificate_catches_a_dependent_basis(monkeypatch):
-    """A basis cocycle that is a coboundary, or a basis shorter than H^n,
-    fails the echelon's certificate, also under python -O."""
-    module = trivial_module(builtin("V4"), Z2)
-    h = cohomology_group(2, module)
-    basis = h.basis
-    bounding = coboundary(random_cochain(module, 1, random.Random(3)))
-    for broken, message in ((basis[:-1] + (bounding,), "independent modulo coboundaries"),
-                            (basis[:-1], "span the cocycles")):
-        with pytest.raises(CertificateFailed, match=message):
-            cohomology._class_echelon(module, 2, broken, 2)
+def test_coordinates_query_walks_no_cocycle_check(monkeypatch):
+    """On a group with classes, a coordinates query (Z2 and Z4
+    coefficients; cocycles and cochains that are not) calls neither
+    is_cocycle nor smith_normal_form: the map's check rows decide."""
+    rng = random.Random(11)
+    queries = []
+    for case in ((2, "D4", "Z2", None), (2, "V4", "Z4", None)):
+        h = _class_group(*case)
+        assert h.invariant_factors
+        for _ in range(4):
+            coords = tuple(rng.randrange(d) for d in h.invariant_factors)
+            noise = coboundary(random_cochain(h.module, h.degree - 1, rng))
+            queries.append((h, coords, cochain_add(h.from_coordinates(coords), noise)))
+        off = next(c for c in (random_cochain(h.module, h.degree, rng) for _ in range(100))
+                   if not is_cocycle(c))
+        queries.append((h, None, off))
+    calls = []
+    real_snf, real_is_cocycle = snf.smith_normal_form, cohomology.is_cocycle
+    monkeypatch.setattr(snf, "smith_normal_form",
+                        lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
+    monkeypatch.setattr(cohomology, "is_cocycle",
+                        lambda c: calls.append("is_cocycle") or real_is_cocycle(c))
+    for h, coords, c in queries:
+        if coords is None:
+            with pytest.raises(NotCocycle, match="only cocycles have class coordinates"):
+                h.coordinates(c)
+        else:
+            assert h.coordinates(c) == coords
+    assert calls == []
 
 
-# --- class coordinates by the lattice's map, for other coefficients --------------
+def _lattice_with_checks(monkeypatch, degree, pi, a, action, change):
+    """H^degree's lattice built afresh, its coordinate map's check rows
+    replaced by change(map, G) as _read_map returns them, G the
+    cocycle-lattice generators the map is certified against."""
+    module = _ladder_module(pi, a, action)
+    gens = cohomology._coboundary_map(module, degree).cocycles    # cached: not changed
+    real = cohomology._read_map
 
-# Coefficients Z4, Z6, Z8 and Z4xZ2 over Z2, Z3, V4 and Z4 trivially, and Z4
-# inverted by Z2, V4 and Z4, in degrees 1..3: none of them is (Z/p)^r, so
-# coordinates read the lattice's map.  Each reference builds in under a second.
-INTEGER_CASES = sorted(
-    {(degree, pi, a, None) for degree in (1, 2, 3) for pi in ("Z2", "Z3", "V4", "Z4")
-     for a in ("Z4", "Z6", "Z8", "Z4xZ2")}
-    | {(degree, pi, "Z4", "invert") for degree in (1, 2, 3) for pi in ("Z2", "V4", "Z4")},
-    key=str)
+    def read_changed(*args, **kwargs):
+        cmap = real(*args, **kwargs)
+        return replace(cmap, checks=change(cmap, gens))
+
+    monkeypatch.setattr(cohomology, "_read_map", read_changed)
+    return cohomology._integer_lattice(module, degree)
+
+
+def _change_an_entry(cmap, gens):
+    """The check rows with one entry of the first changed by 1 (one bit for
+    p = 2), at the first entry some generator holds off that row's d_i."""
+    y, d = (cmap.checks[0], 2) if cmap.p == 2 else cmap.checks[0]
+    k = next(k for k, row in enumerate(gens) if any(x % d for x in row))
+    changed = y ^ 1 << k if cmap.p == 2 else (y[:k] + [(y[k] + 1) % d] + y[k + 1:], d)
+    return (changed,) + cmap.checks[1:]
+
+
+# (degree, Pi0, A, action): the packed rows of p = 2, odd p, and the list
+# rows of Z4 and Z4xZ2 coefficients.
+CERTIFIED_CASES = [(2, "V4", "Z2", None), (3, "Z4", "V4", None), (2, "S3", "Z3", None),
+                   (2, "Z4", "Z4", None), (2, "V4", "Z4xZ2", None)]
+
+
+def test_coordinate_map_certificate_catches_a_changed_or_dropped_check_row(monkeypatch):
+    """Mutation check of the coordinate map's certificate, also under
+    python -O: one check-row entry changed while the map is read fails the
+    vanishing on the cocycle-lattice generators, and one check row dropped
+    fails the count of |C^n : Z^n|."""
+    for case in CERTIFIED_CASES:
+        for change, message in (
+                (_change_an_entry, "vanish on every generator of the cocycle lattice"),
+                (lambda cmap, gens: cmap.checks[:-1], "number the index of the cocycles")):
+            with monkeypatch.context() as m, pytest.raises(CertificateFailed, match=message):
+                _lattice_with_checks(m, *case, change)
 
 
 @functools.lru_cache(maxsize=None)
 def _integer_case(degree, pi, a, action):
-    """H^degree, read through the lattice's map, and seeded cocycles with
-    the coordinates drawn for them: basis combinations plus coboundaries of
-    random cochains."""
+    """H^degree, read through the lattice's list rows, and seeded cocycles
+    with the coordinates drawn for them: basis combinations plus
+    coboundaries of random cochains."""
     h = cohomology_group(degree, _ladder_module(pi, a, action))
-    assert h._classes() is None and h._exact().to_coords is not None
+    assert h._lattice is not None and h._lattice.to_coords.p is None
     rng = random.Random(f"integer {degree} {pi} {a} {action}")
     drawn, cocycles = [], []
     for _ in range(8):
@@ -640,10 +712,6 @@ MUTATED_CASES = [(2, "Z4", "Z4", None), (2, "V4", "Z4xZ2", None), (2, "Z3", "Z6"
                  (3, "V4", "Z8", None), (2, "V4", "Z4", "invert")]
 
 
-def _with_map(h, cmap):
-    return replace(h, _lattice=replace(h._exact(), to_coords=cmap))
-
-
 @pytest.mark.parametrize("degree,pi,a,action", MUTATED_CASES)
 def test_changed_coordinate_row_disagrees_with_reference(degree, pi, a, action):
     """Mutation check of the test above: one entry of each coordinate row
@@ -663,21 +731,15 @@ def test_changed_coordinate_row_disagrees_with_reference(degree, pi, a, action):
 
 
 @pytest.mark.parametrize("degree,pi,a,action", MUTATED_CASES)
-def test_changed_lattice_check_row_fails_the_membership_certificate(degree, pi, a, action):
-    """Mutation check of the lattice-membership certificate: one entry of a
-    check row changed by 1, at an entry some seeded cocycle holds off the
-    row's d_i, makes that cocycle's query raise, also under python -O."""
-    h, _, cocycles = _integer_case(degree, pi, a, action)
-    cmap = h._exact().to_coords
-    assert cmap.checks
-    i, k, c = next((i, k, c) for i, (y, d) in enumerate(cmap.checks)
-                   for c in cocycles for k, x in enumerate(cohomology._vectorize(c)) if x % d)
-    checks = list(cmap.checks)
-    y, d = checks[i]
-    checks[i] = (y[:k] + [(y[k] + 1) % d] + y[k + 1:], d)
-    mutant = _with_map(h, replace(cmap, checks=tuple(checks)))
-    with pytest.raises(CertificateFailed, match="must lie in the cocycle lattice"):
-        mutant.coordinates(c)
+def test_changed_lattice_check_row_fails_the_membership_certificate(monkeypatch, degree,
+                                                                   pi, a, action):
+    """Mutation check of the lattice-membership certificate on list rows:
+    one entry of a check row changed by 1 while the map is read, at an
+    entry some generator of the cocycle lattice holds off the row's d_i,
+    makes building the lattice raise, also under python -O."""
+    with pytest.raises(CertificateFailed,
+                       match="vanish on every generator of the cocycle lattice"):
+        _lattice_with_checks(monkeypatch, degree, pi, a, action, _change_an_entry)
 
 
 # --- coboundary witnesses from one map per module and degree ---------------------
@@ -952,9 +1014,11 @@ def test_lattice_is_built_once_on_demand_and_certified(monkeypatch):
     assert len(h.basis) == 3 and built == [2]
     # a lattice whose factors disagree with the ranks fails its certificate
     cohomology_group.cache_clear()
-    monkeypatch.setattr(cohomology, "_delta_rank", lambda m, n: 0)
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "_delta_rank", lambda module, degree: 0)
+        h = cohomology_group(2, module)
     try:
-        with pytest.raises(CertificateFailed):
-            cohomology_group(2, module).basis
+        with pytest.raises(CertificateFailed, match="invariant factors of the ranks"):
+            h.basis
     finally:
         cohomology_group.cache_clear()    # drop the group with the wrong factors
