@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import mod, mul
 
 from .errors import (
     DegreeOutOfRange,
@@ -158,10 +158,6 @@ def _flat(npi: int, args: tuple[int, ...]) -> int:
     return idx
 
 
-def _tuples(npi: int, degree: int):
-    return itertools.product(range(npi), repeat=degree)
-
-
 def free_positions(npi: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Argument tuples a normalized cochain is free on (no identity entries)."""
     return tuple(itertools.product(range(1, npi), repeat=degree))
@@ -179,17 +175,21 @@ class Cochain(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if not 0 <= self.degree <= MAX_DEGREE:
-            raise DegreeOutOfRange(f"degree {self.degree} outside 0..{MAX_DEGREE}")
-        npi = self.module.pi.order
-        if len(self.values) != npi ** self.degree:
+        module, degree, values = self.module, self.degree, self.values
+        if not 0 <= degree <= MAX_DEGREE:
+            raise DegreeOutOfRange(f"degree {degree} outside 0..{MAX_DEGREE}")
+        npi, na = module.pi.order, module.a.order
+        if len(values) != npi ** degree:
             raise ValueError("value table has the wrong size")
-        na = self.module.a.order
-        for args, v in zip(_tuples(npi, self.degree), self.values):
-            if not 0 <= v < na:
-                raise ValueError(f"value at {args} out of range")
-            if 0 in args and v != 0:
-                raise NotNormalized(f"nonzero value at {args}")
+        # one pass over the values and the identity positions; only a failure
+        # walks every position, to name the first bad one
+        if (min(values) < 0 or max(values) >= na
+                or any(map(values.__getitem__, _identity_flat(npi, degree)))):
+            for args, v in zip(itertools.product(range(npi), repeat=degree), values):
+                if not 0 <= v < na:
+                    raise ValueError(f"value at {args} out of range")
+                if 0 in args and v != 0:
+                    raise NotNormalized(f"nonzero value at {args}")
 
     def value(self, args: tuple[int, ...]) -> int:
         return self.values[_flat(self.module.pi.order, args)]
@@ -236,52 +236,82 @@ def _free_flat(npi: int, degree: int) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def _coboundary_values(c: Cochain):
-    """The values of d c at the free positions of degree n + 1, in order,
-    reading c.values by flat index; d c of a normalized c is normalized, so
-    these are all its possibly nonzero values.
+@lru_cache(maxsize=None)
+def _identity_flat(npi: int, degree: int) -> tuple[int, ...]:
+    """Flat indices of the positions with an identity entry, in order: the
+    ones where a normalized cochain vanishes."""
+    if degree == 0:
+        return ()
+    block, inner = npi ** (degree - 1), _identity_flat(npi, degree - 1)
+    return (*range(block), *(x * block + idx for x in range(1, npi) for idx in inner))
 
-    For the output tuple t = (t0, ..., tn) at flat index idx, the suffix
-    t[1:] sits at idx % npi**n and the prefix t[:n] at idx // npi; merging
-    t_j t_{j+1} keeps the j leading digits and the n - 1 - j trailing ones.
+
+@lru_cache(maxsize=None)
+def _heads(pi: FiniteGroup, n: int) -> tuple:
+    """The heads h = t[:n] of the free positions t of degree n + 1, n >= 1,
+    in order, one entry each, not one per position: (t0, suffix, own,
+    merges, last, row).  In the table of c's values followed by their
+    inverses, the terms of d c at t = (h, x) sit at suffix + x (t[1:]),
+    merges[j] + x (t_j t_{j+1} merged, j < n - 1) and last + row[x - 1]
+    (t_{n-1} x merged; row is pi's row of t_{n-1} from x = 1 on), the
+    merges in the inverses where their sign is -1; the prefix h sits at
+    own, whose inverse the walk reads for even n.
+    """
+    npi, table = pi.order, pi.table
+    size, rows = npi ** n, [r[1:] for r in table]
+    heads = []
+    for h in itertools.product(range(1, npi), repeat=n):
+        merges = tuple(_flat(npi, h[:j] + (table[h[j]][h[j + 1]],) + h[j + 2:]) * npi
+                       + size * (j % 2 == 0) for j in range(n - 1))
+        heads.append((h[0], _flat(npi, h[1:]) * npi, _flat(npi, h), merges,
+                      _flat(npi, h[:-1]) * npi + size * (n % 2), rows[h[-1]]))
+    return tuple(heads)
+
+
+def _coboundary_values(c: Cochain):
+    """d c at the free positions of degree n + 1, head by head in order:
+    pairs (start, row), row[x - 1] being the value at flat index start + x.
+    d c of a normalized c is normalized, so these are all its possibly
+    nonzero values.  Degree 0 has no head: x itself acts on c's one value.
     """
     if c.degree >= MAX_DEGREE:
         raise DegreeOutOfRange(f"cannot take the coboundary of degree {c.degree}")
-    module = c.module
-    npi = module.pi.order
-    n = c.degree
-    mul, inv = module.a.table, module.a.inv
-    pi_table = module.pi.table
-    action = module.action
-    vals = c.values
-    size = npi ** n
-    # (j, npi**(n + 1 - j), npi**(n - 1 - j), sign of the merged term)
-    merges = [(j, npi ** (n + 1 - j), npi ** (n - 1 - j), (-1) ** (j + 1))
-              for j in range(n)]
-    last_positive = (n + 1) % 2 == 0
-    for idx, t in zip(_free_flat(npi, n + 1),
-                      itertools.product(range(1, npi), repeat=n + 1)):
-        acc = action[t[0]][vals[idx % size]]
-        for j, high, low, sign in merges:
-            v = vals[(idx // high * npi + pi_table[t[j]][t[j + 1]]) * low + idx % low]
-            acc = mul[acc][v if sign > 0 else inv[v]]
-        v = vals[idx // npi]
-        yield mul[acc][v if last_positive else inv[v]]
+    module, n, vals = c.module, c.degree, c.values
+    npi, action, mul, inv = module.pi.order, module.action, module.a.table, module.a.inv
+    if n == 0:
+        v = vals[0]
+        yield 0, [mul[action[x][v]][inv[v]] for x in range(1, npi)]
+        return
+    signed = (*vals, *map(inv.__getitem__, vals))
+    shift = len(vals) * (n % 2 == 0)    # the prefix has sign (-1)^(n + 1)
+    for t0, suffix, own, merges, last, row in _heads(module.pi, n):
+        acting, plus = action[t0], mul[signed[own + shift]]
+        out = []
+        if merges:
+            for x, y in enumerate(row, 1):
+                acc = mul[plus[acting[signed[suffix + x]]]][signed[last + y]]
+                for base in merges:
+                    acc = mul[acc][signed[base + x]]
+                out.append(acc)
+        else:   # degree 1 has no middle merge to walk per position
+            for idx, y in enumerate(row, suffix + 1):
+                out.append(mul[plus[acting[signed[idx]]]][signed[last + y]])
+        yield own * npi, out
 
 
 def coboundary(c: Cochain) -> Cochain:
     """d c under the sign convention."""
-    values = list(_coboundary_values(c))    # raises past MAX_DEGREE before out is sized
+    rows = list(_coboundary_values(c))    # raises past MAX_DEGREE before out is sized
     npi = c.module.pi.order
     out = [0] * npi ** (c.degree + 1)
-    for idx, v in zip(_free_flat(npi, c.degree + 1), values):
-        out[idx] = v
-    return Cochain(c.module, c.degree + 1, tuple(out))
+    for start, row in rows:
+        out[start + 1:start + npi] = row
+    return Cochain(c.module, c.degree + 1, out)
 
 
 def is_cocycle(c: Cochain) -> bool:
-    """d c == 0, stopping at the first nonzero value."""
-    return not any(_coboundary_values(c))
+    """d c == 0, stopping at the first head with a nonzero value."""
+    return not any(any(row) for _, row in _coboundary_values(c))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +336,8 @@ def _delta_matrix(module: PiModule, degree: int):
     pairs, one per term, so a column may repeat; the row's entries are the
     sums of its coefficients, read modulo the invariant factor of the row's
     coordinate.  Free positions are indexed by flat arithmetic in base
-    m = |Pi0| - 1, as coboundary indexes values: the suffix of output
-    position idx sits at idx % m**n, its prefix at idx // m.
+    m = |Pi0| - 1: the suffix of output position idx sits at idx % m**n,
+    its prefix at idx // m.
     """
     struct = abelian_structure(module.a)
     r = struct.rank
@@ -364,13 +394,15 @@ def _vectorize(c: Cochain) -> list[int]:
 
 
 def _devectorize(module: PiModule, degree: int, vec: list[int]) -> Cochain:
+    """The cochain with free-position coordinates vec, each read mod its factor."""
     struct = abelian_structure(module.a)
-    r = struct.rank
     npi = module.pi.order
+    coords = map(mod, vec, itertools.cycle(struct.factors))
     values = [0] * npi ** degree
-    for k, idx in enumerate(_free_flat(npi, degree)):
-        values[idx] = struct.element(vec[k * r:k * r + r])
-    return Cochain(module, degree, tuple(values))
+    for idx, a in zip(_free_flat(npi, degree),
+                      map(struct._index.__getitem__, zip(*[coords] * struct.rank))):
+        values[idx] = a
+    return Cochain(module, degree, values)
 
 
 def _with_moduli(module: PiModule, degree: int):
@@ -578,8 +610,9 @@ def is_coboundary(c: Cochain) -> Cochain | None:
         return None
     witness = _devectorize(module, c.degree - 1, sol)
     # c and d(witness) are normalized, so they agree where the free values do
-    certify(list(_coboundary_values(witness))
-            == list(map(c.values.__getitem__, _free_flat(npi, c.degree))),
+    values = list(c.values)
+    certify(all(values[start + 1:start + npi] == row
+                for start, row in _coboundary_values(witness)),
             "witness must bound the cocycle")
     return witness
 

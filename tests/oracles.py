@@ -10,9 +10,10 @@ extension's middle group.
 
 The reference engine at the end is the exact slow path the library's
 cohomology engine replaced: the untightened Smith normal form, one
-factorization per solve, the coboundary that looks every value up by its
-argument tuple, and coboundary matrices built by running it on elementary
-cochains.  The fast path must agree with it number for number.
+factorization per solve, the cochain checks as one loop over every position
+(`reference_check_cochain`), the coboundary that looks every value up by
+its argument tuple, and coboundary matrices built by running it on
+elementary cochains.  The fast path must agree with it number for number.
 `reference_is_coboundary` is the witness path `is_coboundary` replaced: a
 Smith form of `[d_{n-1} | moduli]` factored once per module and degree, and
 one integer solve through it (`smith_solve`) per query.
@@ -64,6 +65,7 @@ from prolong.classify import _search_equivalence, are_equivalent
 from prolong.crossed import InducedCrossedModule, make_crossed_module
 from prolong.errors import (
     CheckItem,
+    DegreeOutOfRange,
     IdentityNotAtZero,
     MalformedTable,
     MismatchedBase,
@@ -72,6 +74,7 @@ from prolong.errors import (
     NotAssociative,
     NotHomomorphism,
     NotLatinSquare,
+    NotNormalized,
     PreconditionFailed,
     ProlongError,
     ValidationReport,
@@ -452,6 +455,23 @@ def smith_solve(sf: SmithForm, b: list[int], out: list[list[int]] | None = None
     if any(rhs[min(r, c):]):
         return None
     return sparse_matvec(out, y)
+
+
+def reference_check_cochain(module, degree: int, values) -> None:
+    """The cochain checks as one loop over every position in row-major
+    order, which `Cochain` runs only when its one-pass check fails: raises
+    what `Cochain(module, degree, values)` must raise, naming the first bad
+    position, and returns None on a valid table."""
+    if not 0 <= degree <= cohomology.MAX_DEGREE:
+        raise DegreeOutOfRange(f"degree {degree} outside 0..{cohomology.MAX_DEGREE}")
+    npi, na = module.pi.order, module.a.order
+    if len(values) != npi ** degree:
+        raise ValueError("value table has the wrong size")
+    for args, v in zip(itertools.product(range(npi), repeat=degree), values):
+        if not 0 <= v < na:
+            raise ValueError(f"value at {args} out of range")
+        if 0 in args and v != 0:
+            raise NotNormalized(f"nonzero value at {args}")
 
 
 def reference_coboundary(c):

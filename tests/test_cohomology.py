@@ -31,7 +31,7 @@ from prolong.errors import (
 )
 from prolong import cohomology, snf
 from prolong.fixtures import builtin, cyclic
-from prolong.groups import all_homomorphisms, automorphism_group_table
+from prolong.groups import all_homomorphisms, automorphism_group_table, direct_product
 from prolong.obstruction import derive
 from prolong.record import replace
 
@@ -40,6 +40,7 @@ from oracles import (
     enumerate_cohomology,
     invariant_factors_from_orders,
     iter_normalized_cochains,
+    reference_check_cochain,
     reference_coboundary,
     reference_delta_matrix,
     reference_is_coboundary,
@@ -107,6 +108,57 @@ def test_normalization_enforced():
         Cochain(m, 2, (1, 0, 0, 1))
     with pytest.raises(DegreeOutOfRange):
         Cochain(m, 5, (0,) * 32)
+
+
+def _outcome(check, *args):
+    """(exception class, message) of check(*args), or None when it passes."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# (module, degree, values) that Cochain must reject: a value out of range
+# before a nonzero value at an identity position and the reverse, negative
+# values (one at an identity position, where the range is checked first),
+# the first value past the range, a wrong size, and degrees outside 0..4.
+_Z3 = trivial_module(Z3, Z3)
+MALFORMED = [
+    (_Z3, 2, (0, 0, 0, 0, 5, 0, 1, 0, 0)),
+    (_Z3, 2, (0, 1, 0, 0, 0, 0, 0, 0, 5)),
+    (_Z3, 2, (0, 0, 0, 0, 1, -1, 0, 0, 0)),
+    (_Z3, 2, (-1, 0, 0, 0, 1, 2, 0, 0, 0)),
+    (_Z3, 1, (0, 3, 0)),
+    (_Z3, 2, (0,) * 8),
+    (_Z3, 5, (0,) * 3 ** 5),
+    (_Z3, -1, (0,)),
+    (pi_module(Z2, Z4, ((0, 1, 2, 3), INV4)), 3, (0,) * 7 + (4,)),
+]
+
+
+@pytest.mark.parametrize("module,degree,values", MALFORMED)
+def test_cochain_rejects_as_the_per_position_loop(module, degree, values):
+    """The one-pass check falls back to the per-position loop, which names
+    the first bad position: the same exception class and message as that
+    loop (kept as reference_check_cochain) on each malformed table."""
+    expected = _outcome(reference_check_cochain, module, degree, values)
+    assert expected is not None
+    assert _outcome(Cochain, module, degree, values) == expected
+
+
+@given(st.sampled_from(MODULES), st.integers(0, 3), st.lists(st.integers(-2, 5), max_size=3),
+       st.integers(0, 2**32))
+def test_cochain_checks_match_the_per_position_loop(module, degree, changes, seed):
+    """On random normalized tables with a few values overwritten, anywhere
+    and with values in and out of range, Cochain raises exactly what the
+    per-position loop raises, and accepts exactly what it accepts."""
+    rng = random.Random(seed)
+    values = list(random_cochain(module, degree, rng).values)
+    for v in changes:
+        values[rng.randrange(len(values))] = v
+    expected = _outcome(reference_check_cochain, module, degree, values)
+    assert _outcome(Cochain, module, degree, values) == expected
 
 
 def test_coboundary_of_zero():
@@ -382,6 +434,83 @@ def test_is_cocycle_matches_reference(case, degree, bounding, seed):
 def test_delta_matrix_order_eight(name):
     module = trivial_module(builtin(name), Z2)
     assert _densified(module, 2) == reference_delta_matrix(module, 2)
+
+
+# --- the head-indexed walk against the tuple-lookup coboundary ----------------
+
+# Nontrivial actions (Z3 and Z4 inverted, V4 swapped, S3 acting on V4
+# through Aut(V4), Z3 rotating V4), Z4 and Z4xZ2 coefficients, and D4 and
+# Q8 as Pi0; each is walked in degrees 0..3.
+WALK_MODULES = [("Z2", "Z3", "invert"), ("Z4", "Z3", "invert"), ("Z2", "V4", "swap"),
+                ("S3", "V4", "aut"), ("Z3", "V4", "rotate"), ("Z2", "Z4", "invert"),
+                ("V4", "Z4", None), ("Z3", "Z4xZ2", None), ("D4", "Z2", None),
+                ("Q8", "Z2", None)]
+
+
+def _walk_matches_reference(c):
+    """_coboundary_values gives one row per head, in the order of the free
+    positions, holding the tuple-lookup coboundary's values there;
+    coboundary equals it and is_cocycle tells whether it is zero."""
+    ref = reference_coboundary(c)
+    npi = c.module.pi.order
+    rows = list(cohomology._coboundary_values(c))
+    assert [start for start, _ in rows] == [cohomology._flat(npi, h) * npi
+                                            for h in free_positions(npi, c.degree)]
+    assert [v for _, row in rows for v in row] == [
+        ref.value(t) for t in free_positions(npi, c.degree + 1)]
+    assert coboundary(c) == ref
+    assert is_cocycle(c) == ref.is_zero()
+
+
+def _walk_query(module, degree, bounding, rng):
+    """A random normalized cochain, or for bounding a cocycle: the
+    tuple-lookup coboundary of a random cochain of one degree less."""
+    if bounding and degree:
+        return reference_coboundary(random_cochain(module, degree - 1, rng))
+    return random_cochain(module, degree, rng)
+
+
+@pytest.mark.parametrize("pi,a,action", WALK_MODULES)
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_walk_matches_reference(pi, a, action, degree):
+    module = _ladder_module(pi, a, action)
+    rng = random.Random(f"walk {degree} {pi} {a} {action}")
+    for bounding in (False, True, False):
+        _walk_matches_reference(_walk_query(module, degree, bounding, rng))
+
+
+@given(case=st.sampled_from(WALK_MODULES), degree=st.integers(0, 3),
+       bounding=st.booleans(), seed=st.integers(0, 2**32))
+def test_walk_matches_reference_on_random_cochains(case, degree, bounding, seed):
+    module = _ladder_module(*case)
+    _walk_matches_reference(_walk_query(module, degree, bounding, random.Random(seed)))
+
+
+SIXTEEN = direct_product(builtin("D4"), Z2)
+
+
+def test_walk_matches_reference_at_sixteen():
+    """Degree 3 at |Pi0| = 16 (D4 x Z2, trivial Z2): a random cochain and a
+    cocycle, against the tuple-lookup coboundary over all 16^4 positions."""
+    module = trivial_module(SIXTEEN, Z2)
+    rng = random.Random(16)
+    for bounding in (False, True):
+        _walk_matches_reference(_walk_query(module, 3, bounding, rng))
+
+
+def test_walk_at_sixteen_caches_heads_not_positions():
+    """is_cocycle and coboundary on degree-3 cochains at |Pi0| = 16 cache
+    one entry per head, 15^3 of them, and build no flat indices of degree 4
+    (a tuple of 15^4 ints, 31^4 at |Pi0| = 32)."""
+    module = trivial_module(SIXTEEN, Z2)
+    c = random_cochain(module, 3, random.Random(3))
+    cohomology._heads.cache_clear()
+    cohomology._free_flat.cache_clear()
+    assert is_cocycle(zero_cochain(module, 3)) and not is_cocycle(c)
+    assert coboundary(c) == coboundary(c)
+    assert cohomology._free_flat.cache_info().currsize == 0
+    assert cohomology._heads.cache_info().currsize == 1
+    assert len(cohomology._heads(SIXTEEN, 3)) == 15 ** 3
 
 
 @pytest.mark.parametrize("degree,pi,a,action", LADDER)
@@ -899,6 +1028,51 @@ def test_changed_witness_row_fails_the_witness_certificate(monkeypatch, degree, 
         monkeypatch.setattr(cohomology, "_coboundary_map", lambda module, degree: mutant)
         with pytest.raises(CertificateFailed, match="witness must bound the cocycle"):
             is_coboundary(c)
+
+
+# (degree, Pi0, A, action): witnesses of degree 1 (heads with no middle
+# merge) and of degree 2, for p = 2, Z3, Z4 inverted and S3 acting on V4.
+HEAD_CASES = [(2, "S3", "Z2", None), (2, "D4", "Z2", None), (3, "V4", "Z2", None),
+              (3, "Z4", "V4", None), (2, "S3", "Z3", None), (2, "Z4", "Z4", "invert"),
+              (3, "S3", "V4", "aut")]
+
+
+@pytest.mark.parametrize("degree,pi,a,action", HEAD_CASES)
+def test_changed_head_base_fails_the_witness_certificate(monkeypatch, degree, pi, a, action):
+    """Mutation check of the walk behind the witness certificate: one base
+    of one cached head (a suffix, a middle merge or the last merge) moved by
+    one, at the first head where the values read through it then change,
+    makes a query on a coboundary raise, also under python -O."""
+    module, c, _ = _coboundary_case(degree, pi, a, action)
+    witness = is_coboundary(c)
+    npi, inv = module.pi.order, module.a.inv
+    signed = witness.values + tuple(inv[v] for v in witness.values)
+    real = cohomology._heads
+    heads = real(module.pi, degree - 1)
+
+    def read(base, at):
+        return [signed[base + k] for k in at] if base + max(at) < len(signed) else None
+
+    def moved():
+        """(head index, the head with one base moved by one)."""
+        for i, (t0, suffix, own, merges, last, row) in enumerate(heads):
+            xs = range(1, npi)
+            if read(suffix + 1, xs) not in (None, read(suffix, xs)):
+                return i, (t0, suffix + 1, own, merges, last, row)
+            for j, base in enumerate(merges):
+                if read(base + 1, xs) not in (None, read(base, xs)):
+                    bases = merges[:j] + (base + 1,) + merges[j + 1:]
+                    return i, (t0, suffix, own, bases, last, row)
+            if read(last + 1, row) not in (None, read(last, row)):
+                return i, (t0, suffix, own, merges, last + 1, row)
+        return None
+
+    i, head = moved()
+    mutant = heads[:i] + (head,) + heads[i + 1:]
+    monkeypatch.setattr(cohomology, "_heads",
+                        lambda pi, n: mutant if (pi, n) == (module.pi, degree - 1) else real(pi, n))
+    with pytest.raises(CertificateFailed, match="witness must bound the cocycle"):
+        is_coboundary(c)
 
 
 def test_witness_queries_solve_nothing(monkeypatch):
