@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
 
     scenario_cmd("validate", "validate a scenario and report every violation")
     scenario_cmd("cohomology", "invariant factors of H^n of the scenario module",
-                 **{"--degree": {"type": int, "default": None},
+                 **{"--degree": {"type": int, "choices": (1, 2, 3), "default": None},
                     "--basis": {"action": "store_true"}})
     scenario_cmd("obstruction", "compute the obstruction class",
                  **{"--seed": {"type": int, "default": None}})

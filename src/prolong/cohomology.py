@@ -419,8 +419,8 @@ def _with_moduli(module: PiModule, degree: int):
 @lru_cache(maxsize=None)
 def _bit_packer(module: PiModule, degree: int):
     """For coefficients (Z/2)^r: the function that packs a cochain of this
-    degree into one int with _vectorize(c)[i] at bit i, as
-    snf.column_echelon packs a vector.
+    degree into one int with _vectorize(c)[i] at bit i, as _bit_planes
+    packs a row.
 
     digits[a] is the bit string of A-element a's coordinates and order the
     flat indices of the free positions, both last first, so that int(..., 2)
@@ -456,8 +456,8 @@ class _CoboundaryMap(Record, eq=False):
     invariant factors, so that its checks decide whether c is a cocycle.
     For p = 2 (coefficients (Z/2)^r, so every d_i divides 2 and every f_j
     is 2) a check row is an int packed as pack packs b, and a witness row is
-    the pair of bit planes (low, high) of M_j mod 4; otherwise check rows
-    are (y_i, d_i) and witness rows (M_j, L f_j), as lists.
+    the pair of bit planes (low, high) of M_j; otherwise check rows are
+    (y_i, d_i), witness rows (M_j, L f_j), as lists, and pack is _vectorize.
     """
 
     __slots__ = ("p", "lcm", "checks", "witness", "pack", "cocycles")
@@ -477,34 +477,34 @@ class _CoboundaryMap(Record, eq=False):
         into."""
         return 2 ** len(self.checks) if self.p == 2 else prod(d for _, d in self.checks)
 
-    def vanishes_on(self, columns, length: int) -> bool:
-        """Every check row vanishes mod its d_i on every column, each given
-        as (index, coefficient) pairs over length entries."""
-        if self.p == 2:
-            packed = [x for x in (snf.pack_mod_p(pairs, length, 2) for pairs in columns) if x]
-            return not any((y & x).bit_count() & 1 for y in self.checks for x in packed)
-        return all(sum(y[i] * c for i, c in pairs) % d == 0
-                   for y, d in self.checks for pairs in columns)
+    def accepts(self, cochains, factors) -> bool:
+        """solve answers each of the cochains, and for list rows every check
+        row has y_k f_k == 0 mod d_i at each coordinate k of factor f_k (the
+        moduli columns), so that the rows vanish on the cochains' integer
+        vectors, not only on the reduced ones solve reads.  For (Z/2)^r the
+        clause holds by construction."""
+        if self.p != 2 and any(y_k * f % d for y, d in self.checks
+                               for y_k, f in zip(y, itertools.cycle(factors))):
+            return False
+        return all(self.solve(c) is not None for c in cochains)
 
     def solve(self, c: Cochain) -> list[int] | None:
         """The outputs for c, or None when a check row fails, which
         certifies that D y = u b has no integer solution."""
-        lcm = self.lcm
+        b, lcm = self.pack(c), self.lcm
         if self.p == 2:
-            b = self.pack(c)
             for y in self.checks:     # a plain loop: any() over a generator costs more
                 if (y & b).bit_count() & 1:
                     return None
             return [((low & b).bit_count() + 2 * (high & b).bit_count()) % (2 * lcm) // lcm
                     for low, high in self.witness]
-        b = _vectorize(c)
         if any(sum(map(mul, y, b)) % d for y, d in self.checks):
             return None
         return [sum(map(mul, row, b)) % m // lcm for row, m in self.witness]
 
 
 def _bit_planes(row: list[int]) -> tuple[int, int]:
-    """(low, high): bits 0 and 1 of the entries of row mod 4, packed."""
+    """(low, high): bits 0 and 1 of the entries of row, packed."""
     low = high = 0
     for k in itertools.compress(range(len(row)), row):
         if row[k] & 1:
@@ -514,45 +514,35 @@ def _bit_planes(row: list[int]) -> tuple[int, int]:
     return low, high
 
 
-def _read_map(u: list[list[int]], diag: list[int], t_rows, moduli: list[int],
-              p: int | None, pack, cocycles: list | None = None) -> _CoboundaryMap:
+def _read_map(u: list[list[int]], diag: list[int], t_rows, moduli,
+              module: PiModule, degree: int, cocycles: list | None = None) -> _CoboundaryMap:
     """The _CoboundaryMap of the Smith form with square u and positive
-    diagonal diag, for the output rows t_rows of T and their moduli.  Each
-    t_row is read only at the indices of u's rows; the rows are built from
-    sparse or bit-packed rows of u."""
+    diagonal diag, for the output rows t_rows of T and their moduli, read
+    on cochains of module in the given degree.  Each t_row is read only at
+    the indices of u's rows.  The rows are built as lists from sparse rows
+    of u; for (Z/2)^r they are then packed (_bit_planes)."""
     n = len(u)
     lcm_d = lcm(*diag)
     scale = [lcm_d // d for d in diag]
+    checks = [([x % d for x in row], d) for row, d in zip(u, diag) if d > 1]
+    sparse = [[(k, row[k]) for k in itertools.compress(range(n), row)] for row in u]
     witness = []
-    if p == 2:
-        planes = [_bit_planes(row) for row in u]
-        checks = tuple(low for (low, _), d in zip(planes, diag) if d > 1)
-        for t_row in t_rows:
-            # sum of c u_i mod 4 over the bit planes: low carries into high
-            low = high = 0
-            for i in itertools.compress(range(n), t_row):
-                c = t_row[i] * scale[i]
-                plane_low, plane_high = planes[i]
-                if c & 1:
-                    carry = low & plane_low
-                    low ^= plane_low
-                    high ^= plane_high ^ carry
-                if c & 2:
-                    high ^= plane_low
-            witness.append((low, high))
-    else:
-        checks = tuple(([x % d for x in row], d) for row, d in zip(u, diag) if d > 1)
-        sparse = [[(k, row[k]) for k in itertools.compress(range(n), row)] for row in u]
-        for t_row, f in zip(t_rows, moduli):
-            acc = [0] * n
-            for i in itertools.compress(range(n), t_row):
-                c = t_row[i] * scale[i]
+    for t_row, f in zip(t_rows, moduli):
+        m = lcm_d * f
+        acc = [0] * n
+        for i in itertools.compress(range(n), t_row):
+            c = t_row[i] * scale[i] % m
+            if c:
                 for k, x in sparse[i]:
                     acc[k] += c * x
-            m = lcm_d * f
-            witness.append(([x % m for x in acc], m))
-    return _CoboundaryMap(p=p, lcm=lcm_d, checks=checks, witness=tuple(witness),
-                          pack=pack, cocycles=cocycles)
+        witness.append(([x % m for x in acc], m))
+    p = _elementary_prime(abelian_structure(module.a))
+    if p == 2:
+        return _CoboundaryMap(p=p, lcm=lcm_d, checks=tuple(_bit_planes(y)[0] for y, _ in checks),
+                              witness=tuple(_bit_planes(row) for row, _ in witness),
+                              pack=_bit_packer(module, degree), cocycles=cocycles)
+    return _CoboundaryMap(p=p, lcm=lcm_d, checks=tuple(checks), witness=tuple(witness),
+                          pack=_vectorize, cocycles=cocycles)
 
 
 @lru_cache(maxsize=None)
@@ -565,24 +555,23 @@ def _coboundary_map(module: PiModule, degree: int) -> _CoboundaryMap:
     The moduli columns give the matrix full row rank, so the integer
     kernel is spanned by v's last dim C^degree columns, and the cocycle
     lattice by their first dim C^degree entries: only those rows of v are
-    kept.  Certified once, with certify so that python -O keeps it: every
-    check row vanishes mod its d_i on every column of [d_degree | moduli],
-    so a failing check row is a dual certificate for a None answer.  The
-    witness rows are certified by each witness they give (is_coboundary).
+    kept.  Certified once, with certify so that python -O keeps it: the
+    map accepts the coboundaries of the unit cochains of this degree,
+    computed from the group tables and not from d_degree, so every check
+    row vanishes mod its d_i on every column of [d_degree | moduli] and a
+    failing one is a dual certificate for a None answer.  The witness rows
+    are certified by each witness they give (is_coboundary).
     """
-    struct = abelian_structure(module.a)
-    factors, r = struct.factors, struct.rank
-    p = _elementary_prime(struct)
+    factors = abelian_structure(module.a).factors
     rows, cols = _dimension(module, degree + 1), _dimension(module, degree)
     sf = snf.smith_normal_form(*_with_moduli(module, degree), track="uv", v_rows=cols)
     diag = sf.diagonal()
     certify(all(diag), "[d | moduli] must have full row rank")
-    cmap = _read_map(sf.u, diag, sf.v, [factors[j % r] for j in range(cols)], p,
-                     _bit_packer(module, degree + 1) if p == 2 else None,
+    cmap = _read_map(sf.u, diag, sf.v, itertools.cycle(factors), module, degree + 1,
                      cocycles=[row[rows:] for row in sf.v])
-    columns = (snf.sparse_columns(*_delta_matrix(module, degree))
-               + [[(k, factors[k % r])] for k in range(rows)])
-    certify(cmap.vanishes_on(columns, rows),
+    units = (coboundary(_devectorize(module, degree, [0] * j + [1] + [0] * (cols - 1 - j)))
+             for j in range(cols))
+    certify(cmap.accepts(units, factors),
             "check rows must vanish on every column of [d | moduli]")
     return cmap
 
@@ -776,26 +765,23 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     """H^degree by integer Smith normal form, for a module with npi > 1 and r > 0.
 
     Takes the cocycle lattice K from the generators _coboundary_map read
-    off [d_degree | moduli], expresses the coboundary image (plus the
-    coefficient moduli) in K-coordinates and reads invariant factors and
-    basis representatives off the diagonalization of that.  Deterministic
-    for fixed inputs.
+    off [d_degree | moduli], expresses the columns of [d_(degree-1) |
+    moduli] (the coboundary image plus the coefficient moduli) in
+    K-coordinates and reads invariant factors and basis representatives
+    off the diagonalization of that.  Deterministic for fixed inputs.
 
     The coordinate map is read off the Smith form u G v = D of K's
     generators and certified once, with certify so that python -O keeps it:
-    every check row vanishes mod its D_i on every generator, so a failing
-    row proves that a cochain is no cocycle, and the D_i of the check rows
+    it accepts every generator read as a cochain, so a failing check row
+    proves that a cochain is no cocycle, and the D_i of the check rows
     multiply to |C^n : Z^n|, counted apart from G (p^rank d_n for (Z/p)^r,
     else |C^(n+1)| over the diagonal product of [d_n | moduli]).  Rows of
     the unimodular u that meet both cut out K itself, so every cocycle
     passes them.
     """
     struct = abelian_structure(module.a)
-    r = struct.rank
     p = _elementary_prime(struct)
-    n_unknowns, prev_cols = _dimension(module, degree), _dimension(module, degree - 1)
-    dm = _scatter(module, degree - 1, prev_cols)
-    moduli_n = [struct.factors[i % r] for i in range(n_unknowns)]
+    n_unknowns = _dimension(module, degree)
     # the basis K = u^-1 D = G v of the cocycle lattice from the Smith form
     # u G v = D of its generators, which then puts B in K-coordinates:
     # K^-1 b = D^-1 u b
@@ -805,14 +791,9 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     k_diag = g_form.diagonal()
     certify(all(k_diag), "cocycle lattice must have full rank")
     k_basis = [[x * d for x, d in zip(row, k_diag)] for row in g_form.u_inv]
-    # coboundary image plus coefficient moduli, expressed in K-coordinates
-    b_gens = []
-    for j in range(prev_cols):
-        b_gens.append([dm[i][j] for i in range(n_unknowns)])
-    for i in range(n_unknowns):
-        b_gens.append([moduli_n[i] if k == i else 0 for k in range(n_unknowns)])
+    # the coboundary image plus the moduli, [d_(n-1) | moduli], in K-coordinates
     q_cols = []
-    for b in b_gens:
+    for b in zip(*_with_moduli(module, degree - 1)[0]):
         ub = snf.matvec(g_form.u, b)
         certify(not any(x % d for x, d in zip(ub, k_diag)),
                 "coboundaries must lie in the cocycle lattice")
@@ -827,17 +808,16 @@ def _integer_lattice(module: PiModule, degree: int) -> _Lattice:
     new_basis = snf.matmul(k_basis, sf.u_inv)
     basis = []
     for i in kept:
-        vec = [new_basis[row][i] % moduli_n[row] for row in range(n_unknowns)]
-        rep = _devectorize(module, degree, vec)
+        rep = _devectorize(module, degree, [row[i] for row in new_basis])
         certify(is_cocycle(rep), "class representative must be a cocycle")
         basis.append(rep)
-    to_coords = _read_map(g_form.u, k_diag, [sf.u[i] for i in kept], list(factors), p,
-                          _bit_packer(module, degree) if p == 2 else None)
+    to_coords = _read_map(g_form.u, k_diag, [sf.u[i] for i in kept], list(factors),
+                          module, degree)
     # |C^n : Z^n| = |B^(n+1)|, and |C^(n+1) : B^(n+1)| = cmap.index
     index = (p ** _delta_rank(module, degree) if p is not None else
              module.a.order ** (module.pi.order - 1) ** (degree + 1) // cmap.index)
-    certify(to_coords.vanishes_on([[(i, row[j]) for i, row in enumerate(gens) if row[j]]
-                                   for j in range(n_unknowns)], n_unknowns),
+    generators = (_devectorize(module, degree, col) for col in zip(*gens))
+    certify(to_coords.accepts(generators, struct.factors),
             "check rows must vanish on every generator of the cocycle lattice")
     certify(to_coords.index == index, "check rows must number the index of the cocycles")
     return _Lattice(invariant_factors=factors, basis=tuple(basis), to_coords=to_coords)

@@ -44,7 +44,7 @@ class FiniteGroup(Record, init=("order", "table", "inv", "labels", "name"),
     the order and the tables, not the labels or the name.
     """
 
-    __slots__ = ("order", "table", "inv", "labels", "name", "gens", "_hash")
+    __slots__ = ("order", "table", "inv", "labels", "name", "gens")
 
     def __init__(self, order: int, table, inv, labels=None, name: str = ""):
         assign(self, "order", order)
@@ -56,11 +56,6 @@ class FiniteGroup(Record, init=("order", "table", "inv", "labels", "name"),
 
     def __post_init__(self):
         assign(self, "gens", _greedy_generators(self.table))
-        # the record hash, computed once: lru_cache keys hash whole groups
-        assign(self, "_hash", hash((self.order, self.table, self.inv)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

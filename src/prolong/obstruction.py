@@ -70,7 +70,7 @@ class PreProlongation(Record, init=("e0", "alpha", "gamma", "theta")):
     E0 = B0 / j0(ker alpha) through its canonical coset indexing.
     """
 
-    __slots__ = ("e0", "alpha", "gamma", "theta", "_hash", "_tags")
+    __slots__ = ("e0", "alpha", "gamma", "theta", "_tags")
 
     def __init__(self, e0: ShortExtension, alpha: Homomorphism, gamma: Homomorphism,
                  theta):
@@ -81,13 +81,8 @@ class PreProlongation(Record, init=("e0", "alpha", "gamma", "theta")):
         self.__post_init__()
 
     def __post_init__(self):
-        # the record hash and derive's group tags, computed once: every
-        # derive lookup keys on both
-        assign(self, "_hash", hash((self.e0, self.alpha, self.gamma, self.theta)))
+        # derive's group tags, computed once: every derive lookup keys on them
         assign(self, "_tags", group_tags(self.e0.j, self.e0.p, self.alpha, self.gamma))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def g(self) -> FiniteGroup:

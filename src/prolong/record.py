@@ -7,7 +7,8 @@ A record class lists its storage in `__slots__` and writes a plain
 - `init`: the constructor's arguments, in order (default: `__slots__`);
   `replace` passes them again, so a changed record is checked again;
 - `compare`: the fields of `__eq__` and `__hash__` (default: `init`), which
-  hash like the tuple of their values; `eq=False` keeps identity equality;
+  hash like the tuple of their values, kept after first use in `Record`'s
+  one slot; `eq=False` keeps identity equality and `object.__hash__`;
 - `shown`: the fields `repr` lists (default: `compare`).
 
 Assigning or deleting an attribute of a built record raises AttributeError.
@@ -21,7 +22,7 @@ assign = object.__setattr__   # sets a slot of a record under construction
 
 
 class Record:
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls, *, init=None, compare=None, shown=None, eq=True):
         cls._init = tuple(cls.__slots__ if init is None else init)
@@ -38,11 +39,14 @@ class Record:
             return self is other or key(self) == key(other)
 
         def __hash__(self):
-            return hash(key(self))
+            try:
+                return self._hash
+            except AttributeError:    # first use: module-keyed caches hash whole tables
+                assign(self, "_hash", hash(key(self)))
+                return self._hash
 
         cls.__eq__ = __eq__
-        if "__hash__" not in vars(cls):   # a class may cache its hash
-            cls.__hash__ = __hash__
+        cls.__hash__ = __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen record")

@@ -4,11 +4,10 @@ Matrices are plain lists of row lists of Python ints, so everything is exact
 and overflow-free.  Shapes are passed explicitly wherever an empty matrix
 would make them ambiguous.
 
-The sparse readers (sparse_columns, pack_mod_p, column_echelon, rank_mod_p)
-take a matrix as sparse rows of (column, coefficient) pairs instead; all but
-sparse_columns work over GF(p), packing a vector one bit per entry into a
-Python int for p = 2 and keeping it as a list otherwise.  The echelon is
-read only for its pivot count, the rank.
+rank_mod_p takes a matrix as sparse rows of (column, coefficient) pairs
+instead and eliminates its columns over GF(p), packing a column one bit per
+entry into a Python int for p = 2 and keeping it as a list otherwise; the
+elimination is read only for its pivot count, the rank.
 """
 
 from __future__ import annotations
@@ -208,79 +207,49 @@ def smith_normal_form(a, rows: int | None = None, cols: int | None = None,
                      u_inv=transpose(ui_t))
 
 
-def sparse_columns(rows, cols: int) -> list[list[tuple[int, int]]]:
-    """The columns of the integer matrix with cols columns whose rows are
-    given sparsely as lists of (column, coefficient) pairs: column j as the
-    list of (row, coefficient) pairs of its terms, in row order.  A row
-    appears once per term it holds in column j; its coefficients add."""
+def rank_mod_p(rows, cols: int, p: int) -> int:
+    """Rank over GF(p), p prime, of the integer matrix with cols columns
+    whose rows are given sparsely as lists of (column, coefficient) pairs.
+
+    A column may repeat within a row (its coefficients add) and coefficients
+    need not be reduced.  Each column is gathered from the pairs, reduced
+    against the pivots found so far and kept when it does not vanish, so
+    the pivots are keyed by lead and their number is the rank.  For p = 2 a
+    column is packed one bit per entry into a Python int (entry i is bit i)
+    and its lead is its bit length, so reduction is XOR; for odd p columns
+    are lists whose lead is the first nonzero index, scaled to a leading 1.
+    """
     columns: list = [[] for _ in range(cols)]
     for i, row in enumerate(rows):
         for j, c in row:
             columns[j].append((i, c))
-    return columns
-
-
-def pack_mod_p(pairs, length: int, p: int):
-    """The vector of the given length over GF(p) whose entries are the sums
-    of the (index, coefficient) pairs, packed as column_echelon packs it."""
-    if p == 2:
-        x = 0
-        for i, c in pairs:
-            if c & 1:
-                x ^= 1 << i
-        return x
-    x = [0] * length
-    for i, c in pairs:
-        x[i] += c
-    return [v % p for v in x]
-
-
-def column_echelon(rows, cols: int, p: int) -> dict:
-    """An echelon basis over GF(p), p prime, of the column space of the
-    integer matrix with cols columns whose rows are given sparsely as lists
-    of (column, coefficient) pairs.
-
-    A column may repeat within a row (its coefficients add) and coefficients
-    need not be reduced.  Each column is gathered from the pairs
-    (sparse_columns), reduced against the pivots found so far (_add_pivot)
-    and kept when it does not vanish, so the pivots are keyed by lead and
-    their number is the rank.  For p = 2 a vector is packed one bit per
-    entry into a Python int (entry i is bit i) and its lead is its bit
-    length, so reduction is XOR; for odd p vectors are lists whose lead is
-    the first nonzero index, scaled to a leading 1.
-    """
     pivots: dict = {}
-    for pairs in sparse_columns(rows, cols):
-        _add_pivot(pivots, pack_mod_p(pairs, len(rows), p), p)
-    return pivots
-
-
-def _add_pivot(pivots: dict, x, p: int) -> None:
-    """Reduce x against the pivots until its lead has none and keep what
-    is left as a new pivot; an x that reduces to zero adds nothing."""
-    if p == 2:
-        while x:
-            top = x.bit_length()
-            pivot = pivots.get(top)
+    for pairs in columns:
+        if p == 2:
+            x = 0
+            for i, c in pairs:
+                if c & 1:
+                    x ^= 1 << i
+            while x:
+                top = x.bit_length()
+                pivot = pivots.get(top)
+                if pivot is None:
+                    pivots[top] = x
+                    break
+                x ^= pivot
+            continue
+        x = [0] * len(rows)
+        for i, c in pairs:
+            x[i] += c
+        x = [v % p for v in x]
+        lead = next((j for j, v in enumerate(x) if v), None)
+        while lead is not None:
+            pivot = pivots.get(lead)
             if pivot is None:
-                pivots[top] = x
-                return
-            x ^= pivot
-        return
-    lead = next((j for j, v in enumerate(x) if v), None)
-    while lead is not None:
-        pivot = pivots.get(lead)
-        if pivot is None:
-            scale = pow(x[lead], -1, p)
-            pivots[lead] = [v * scale % p for v in x]
-            return
-        c = x[lead]
-        x = [(v - c * y) % p for v, y in zip(x, pivot)]
-        lead = next((j for j in range(lead + 1, len(x)) if x[j]), None)
-
-
-def rank_mod_p(rows, cols: int, p: int) -> int:
-    """Rank over GF(p), p prime, of the integer matrix with cols columns
-    whose rows are given sparsely as lists of (column, coefficient) pairs:
-    the pivot count of column_echelon."""
-    return len(column_echelon(rows, cols, p))
+                scale = pow(x[lead], -1, p)
+                pivots[lead] = [v * scale % p for v in x]
+                break
+            c = x[lead]
+            x = [(v - c * y) % p for v, y in zip(x, pivot)]
+            lead = next((j for j in range(lead + 1, len(x)) if x[j]), None)
+    return len(pivots)

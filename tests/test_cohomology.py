@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -984,6 +985,54 @@ def test_changed_check_row_fails_the_map_certificate(monkeypatch, degree, pi, a,
     with pytest.raises(CertificateFailed, match="check rows must vanish"):
         cohomology._coboundary_map.__wrapped__(module, degree - 1)
     assert len(changed) == 1
+
+
+def test_witness_map_certificate_reads_no_delta_matrix(monkeypatch):
+    """The witness map is certified against coboundaries computed from the
+    group tables, not against the matrix its Smith form factored: one term
+    added to row 0 of d_1 for S3 acting trivially on Z3 before the map is
+    built leaves a check row that fails on a true coboundary, and building
+    the map raises, also under python -O."""
+    module = _ladder_module("S3", "Z3", None)
+    abelian_structure(module.a)
+    real = cohomology._delta_matrix
+
+    def corrupted(m, degree):
+        rows, cols = real(m, degree)
+        if (m, degree) == (module, 1):
+            rows = [rows[0] + [(0, 1)], *rows[1:]]
+        return rows, cols
+
+    monkeypatch.setattr(cohomology, "_delta_matrix", corrupted)
+    with pytest.raises(CertificateFailed, match=re.escape(
+            "check rows must vanish on every column of [d | moduli]")):
+        cohomology._coboundary_map.__wrapped__(module, 1)
+
+
+def test_check_row_off_the_moduli_fails_the_map_certificate(monkeypatch):
+    """Mutation check of the moduli clause on its own.  d_0 vanishes for V4
+    acting trivially on Z4xZ2, so every coboundary the degree-1 witness
+    map's certificate solves is zero and passes any check row.  A list
+    check row (y, 4) with 1 added at coordinate 0, of factor 2, has
+    y_0 f_0 = 2 mod 4, and building the map raises, also under python -O."""
+    module = _ladder_module("V4", "Z4xZ2", None)
+    assert abelian_structure(module.a).factors == (2, 4)
+    real = cohomology._read_map
+    mutants = []
+
+    def read_changed(*args, **kwargs):
+        cmap = real(*args, **kwargs)
+        i, (y, d) = next((i, row) for i, row in enumerate(cmap.checks) if row[1] == 4)
+        changed = ([(y[0] + 1) % d] + y[1:], d)
+        mutants.append(replace(cmap, checks=cmap.checks[:i] + (changed,) + cmap.checks[i + 1:]))
+        return mutants[-1]
+
+    monkeypatch.setattr(cohomology, "_read_map", read_changed)
+    with pytest.raises(CertificateFailed, match=re.escape(
+            "check rows must vanish on every column of [d | moduli]")):
+        cohomology._coboundary_map.__wrapped__(module, 0)
+    units = [coboundary(cohomology._devectorize(module, 0, unit)) for unit in ([1, 0], [0, 1])]
+    assert all(c.is_zero() and mutants[0].solve(c) is not None for c in units)
 
 
 def test_map_without_check_rows():

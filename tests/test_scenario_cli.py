@@ -530,6 +530,26 @@ def test_usage_error_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize("degree", ["0", "5"])
+def test_degree_flag_outside_one_to_three_is_a_usage_error(degree):
+    """--degree outside 1..3 is a bad flag, not an invalid scenario: exit 1,
+    naming the choices."""
+    code, text = invoke("--format", "json", "cohomology",
+                        str(SCENARIOS / "cohomology_z2.json"), "--degree", degree)
+    assert code == 1
+    assert text.startswith("usage error: argument --degree: invalid choice")
+    assert "1, 2, 3" in text and text.count("\n") == 1
+
+
+def test_scenario_degree_outside_one_to_three_is_invalid():
+    """A cohomology-only scenario asking for degree 4 is no usage error: it
+    exits 2 with the DegreeOutOfRange kind."""
+    doc = {"mode": "cohomology-only", "groups": {"Pi": "Z2", "A": "Z2"},
+           "cohomology": {"pi": "Pi", "a": "A", "action": None, "degree": 4}}
+    code, payload = invoke_json("cohomology", json.dumps(doc))
+    assert (code, payload["kind"]) == (2, "DegreeOutOfRange")
+
+
 def test_missing_file_is_invalid_scenario():
     code, payload = invoke_json("validate", "/tmp/definitely_missing.json")
     assert code == 2
